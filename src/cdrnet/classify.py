@@ -15,6 +15,7 @@ Ties always break toward the lowest class index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -29,7 +30,10 @@ from .featurize import (
 from .ingest import LabelRecord
 from .net import ModelParams, forward_batch
 
-FEATURE_LAYER = "dense8"
+# Rows per forward call at inference, equal to the default training batch.
+# A fixed value keeps every user's scores independent of the other users in
+# the file: BLAS results for a row can change with the batch size.
+CHUNK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -46,33 +50,41 @@ class UserPrediction:
     weeks_used: int
 
 
-def _user_batch(model: ModelParams, weeks) -> np.ndarray:
-    stack = np.asarray(weeks, dtype=np.float64)
-    if stack.ndim == 3:
-        stack = stack[None]
-    if stack.ndim != 4 or len(stack) == 0:
-        raise ValueError("need at least one week tensor")
-    if model.norm_stats is not None:
-        stack = apply_normalizer(stack, model.norm_stats)
-    return stack
+def _user_means(model: ModelParams, dataset: TensorDataset, users=None):
+    """(user_id, mean softmax, mean dense8, weeks) per user, sorted by user id.
 
-
-def predict_user(model: ModelParams, weeks, user_id: str = "") -> UserPrediction:
-    """Average the per-week softmax vectors; argmax of the mean is the class."""
-    probs, _, _ = forward_batch(model, _user_batch(model, weeks))
-    mean = probs.mean(axis=0)
-    return UserPrediction(
-        user_id=user_id,
-        scores=mean,
-        class_index=int(np.argmax(mean)),
-        weeks_used=len(probs),
+    Rows are stably sorted by user id and run through forward_batch in
+    zero-padded chunks of exactly CHUNK_ROWS rows. Every row then meets the
+    same GEMM shapes whatever other rows share its chunk, so a user's means
+    do not depend on the other users in the file. Each user's rows are
+    averaged in file order. users, when given, selects the users to run.
+    """
+    ids = dataset.user_ids
+    rows = sorted(
+        (i for i, u in enumerate(ids) if users is None or u in users), key=ids.__getitem__
     )
-
-
-def extract_user_features(model: ModelParams, weeks) -> np.ndarray:
-    """Mean dense8 activation across the user's weeks (the SVM feature vector)."""
-    _, feats, _ = forward_batch(model, _user_batch(model, weeks))
-    return feats.mean(axis=0)
+    if not rows:
+        raise ValueError("need at least one week tensor")
+    probs = np.empty((len(rows), model.config.classes))
+    feats = np.empty((len(rows), model.config.feature_dim))
+    chunk = np.zeros((CHUNK_ROWS, *dataset.tensors.shape[1:]))
+    for start in range(0, len(rows), CHUNK_ROWS):
+        part = rows[start : start + CHUNK_ROWS]
+        chunk[: len(part)] = dataset.tensors[part]
+        chunk[len(part) :] = 0.0
+        x = chunk if model.norm_stats is None else apply_normalizer(chunk, model.norm_stats)
+        p, f, _ = forward_batch(model, x)
+        probs[start : start + len(part)] = p[: len(part)]
+        feats[start : start + len(part)] = f[: len(part)]
+    out = []
+    start = 0
+    for user_id, group in groupby(ids[i] for i in rows):
+        stop = start + sum(1 for _ in group)
+        out.append(
+            (user_id, probs[start:stop].mean(axis=0), feats[start:stop].mean(axis=0), stop - start)
+        )
+        start = stop
+    return out
 
 
 @dataclass
@@ -90,8 +102,6 @@ class SvmModel:
     lam: float
     feature_mean: np.ndarray
     feature_std: np.ndarray
-    feature_layer: str = FEATURE_LAYER
-    class_labels: tuple[str, ...] | None = None
     objective_history: list[list[float]] = field(default_factory=list, repr=False)
 
 
@@ -169,7 +179,6 @@ def train_linear_svm(
         lam=lam,
         feature_mean=mean,
         feature_std=std,
-        class_labels=class_labels,
         objective_history=history,
     )
 
@@ -185,40 +194,24 @@ def svm_margins(svm: SvmModel, features) -> np.ndarray:
     return z @ svm.weights.T + svm.bias
 
 
-def svm_predict(svm: SvmModel, features):
-    """Argmax class of the decision values; ties go to the lowest index."""
-    margins = svm_margins(svm, features)
-    idx = np.argmax(margins, axis=-1)
-    return int(idx) if margins.ndim == 1 else idx
-
-
-def svm_predict_user(model: ModelParams, svm: SvmModel, weeks, user_id: str = "") -> UserPrediction:
-    """SVM head: score the user's averaged dense8 features."""
-    stack = np.asarray(weeks, dtype=np.float64)
-    feats = extract_user_features(model, weeks)
-    margins = svm_margins(svm, feats)
-    return UserPrediction(
-        user_id=user_id,
-        scores=margins,
-        class_index=int(np.argmax(margins)),
-        weeks_used=1 if stack.ndim == 3 else len(stack),
-    )
-
-
 def predict_dataset(
     model: ModelParams, dataset: TensorDataset, head: str = "avg"
 ) -> list[UserPrediction]:
-    """Predict every user in the dataset with the chosen head, sorted by user id."""
+    """Predict every user in the dataset with the chosen head, sorted by user id.
+
+    The avg head scores a user by the mean of their weekly softmax vectors;
+    the svm head by the SVM margins of their mean dense8 vector. The class is
+    the argmax of the scores, ties going to the lowest index.
+    """
     if head not in ("avg", "svm"):
         raise ValueError(f"unknown head {head!r}, expected 'avg' or 'svm'")
     if head == "svm" and model.svm is None:
         raise ValueError("model carries no SVM head; train one first")
     out = []
-    for user_id, weeks in dataset.by_user().items():
-        if head == "avg":
-            out.append(predict_user(model, weeks, user_id=user_id))
-        else:
-            out.append(svm_predict_user(model, model.svm, weeks, user_id=user_id))
+    for user_id, probs, feats, weeks in _user_means(model, dataset):
+        # margins one user at a time: a batched GEMM would tie them to the user count
+        scores = probs if head == "avg" else svm_margins(model.svm, feats)
+        out.append(UserPrediction(user_id, scores, int(np.argmax(scores)), weeks))
     return out
 
 
@@ -261,13 +254,12 @@ def train_svm_head(
     if model.attribute is None or model.class_labels is None:
         raise ValueError("model carries no attribute/class metadata")
     edges = model.age_edges if model.age_edges is not None else DEFAULT_AGE_EDGES
-    by_user = dataset.by_user()
-    users = [u for u in by_user if u in labels]
+    users = sorted({u for u in dataset.user_ids if u in labels})
     if not users:
         raise ValueError("no labeled users in the dataset")
     train_users, _ = split_users(users, val_fraction, seed)
 
-    feats = np.stack([extract_user_features(model, by_user[u]) for u in train_users])
+    feats = np.stack([f for _, _, f, _ in _user_means(model, dataset, set(train_users))])
     y = [
         class_index_for_label(labels[u], model.attribute, model.class_labels, edges)
         for u in train_users

@@ -50,6 +50,20 @@ def _int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {value}")
+    return value
+
+
 def _read_lines(path) -> list[str]:
     with open(path, encoding="utf-8") as fh:
         return fh.readlines()
@@ -239,12 +253,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output model file path")
     p.add_argument("--attribute", choices=("gender", "age"), required=True)
     p.add_argument("--age-edges", type=_int_tuple, default=_int_tuple(DEFAULT_EDGES_TEXT))
-    p.add_argument("--epochs", type=int, default=30)
+    p.add_argument("--epochs", type=_positive_int, default=30)
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--batch", type=int, default=32)
+    p.add_argument("--batch", type=_positive_int, default=32)
     p.add_argument("--weight-decay", type=float, default=0.0)
-    p.add_argument("--val-fraction", type=float, default=0.1)
+    p.add_argument("--val-fraction", type=_fraction, default=0.1)
     p.add_argument("--filters", type=_int_tuple, default=(16, 16, 16, 16, 32, 64))
     p.add_argument("--dense", type=_int_tuple, default=(128, 64))
     p.add_argument("--alpha", type=float, default=0.01, help="leaky ReLU slope")
@@ -258,8 +272,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--out", help="output model path (default: overwrite --model)")
     p.add_argument("--lambda", dest="lam", type=float, default=1e-4)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--val-fraction", type=float, default=0.0)
+    p.add_argument("--epochs", type=_positive_int, default=50)
+    p.add_argument("--val-fraction", type=_fraction, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_train_svm)
 

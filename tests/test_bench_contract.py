@@ -1,0 +1,77 @@
+"""The names and outputs of the program that the benchmark in perfbench/ reads.
+
+A change that renames or removes one of them would make the benchmark print
+unmeasured or malformed results; this file makes it fail here instead.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from datetime import date
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import cdrnet.classify
+from cdrnet.cli import run
+from cdrnet.featurize import TensorDataset, WeekId, fit_normalizer
+from cdrnet.net import NetworkConfig, init_params
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import layertrace  # noqa: E402
+
+
+@pytest.mark.parametrize("module, attr", [h[:2] for h in layertrace.HOOKS])
+def test_every_traced_function_resolves(module, attr):
+    __import__(module)
+    assert callable(getattr(sys.modules[module], attr, None)), f"{module}.{attr}"
+
+
+def test_flops_per_week_counts_both_passes():
+    fwd, bwd = layertrace.flops_per_week(NetworkConfig(classes=2))
+    assert isinstance(fwd, int) and isinstance(bwd, int)
+    assert fwd > 0 and bwd > 0
+
+
+def test_classify_calls_the_net_through_its_module_names(monkeypatch):
+    calls = {"forward_batch": 0, "apply_normalizer": 0}
+    for name in calls:
+        fn = getattr(cdrnet.classify, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cdrnet.classify, name, counted)
+    weeks = np.random.default_rng(0).poisson(1.0, size=(3, 8, 24, 7)).astype(np.float64)
+    model = init_params(NetworkConfig(classes=2, filters=(2, 2, 2, 2, 2, 4), dense=(8, 4)), 0)
+    model.norm_stats = fit_normalizer(weeks)
+    ds = TensorDataset(["a", "b", "a"], [WeekId(date(2024, 1, 1))] * 3, weeks)
+    assert [p.user_id for p in cdrnet.classify.predict_dataset(model, ds)] == ["a", "b"]
+    assert calls["forward_batch"] > 0 and calls["apply_normalizer"] > 0
+
+
+def test_dataset_grouping_and_user_split_exist():
+    from cdrnet import training
+
+    assert callable(TensorDataset.by_user)
+    assert callable(training.split_users)
+
+
+def test_featurize_report_is_the_first_stdout_line(tmp_path):
+    cdr = tmp_path / "cdr.csv"
+    cdr.write_text(
+        "user_id,direction,kind,timestamp,duration_s,correspondent_id\n"
+        "u1,out,call,2024-01-01T10:00:00,30,c1\n"
+        "u1,sideways,call,2024-01-01T11:00:00,30,c1\n",
+        encoding="utf-8",
+    )
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert run(["featurize", "--cdr", str(cdr), "--out", str(tmp_path / "t.bin")]) == 0
+    report = json.loads(out.getvalue().splitlines()[0])
+    assert report["rejections"]
+    for entry in report["rejections"]:
+        assert {"line", "reason", "stream"} <= set(entry)

@@ -1,20 +1,23 @@
+from dataclasses import replace
+from datetime import date, timedelta
+
 import numpy as np
 import pytest
 
 from cdrnet.classify import (
+    CHUNK_ROWS,
     Metrics,
     SvmModel,
     UserPrediction,
     evaluate,
-    extract_user_features,
     format_table,
-    predict_user,
+    predict_dataset,
     read_predictions,
     svm_margins,
-    svm_predict,
     train_linear_svm,
     write_predictions,
 )
+from cdrnet.featurize import TensorDataset, WeekId
 from cdrnet.net import NetworkConfig, forward_batch, init_params
 
 SMALL_NET = NetworkConfig(
@@ -36,8 +39,27 @@ def weeks():
     return rng.poisson(2.0, size=(4, 8, 24, 7)).astype(np.float64)
 
 
+def _dataset(rows) -> TensorDataset:
+    """TensorDataset from (user_id, week tensor) rows, kept in the given order."""
+    monday = date(2024, 1, 1)
+    return TensorDataset(
+        [u for u, _ in rows],
+        [WeekId(monday + timedelta(days=7 * i)) for i in range(len(rows))],
+        np.stack([t for _, t in rows]) if rows else np.zeros((0, 8, 24, 7)),
+    )
+
+
+def _predict_one(model, weeks, head="avg", user_id="u1") -> UserPrediction:
+    (pred,) = predict_dataset(model, _dataset([(user_id, w) for w in weeks]), head=head)
+    return pred
+
+
+def _svm_classes(svm, x):
+    return np.argmax(svm_margins(svm, x), axis=-1)
+
+
 def test_predict_user_averages_softmax(model, weeks):
-    pred = predict_user(model, weeks, user_id="u1")
+    pred = _predict_one(model, weeks)
     probs, _, _ = forward_batch(model, weeks)
     np.testing.assert_allclose(pred.scores, probs.mean(axis=0), atol=1e-12)
     assert pred.scores.sum() == pytest.approx(1.0, abs=1e-9)
@@ -46,21 +68,21 @@ def test_predict_user_averages_softmax(model, weeks):
 
 
 def test_predict_user_single_week_equals_softmax(model, weeks):
-    pred = predict_user(model, weeks[:1])
+    pred = _predict_one(model, weeks[:1])
     probs, _, _ = forward_batch(model, weeks[:1])
     np.testing.assert_allclose(pred.scores, probs[0], atol=1e-12)
 
 
 def test_predict_user_week_order_invariant(model, weeks):
-    a = predict_user(model, weeks)
-    b = predict_user(model, weeks[::-1].copy())
+    a = _predict_one(model, weeks)
+    b = _predict_one(model, weeks[::-1].copy())
     np.testing.assert_allclose(a.scores, b.scores, atol=1e-12)
     assert a.class_index == b.class_index
 
 
 def test_predict_user_duplication_idempotent(model, weeks):
-    a = predict_user(model, weeks)
-    b = predict_user(model, np.concatenate([weeks, weeks]))
+    a = _predict_one(model, weeks)
+    b = _predict_one(model, np.concatenate([weeks, weeks]))
     np.testing.assert_allclose(a.scores, b.scores, atol=1e-12)
 
 
@@ -68,24 +90,46 @@ def test_predict_user_applies_model_normalizer(weeks):
     from cdrnet.featurize import fit_normalizer
 
     params = init_params(SMALL_NET, 0)
-    raw = predict_user(params, weeks).scores
+    raw = _predict_one(params, weeks).scores
     params.norm_stats = fit_normalizer(weeks)
-    normed = predict_user(params, weeks).scores
+    normed = _predict_one(params, weeks).scores
     assert not np.allclose(raw, normed)
 
 
 def test_predict_user_empty_weeks_rejected(model):
     with pytest.raises(ValueError):
-        predict_user(model, np.zeros((0, 8, 24, 7)))
+        predict_dataset(model, _dataset([]))
 
 
 def test_extract_user_features_is_mean_of_week_features(model, weeks):
-    feats = extract_user_features(model, weeks)
+    d = SMALL_NET.feature_dim
+    # an identity SVM: its margins are the mean dense8 vector itself
+    identity = SvmModel(weights=np.eye(d), bias=np.zeros(d), lam=1.0,
+                        feature_mean=np.zeros(d), feature_std=np.ones(d))
+    with_svm = replace(model, svm=identity)
+    feats = _predict_one(with_svm, weeks, head="svm").scores
     _, per_week, _ = forward_batch(model, weeks)
     np.testing.assert_allclose(feats, per_week.mean(axis=0), atol=1e-12)
     assert feats.shape == (SMALL_NET.feature_dim,)
-    single = extract_user_features(model, weeks[:1])
+    single = _predict_one(with_svm, weeks[:1], head="svm").scores
     np.testing.assert_allclose(single, per_week[0], atol=1e-12)
+
+
+def test_predict_dataset_packs_users_across_chunks(model):
+    rng = np.random.default_rng(5)
+    week_counts = [1, 3, 2] * 9  # 54 rows, so users straddle chunk borders
+    users = [f"u{i:02d}" for i in rng.permutation(len(week_counts))]
+    per_user = {u: rng.poisson(1.5, size=(n, 8, 24, 7)).astype(np.float64)
+                for u, n in zip(users, week_counts)}
+    # interleave the users' weeks in file order
+    rows = [(u, per_user[u][k]) for k in range(3) for u in users if k < len(per_user[u])]
+    assert len(rows) > CHUNK_ROWS
+    preds = predict_dataset(model, _dataset(rows))
+    assert [p.user_id for p in preds] == sorted(users)
+    for p in preds:
+        probs, _, _ = forward_batch(model, per_user[p.user_id])
+        np.testing.assert_allclose(p.scores, probs.mean(axis=0), atol=1e-12)
+        assert p.weeks_used == len(per_user[p.user_id])
 
 
 def _separable_set():
@@ -97,8 +141,7 @@ def _separable_set():
 def test_svm_fits_separable_data():
     x, y = _separable_set()
     svm = train_linear_svm(x, y, lam=1e-3, epochs=100, seed=0)
-    preds = svm_predict(svm, x)
-    np.testing.assert_array_equal(preds, y)
+    np.testing.assert_array_equal(_svm_classes(svm, x), y)
 
 
 def test_svm_training_is_deterministic():
@@ -126,18 +169,21 @@ def test_svm_dimension_mismatch_rejected():
     x, y = _separable_set()
     svm = train_linear_svm(x, y, epochs=5)
     with pytest.raises(ValueError):
-        svm_predict(svm, np.zeros(3))
+        svm_margins(svm, np.zeros(3))
 
 
-def test_svm_all_zero_model_ties_to_lowest_index():
+def test_svm_all_zero_model_ties_to_lowest_index(model, weeks):
+    d = SMALL_NET.feature_dim
     svm = SvmModel(
-        weights=np.zeros((3, 2)),
+        weights=np.zeros((3, d)),
         bias=np.zeros(3),
         lam=1.0,
-        feature_mean=np.zeros(2),
-        feature_std=np.ones(2),
+        feature_mean=np.zeros(d),
+        feature_std=np.ones(d),
     )
-    assert svm_predict(svm, np.array([0.5, -0.5])) == 0
+    rows = [(f"u{i}", w) for i, w in enumerate(weeks)]
+    preds = predict_dataset(replace(model, svm=svm), _dataset(rows), head="svm")
+    assert [p.class_index for p in preds] == [0] * len(weeks)
 
 
 def test_svm_bias_shift_invariance():
@@ -150,7 +196,7 @@ def test_svm_bias_shift_invariance():
         feature_mean=svm.feature_mean,
         feature_std=svm.feature_std,
     )
-    np.testing.assert_array_equal(svm_predict(svm, x), svm_predict(shifted, x))
+    np.testing.assert_array_equal(_svm_classes(svm, x), _svm_classes(shifted, x))
 
 
 def test_svm_margin_example():
@@ -161,7 +207,8 @@ def test_svm_margin_example():
         feature_mean=np.zeros(2),
         feature_std=np.ones(2),
     )
-    assert svm_predict(svm, np.array([0.5, -0.2])) == 0
+    np.testing.assert_array_equal(svm_margins(svm, np.array([0.5, -0.2])), [0.5, -0.2])
+    assert _svm_classes(svm, np.array([0.5, -0.2])) == 0
 
 
 def test_svm_objective_history_shape_and_convergence():

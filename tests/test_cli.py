@@ -82,6 +82,26 @@ def test_missing_required_flag_is_usage_error(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("train", "--batch", "0"),
+    ("train", "--epochs", "0"),
+    ("train", "--val-fraction", "1.5"),
+    ("train", "--val-fraction", "-0.1"),
+    ("train-svm", "--epochs", "0"),
+    ("train-svm", "--val-fraction", "1.0"),
+])
+def test_bad_argument_value_is_usage_error(tmp_path, command, flag, value):
+    files = ["--tensors", tmp_path / "t.bin", "--labels", tmp_path / "l.csv"]
+    if command == "train":
+        files += ["--out", tmp_path / "m.bin", "--attribute", "gender"]
+    else:
+        files += ["--model", tmp_path / "m.bin"]
+    code, _, err = _run([command, *files, flag, value])
+    assert code == 1
+    assert err.startswith("usage:") and flag in err
+    assert "Traceback" not in err
+
+
 def test_synth_reports_counts_and_writes_files(pipeline):
     paths, outputs = pipeline
     assert "records" in outputs["synth"] and "labels" in outputs["synth"]

@@ -21,7 +21,6 @@ def _model(with_extras=True):
             lam=1e-4,
             feature_mean=np.zeros(6),
             feature_std=np.ones(6),
-            class_labels=("[0,28)", "[28,38)", "[38,inf)"),
         )
     return params
 

@@ -28,11 +28,11 @@ from .classify import (
     write_predictions,
 )
 from .container import ContainerError
-from .featurize import AgeBuckets, bucketize_age, featurize_users, fit_normalizer
+from .featurize import DEFAULT_AGE_EDGES, AgeBuckets, bucketize_age, featurize_users, fit_normalizer
 from .featurize import load_tensor_dataset, save_tensor_dataset
 from .ingest import IngestError, ParseError, ingest, load_labels
 from .modelfile import load_model, save_model
-from .net import NetworkConfig, downsized_config, init_params
+from .net import DEFAULT_DENSE, DEFAULT_FILTERS, NetworkConfig, downsized_config, init_params
 from .synth import SynthConfig, generate, write_lines
 from .training import (
     GRAD_TOL,
@@ -43,25 +43,77 @@ from .training import (
     train,
 )
 
-DEFAULT_EDGES_TEXT = "28,38,48"
+# argparse types. Each raises ArgumentTypeError with a plain message, so a
+# bad value exits 1 with the usage line and the message names the value.
 
 
-def _int_tuple(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+def _number(kind, text: str):
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _number(int, text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = _number(float, text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _fraction(text: str) -> float:
-    value = float(text)
+    value = _number(float, text)
     if not 0.0 <= value < 1.0:
         raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {value}")
     return value
+
+
+def _unit_interval(text: str) -> float:
+    value = _number(float, text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {value}")
+    return value
+
+
+def _open_unit_interval(text: str) -> float:
+    value = _number(float, text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {value}")
+    return value
+
+
+def _checked_ints(text: str, check) -> tuple[int, ...]:
+    """Comma-separated ints that check() returns as accepted or refuses with ValueError."""
+    values = tuple(_number(int, x) for x in text.split(","))
+    try:
+        return check(values)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _age_edges(text: str) -> tuple[int, ...]:
+    return _checked_ints(text, lambda v: AgeBuckets(v).edges)
+
+
+def _filters(text: str) -> tuple[int, ...]:
+    def check(values):
+        if len(values) != len(DEFAULT_FILTERS):
+            raise ValueError(f"expected {len(DEFAULT_FILTERS)} counts, one per conv layer")
+        return NetworkConfig(classes=2, filters=values).filters
+
+    return _checked_ints(text, check)
+
+
+def _dense(text: str) -> tuple[int, ...]:
+    return _checked_ints(text, lambda v: NetworkConfig(classes=2, dense=v).dense)
 
 
 def _read_lines(path) -> list[str]:
@@ -231,13 +283,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a labeled synthetic CDR dataset")
     p.add_argument("--cdr", required=True, help="output CDR csv path")
     p.add_argument("--labels", required=True, help="output labels csv path")
-    p.add_argument("--users", type=int, required=True)
-    p.add_argument("--weeks", type=int, default=8)
-    p.add_argument("--signal", type=float, default=1.0, help="class signal strength in [0,1]")
-    p.add_argument("--age-edges", type=_int_tuple, default=_int_tuple(DEFAULT_EDGES_TEXT))
-    p.add_argument("--gender-ratio", type=float, default=0.5)
-    p.add_argument("--contact-pool", type=int, default=20)
-    p.add_argument("--event-rate", type=float, default=60.0)
+    p.add_argument("--users", type=_positive_int, required=True)
+    p.add_argument("--weeks", type=_positive_int, default=8)
+    p.add_argument("--signal", type=_unit_interval, default=1.0, help="class signal strength")
+    p.add_argument("--age-edges", type=_age_edges, default=DEFAULT_AGE_EDGES)
+    p.add_argument("--gender-ratio", type=_open_unit_interval, default=0.5)
+    p.add_argument("--contact-pool", type=_positive_int, default=20)
+    p.add_argument("--event-rate", type=_positive_float, default=60.0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_synth)
 
@@ -252,16 +304,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True, help="output model file path")
     p.add_argument("--attribute", choices=("gender", "age"), required=True)
-    p.add_argument("--age-edges", type=_int_tuple, default=_int_tuple(DEFAULT_EDGES_TEXT))
+    p.add_argument("--age-edges", type=_age_edges, default=DEFAULT_AGE_EDGES)
     p.add_argument("--epochs", type=_positive_int, default=30)
-    p.add_argument("--lr", type=float, default=0.01)
+    p.add_argument("--lr", type=_positive_float, default=0.01)
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--batch", type=_positive_int, default=32)
     p.add_argument("--weight-decay", type=float, default=0.0)
     p.add_argument("--val-fraction", type=_fraction, default=0.1)
-    p.add_argument("--filters", type=_int_tuple, default=(16, 16, 16, 16, 32, 64))
-    p.add_argument("--dense", type=_int_tuple, default=(128, 64))
-    p.add_argument("--alpha", type=float, default=0.01, help="leaky ReLU slope")
+    p.add_argument("--filters", type=_filters, default=DEFAULT_FILTERS)
+    p.add_argument("--dense", type=_dense, default=DEFAULT_DENSE)
+    p.add_argument("--alpha", type=_fraction, default=0.01, help="leaky ReLU slope")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--history", help="optional path for per-epoch stats (json)")
     p.set_defaults(func=_cmd_train)
@@ -271,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tensors", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--out", help="output model path (default: overwrite --model)")
-    p.add_argument("--lambda", dest="lam", type=float, default=1e-4)
+    p.add_argument("--lambda", dest="lam", type=_positive_float, default=1e-4)
     p.add_argument("--epochs", type=_positive_int, default=50)
     p.add_argument("--val-fraction", type=_fraction, default=0.0)
     p.add_argument("--seed", type=int, default=0)
@@ -288,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--attribute", choices=("gender", "age"), required=True)
-    p.add_argument("--age-edges", type=_int_tuple, default=_int_tuple(DEFAULT_EDGES_TEXT))
+    p.add_argument("--age-edges", type=_age_edges, default=DEFAULT_AGE_EDGES)
     p.add_argument("--out", help="optional path for the metrics json")
     p.set_defaults(func=_cmd_evaluate)
 

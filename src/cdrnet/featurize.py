@@ -1,4 +1,4 @@
-"""Weekly 8-channel activity tensors built from per-user CDR groups.
+"""Weekly 8-channel activity tensors counted from CDR columns.
 
 Each active (user, week) becomes an (8, 24, 7) array of raw counts over
 hour-of-day x weekday cells, Monday first. Channel order:
@@ -21,13 +21,13 @@ holding the raw tensors plus an optional NormStats sidecar.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta
+from dataclasses import dataclass
+from datetime import date
 
 import numpy as np
 
 from .container import read_container, write_container
-from .ingest import CdrRecord, Direction, Kind
+from .ingest import EPOCH_ORDINAL, CdrColumns, CdrRecord
 
 N_CHANNELS, N_HOURS, N_DAYS = 8, 24, 7
 N_CELLS = N_HOURS * N_DAYS
@@ -44,7 +44,7 @@ CHANNELS = (
 )
 
 _CH_UNIQUE, _CH_CALLS, _CH_TEXTS, _CH_DURATION = 0, 1, 2, 3
-_DIR_BASE = {Direction.OUTGOING: 0, Direction.INCOMING: 4}
+_IN_BASE = 4  # incoming channels follow the four outgoing ones
 
 TENSOR_MAGIC = "CDRTENSOR/1"
 STD_FLOOR = 1e-6
@@ -60,40 +60,50 @@ class WeekId:
         if self.start_date.weekday() != 0:
             raise ValueError(f"week start {self.start_date} is not a Monday")
 
-    def contains(self, ts: datetime) -> bool:
-        return 0 <= (ts.date() - self.start_date).days < N_DAYS
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a non-negative int array.
+
+    Same as np.unique(values); np.unique takes a hash-based path here that
+    measured 10-40x slower than sorting on 121k keys (numpy 2.4).
+    """
+    values = np.sort(values)
+    return values[np.diff(values, prepend=-1) != 0]
 
 
-def week_of(ts: datetime) -> WeekId:
-    """The Monday-anchored week containing ts."""
-    return WeekId(ts.date() - timedelta(days=ts.weekday()))
-
-
-def build_week_tensor(records: list[CdrRecord], week: WeekId) -> np.ndarray:
-    """Raw (8, 24, 7) counts for one user-week.
+def _count_tensors(row, n_rows: int, columns: CdrColumns, weekday) -> np.ndarray:
+    """Raw (n_rows, 8, 24, 7) counts; record i lands in tensor row[i] at weekday[i].
 
     calls/texts count events, duration sums call seconds, unique contacts
     is the number of distinct correspondents with any event in the cell.
-    Raises ValueError for a record outside the week.
+    Every count is one weighted bincount over flat (row, channel, hour, day)
+    indices.
     """
-    t = np.zeros((N_CHANNELS, N_HOURS, N_DAYS))
-    contacts: dict[tuple[int, int, int], set[str]] = {}
-    start = week.start_date
-    for rec in records:
-        day = (rec.timestamp.date() - start).days
-        if not 0 <= day < N_DAYS:
-            raise ValueError(f"record at {rec.timestamp} outside week of {start}")
-        hour = rec.timestamp.hour
-        base = _DIR_BASE[rec.direction]
-        if rec.kind is Kind.CALL:
-            t[base + _CH_CALLS, hour, day] += 1
-            t[base + _CH_DURATION, hour, day] += rec.duration_s
-        else:
-            t[base + _CH_TEXTS, hour, day] += 1
-        contacts.setdefault((base, hour, day), set()).add(rec.correspondent_id)
-    for (base, hour, day), ids in contacts.items():
-        t[base + _CH_UNIQUE, hour, day] = len(ids)
-    return t
+    # flat index of the record's cell in its direction's unique-contacts channel
+    cell = (row * N_CHANNELS + _IN_BASE * columns.incoming) * N_CELLS
+    cell += columns.hour * N_DAYS + weekday
+    events = cell + np.where(columns.is_call, _CH_CALLS, _CH_TEXTS) * N_CELLS
+    calls = cell[columns.is_call] + _CH_DURATION * N_CELLS
+    # distinct (cell, contact) pairs; the key stays far below 2**63
+    n_contacts = max(len(columns.contact_ids), 1)
+    unique = _distinct(cell * n_contacts + columns.contact) // n_contacts + _CH_UNIQUE * N_CELLS
+    index = np.concatenate([events, calls, unique])
+    weights = np.concatenate(
+        [np.ones(len(events)), columns.duration[columns.is_call], np.ones(len(unique))]
+    )
+    counts = np.bincount(index, weights, minlength=n_rows * N_CHANNELS * N_CELLS)
+    return counts.reshape(n_rows, N_CHANNELS, N_HOURS, N_DAYS)
+
+
+def build_week_tensor(records: list[CdrRecord], week: WeekId) -> np.ndarray:
+    """Raw (8, 24, 7) counts for one user-week; raises ValueError for a record outside it."""
+    columns = CdrColumns.from_records(records)
+    weekday = columns.day - (week.start_date.toordinal() - EPOCH_ORDINAL)
+    outside = (weekday < 0) | (weekday >= N_DAYS)
+    if outside.any():
+        rec = records[int(np.argmax(outside))]
+        raise ValueError(f"record at {rec.timestamp} outside week of {week.start_date}")
+    return _count_tensors(np.zeros(len(columns), dtype=np.int64), 1, columns, weekday)[0]
 
 
 @dataclass(frozen=True)
@@ -178,40 +188,40 @@ class TensorDataset:
         return {uid: self.tensors[rows] for uid, rows in sorted(index.items())}
 
 
-def featurize_users(
-    groups: dict[str, list[CdrRecord]], include_empty_weeks: bool = False
-) -> TensorDataset:
+def featurize_users(columns: CdrColumns, include_empty_weeks: bool = False) -> TensorDataset:
     """One raw tensor per active (user, week), users and weeks in sorted order.
 
     By default a week with zero activity produces no tensor. With
     include_empty_weeks, zero tensors fill the gaps inside each user's
     [first, last] active-week span.
     """
-    user_ids: list[str] = []
-    weeks: list[WeekId] = []
-    rows: list[np.ndarray] = []
-    for uid in sorted(groups):
-        by_week: dict[WeekId, list[CdrRecord]] = {}
-        for rec in groups[uid]:
-            by_week.setdefault(week_of(rec.timestamp), []).append(rec)
-        if not by_week:
-            continue
-        active = sorted(by_week)
-        if include_empty_weeks:
-            span = []
-            monday = active[0].start_date
-            while monday <= active[-1].start_date:
-                span.append(WeekId(monday))
-                monday += timedelta(days=N_DAYS)
-            week_list = span
-        else:
-            week_list = active
-        for wk in week_list:
-            user_ids.append(uid)
-            weeks.append(wk)
-            rows.append(build_week_tensor(by_week.get(wk, []), wk))
-    tensors = np.stack(rows) if rows else np.zeros((0, N_CHANNELS, N_HOURS, N_DAYS))
-    return TensorDataset(user_ids, weeks, tensors)
+    if not len(columns):
+        return TensorDataset([], [], np.zeros((0, N_CHANNELS, N_HOURS, N_DAYS)))
+    # day 0 (1970-01-01) is a Thursday: shift by 3 to anchor weeks on Monday
+    week, weekday = np.divmod(columns.day + 3, N_DAYS)
+    first = int(week.min())
+    n_weeks = int(week.max()) - first + 1
+    key = columns.user * n_weeks + (week - first)
+    if include_empty_weeks:
+        n_users = len(columns.user_ids)
+        lo = np.full(n_users, n_weeks)
+        hi = np.full(n_users, -1)
+        np.minimum.at(lo, columns.user, week - first)
+        np.maximum.at(hi, columns.user, week - first)
+        span = np.maximum(hi - lo + 1, 0)
+        starts = np.repeat(np.arange(n_users) * n_weeks + lo - (np.cumsum(span) - span), span)
+        row_keys = starts + np.arange(span.sum())
+    else:
+        row_keys = _distinct(key)
+    row = np.searchsorted(row_keys, key)
+    tensors = _count_tensors(row, len(row_keys), columns, weekday)
+    user_of, week_of = np.divmod(row_keys, n_weeks)
+    mondays = {
+        w: WeekId(date.fromordinal(EPOCH_ORDINAL + (w + first) * N_DAYS - 3))
+        for w in set(week_of.tolist())
+    }
+    user_ids = [columns.user_ids[u] for u in user_of.tolist()]
+    return TensorDataset(user_ids, [mondays[w] for w in week_of.tolist()], tensors)
 
 
 def save_tensor_dataset(path, ds: TensorDataset) -> None:

@@ -8,6 +8,8 @@ contract rather than imported.
 
 from __future__ import annotations
 
+from datetime import date
+
 import numpy as np
 
 OUT_UNIQUE, OUT_CALLS, OUT_TEXTS, OUT_DURATION = 0, 1, 2, 3
@@ -34,6 +36,38 @@ def brute_week_tensor(records, week_start) -> np.ndarray:
                 t[base + OUT_TEXTS, hour, day] = len(texts)
                 t[base + OUT_DURATION, hour, day] = sum(r.duration_s for r in calls)
     return t
+
+
+def record_rows(records) -> list[tuple]:
+    """What a CDR column set should hold for these records, one sorted tuple each:
+    (user, incoming, is_call, days since 1970-01-01, hour, duration, contact)."""
+    return sorted(
+        (
+            r.user_id,
+            r.direction.value == "in",
+            r.kind.value == "call",
+            (r.timestamp.date() - date(1970, 1, 1)).days,
+            r.timestamp.hour,
+            float(r.duration_s),
+            r.correspondent_id,
+        )
+        for r in records
+    )
+
+
+def column_rows(columns) -> list[tuple]:
+    """The records of a CdrColumns decoded into record_rows' tuples."""
+    return sorted(
+        zip(
+            [columns.user_ids[u] for u in columns.user.tolist()],
+            columns.incoming.tolist(),
+            columns.is_call.tolist(),
+            columns.day.tolist(),
+            columns.hour.tolist(),
+            columns.duration.tolist(),
+            [columns.contact_ids[c] for c in columns.contact.tolist()],
+        )
+    )
 
 
 def brute_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

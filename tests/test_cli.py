@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -89,17 +90,40 @@ def test_missing_required_flag_is_usage_error(tmp_path):
     ("train", "--val-fraction", "-0.1"),
     ("train-svm", "--epochs", "0"),
     ("train-svm", "--val-fraction", "1.0"),
+    ("train", "--filters", "16"),
+    ("train", "--filters", "a"),
+    ("train", "--filters", "16,16,16,16,32,0"),
+    ("train", "--dense", "128"),
+    ("train", "--age-edges", "50,30"),
+    ("train", "--batch", "x"),
+    ("train", "--lr", "0"),
+    ("train", "--alpha", "1"),
+    ("train-svm", "--lambda", "-1"),
+    ("synth", "--users", "0"),
+    ("synth", "--signal", "2"),
+    ("synth", "--weeks", "0"),
+    ("synth", "--gender-ratio", "1"),
+    ("synth", "--event-rate", "0"),
+    ("synth", "--age-edges", "0,10"),
+    ("evaluate", "--age-edges", "30,30"),
 ])
 def test_bad_argument_value_is_usage_error(tmp_path, command, flag, value):
-    files = ["--tensors", tmp_path / "t.bin", "--labels", tmp_path / "l.csv"]
-    if command == "train":
-        files += ["--out", tmp_path / "m.bin", "--attribute", "gender"]
-    else:
-        files += ["--model", tmp_path / "m.bin"]
+    files = {
+        "train": ["--tensors", tmp_path / "t.bin", "--labels", tmp_path / "l.csv",
+                  "--out", tmp_path / "m.bin", "--attribute", "gender"],
+        "train-svm": ["--tensors", tmp_path / "t.bin", "--labels", tmp_path / "l.csv",
+                      "--model", tmp_path / "m.bin"],
+        "synth": ["--cdr", tmp_path / "c.csv", "--labels", tmp_path / "l.csv", "--users", "3"],
+        "evaluate": ["--predictions", tmp_path / "p.csv", "--labels", tmp_path / "l.csv",
+                     "--attribute", "age"],
+    }[command]
     code, _, err = _run([command, *files, flag, value])
     assert code == 1
     assert err.startswith("usage:") and flag in err
     assert "Traceback" not in err
+    # the message names the value, not a private helper of the parser
+    assert re.search(r"\b_[a-z]", err) is None, err
+    assert not list(tmp_path.iterdir())
 
 
 def test_synth_reports_counts_and_writes_files(pipeline):

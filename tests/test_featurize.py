@@ -16,9 +16,8 @@ from cdrnet.featurize import (
     fit_normalizer,
     load_tensor_dataset,
     save_tensor_dataset,
-    week_of,
 )
-from cdrnet.ingest import CdrRecord, Direction, Kind
+from cdrnet.ingest import CdrRecord, Direction, Kind, format_cdr_line, ingest
 
 from oracles import brute_week_tensor, random_records
 
@@ -50,7 +49,15 @@ def test_channel_order_contract():
     )
 
 
+def _at(ts):
+    return CdrRecord("u0", Direction.OUTGOING, Kind.TEXT, ts, 0, "c1")
+
+
 def test_week_of_anchors_to_monday():
+    def week_of(ts):
+        (week,) = featurize_users(_columns([_at(ts)])).weeks
+        return week
+
     assert week_of(datetime(2024, 1, 3, 15, 0)).start_date == MONDAY   # Wednesday
     assert week_of(datetime(2024, 1, 1, 0, 0)).start_date == MONDAY    # Monday itself
     assert week_of(datetime(2024, 1, 7, 23, 59)).start_date == MONDAY  # Sunday
@@ -63,9 +70,17 @@ def test_week_id_rejects_non_monday():
 
 
 def test_week_contains():
-    assert WEEK.contains(datetime(2024, 1, 1, 0, 0))
-    assert WEEK.contains(datetime(2024, 1, 7, 23, 59, 59))
-    assert not WEEK.contains(datetime(2024, 1, 8, 0, 0))
+    def contains(ts):
+        try:
+            build_week_tensor([_at(ts)], WEEK)
+        except ValueError:
+            return False
+        return True
+
+    assert contains(datetime(2024, 1, 1, 0, 0))
+    assert contains(datetime(2024, 1, 7, 23, 59, 59))
+    assert not contains(datetime(2024, 1, 8, 0, 0))
+    assert not contains(datetime(2023, 12, 31, 23, 59, 59))
 
 
 def test_small_tensor_by_hand():
@@ -170,11 +185,17 @@ def test_bad_age_edges_rejected(edges):
         AgeBuckets(edges)
 
 
+def _columns(records):
+    """The CDR columns that ingest makes of these records' lines."""
+    columns, _, report = ingest([format_cdr_line(r) for r in records])
+    assert report.records_rejected == 0
+    return columns
+
+
 def _groups(layout):
     """layout: {user: [(day_offset_from_2024_01_01, hour)]} as outgoing calls."""
-    groups = {}
-    for uid, events in layout.items():
-        groups[uid] = [
+    return _columns(
+        [
             CdrRecord(
                 user_id=uid,
                 direction=Direction.OUTGOING,
@@ -183,9 +204,10 @@ def _groups(layout):
                 duration_s=10,
                 correspondent_id="c",
             )
+            for uid, events in layout.items()
             for d, hour in events
         ]
-    return groups
+    )
 
 
 def test_featurize_users_sorted_and_grouped():

@@ -11,12 +11,15 @@ from cdrnet.ingest import (
     Kind,
     LabelRecord,
     ParseError,
+    Rejection,
     format_cdr_line,
     ingest,
     load_labels,
     parse_cdr_line,
     parse_labels_line,
 )
+
+from oracles import column_rows, record_rows
 
 GOOD_LINE = "u1,out,call,2024-01-02T09:30:00,42,c7"
 
@@ -80,26 +83,27 @@ def test_bad_label_lines_raise(line):
         parse_labels_line(line)
 
 
-def test_ingest_groups_and_sorts_by_timestamp():
+def test_ingest_codes_users_in_sorted_order():
     lines = [
         CDR_HEADER,
         "u2,in,text,2024-01-03T08:00:00,0,c1",
         "u1,out,call,2024-01-02T23:00:00,10,c1",
         "u1,out,call,2024-01-02T01:00:00,20,c2",
     ]
-    groups, labels, report = ingest(lines)
-    assert sorted(groups) == ["u1", "u2"]
-    stamps = [r.timestamp for r in groups["u1"]]
-    assert stamps == sorted(stamps)
+    columns, labels, report = ingest(lines)
+    assert columns.user_ids == ["u1", "u2"]
+    assert columns.contact_ids == ["c1", "c2"]
+    assert sorted(zip(columns.user.tolist(), columns.hour.tolist())) == [(0, 1), (0, 23), (1, 8)]
+    assert column_rows(columns) == record_rows([parse_cdr_line(ln) for ln in lines[1:]])
     assert report.records_accepted == 3
     assert report.records_rejected == 0
     assert labels == {}
 
 
 def test_ingest_without_header_treats_first_line_as_data():
-    groups, _, report = ingest([GOOD_LINE])
+    columns, _, report = ingest([GOOD_LINE])
     assert report.records_accepted == 1
-    assert "u1" in groups
+    assert "u1" in columns.user_ids
 
 
 def test_rejections_carry_stream_and_line_numbers():
@@ -118,7 +122,7 @@ def test_accounting_covers_every_data_line():
 
 
 def test_labels_ingested_alongside_records():
-    groups, labels, report = ingest(
+    _, labels, report = ingest(
         [CDR_HEADER, GOOD_LINE],
         [LABELS_HEADER, "u1,f,30", "u9,m,55", "broken"],
     )
@@ -135,8 +139,8 @@ def test_duplicate_label_aborts():
 
 
 def test_users_without_labels_are_retained():
-    groups, labels, _ = ingest([CDR_HEADER, GOOD_LINE], [LABELS_HEADER, "u9,m,50"])
-    assert "u1" in groups and "u1" not in labels
+    columns, labels, _ = ingest([CDR_HEADER, GOOD_LINE], [LABELS_HEADER, "u9,m,50"])
+    assert "u1" in columns.user_ids and "u1" not in labels
 
 
 def test_load_labels_alone():
@@ -152,3 +156,67 @@ def test_report_json_shape():
     assert js["records_rejected"] == 1
     assert js["rejections"][0]["line"] == 2
     assert isinstance(report.dumps(), str)
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        # an offset: fromisoformat made it tz-aware, and featurize then failed
+        # comparing it with naive timestamps
+        ("u1,out,call,2024-01-01T12+01:00,42,c7", "unparseable timestamp '2024-01-01T12+01:00'"),
+        # "²".isdigit() holds but int() raised, aborting the run
+        ("u1,out,call,2024-01-02T09:30:00,²,c7", "negative or non-integer duration '²'"),
+        # an ISO week date of the same length
+        ("u1,out,call,2024-W01-1T12:30:00,42,c7", "unparseable timestamp '2024-W01-1T12:30:00'"),
+        # a non-ASCII digit that int() accepts
+        ("u1,out,call,2024-01-02T09:30:00,٣,c7", "negative or non-integer duration '٣'"),
+    ],
+)
+def test_strict_grammar_rejects_with_line_number(line, reason):
+    with pytest.raises(ParseError):
+        parse_cdr_line(line)
+    columns, _, report = ingest([CDR_HEADER, GOOD_LINE, line, GOOD_LINE])
+    assert report.rejections == [Rejection("cdr", 3, reason)]
+    assert report.records_accepted == len(columns) == 2
+
+
+def test_non_ascii_age_rejected():
+    _, report = load_labels([LABELS_HEADER, "u1,f,²", "u2,m,٣", "u3,f,30"])
+    assert [(r.line, r.reason) for r in report.rejections] == [
+        (2, "negative or non-integer age '²'"),
+        (3, "negative or non-integer age '٣'"),
+    ]
+    assert report.labels_accepted == 1
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "u1,out,call,2024-01-02T09:30:00,42,c7\r\n",                # CRLF ending
+        "u1\r,out,call,2024-01-02T09:30:00,42,c7",                  # CR inside a field
+        "ü1,in,text,2024-01-02T09:30:00,0,ç7",                      # non-ASCII ids
+        "u" * 100 + ",out,call,2024-01-02T09:30:00,42,c7",          # id past the vector width
+        "u1,out,call,2024-01-02T09:30:00,12345678901234567890,c7",  # duration past 15 digits
+        "u\x001,out,call,2024-01-02T09:30:00,42,c\x007",            # NUL bytes in ids
+        "u1\nx,out,call,2024-01-02T09:30:00,42,c7",                 # newline inside a list item
+        "u1,out,call,2000-02-29T23:59:59,0,c7",                     # leap day
+        "u1,out,call,0001-01-01T00:00:00,0,c7",                     # first representable day
+    ],
+)
+def test_columns_agree_with_the_reference_parser(line):
+    lines = [CDR_HEADER, GOOD_LINE, line]
+    columns, _, report = ingest(lines)
+    assert report.records_rejected == 0
+    assert column_rows(columns) == record_rows([parse_cdr_line(ln) for ln in lines[1:]])
+
+
+@pytest.mark.parametrize(
+    "timestamp",
+    ["2023-02-29T10:00:00", "1900-02-29T10:00:00", "2100-02-29T10:00:00", "2024-04-31T10:00:00",
+     "2024-13-01T10:00:00", "2024-00-10T10:00:00", "0000-01-01T10:00:00", "2024-01-01T24:00:00", "2024-01-01T10:60:00", "2024-01-01T10:00:60",
+     "2024-01-01t10:00:00", "2024/01/01T10:00:00", "2024-01-01T10-00:00", "+2024-01-01T10:00:0"],
+)
+def test_out_of_range_timestamps_rejected(timestamp):
+    line = f"u1,out,call,{timestamp},42,c7"
+    _, _, report = ingest([CDR_HEADER, line])
+    assert report.rejections == [Rejection("cdr", 2, f"unparseable timestamp {timestamp!r}")]

@@ -1,0 +1,213 @@
+"""Properties of the columnar CDR path against the per-line reference parser.
+
+ingest() parses a CDR file with vectorized column checks and sends only the
+lines they refuse through parse_cdr_line. These properties draw synth-like
+files with single-field defects and check that the accepted count and the
+(line, reason) list equal a line-by-line parse_cdr_line pass, that every
+user-week tensor equals the brute-force recount, and that CRLF endings
+change nothing.
+"""
+
+from datetime import date, datetime, timedelta
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cdrnet.featurize import featurize_users
+from cdrnet.ingest import (
+    CDR_HEADER,
+    CdrRecord,
+    Direction,
+    Kind,
+    LabelRecord,
+    ParseError,
+    format_cdr_line,
+    ingest,
+    parse_cdr_line,
+    parse_labels_line,
+)
+
+from oracles import brute_week_tensor, column_rows, record_rows
+
+FIRST_DAY = datetime(2023, 12, 18)  # a Monday; the span crosses a year end
+
+# ids never hold the separators of the format
+ID_TEXT = st.text(
+    st.characters(blacklist_characters=",\r\n", blacklist_categories=("Cs",)),
+    min_size=1,
+    max_size=8,
+)
+
+RECORD = st.builds(
+    lambda user, incoming, call, offset_s, duration, contact: CdrRecord(
+        user,
+        Direction.INCOMING if incoming else Direction.OUTGOING,
+        Kind.CALL if call else Kind.TEXT,
+        FIRST_DAY + timedelta(seconds=offset_s),
+        duration if call else 0,
+        contact,
+    ),
+    st.sampled_from(["u1", "u2", "u10", "ü3"]),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 5 * 7 * 86400 - 1),
+    st.integers(0, 10**6),
+    st.sampled_from(["c1", "c2", "c3", "c10", "ç4"]),
+)
+
+# A replacement for one field, drawn around each of the eight reasons
+# parse_cdr_line gives (field count, empty user, empty correspondent,
+# direction, kind, timestamp, duration, text with duration).
+FIELD_DEFECT = st.one_of(
+    st.tuples(st.just("extra"), st.sampled_from(["", "x", "1"])),
+    st.tuples(st.just("drop"), st.integers(0, 5)),
+    st.tuples(st.just(0), st.sampled_from(["", "u1", "ü"])),
+    st.tuples(st.just(5), st.sampled_from(["", "c1", "c\x00"])),
+    st.tuples(st.just(1), st.sampled_from(["", "in", "out", "IN", "inn", "ou", "sideways"])),
+    st.tuples(st.just(2), st.sampled_from(["", "call", "text", "Call", "fax", "texts"])),
+    st.tuples(st.just(4), st.sampled_from(["", "-5", "4.5", "²", "٣", "007", "0", "5", " 1",
+                                           "1234567890123456789"])),
+    st.tuples(st.just("text"), st.sampled_from(["0", "5", "00"])),
+    # from index 3 on, so a valid year stays within a decade and the
+    # include_empty_weeks spans stay small
+    st.tuples(st.just("stamp"), st.integers(3, 18), st.sampled_from("0123456789-T:+Z. ٣")),
+    st.tuples(st.just("stamp_tail"), st.sampled_from(["", "Z", "+01:00", ".5", "0"])),
+    # digits in the fixed layout, often out of range
+    st.tuples(
+        st.just(3),
+        st.builds(
+            "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}".format,
+            st.sampled_from([2023, 2024]),
+            st.sampled_from([0, 1, 2, 4, 12, 13]),
+            st.sampled_from([0, 1, 28, 29, 30, 31, 32]),
+            st.integers(20, 25),
+            st.integers(55, 61),
+            st.integers(55, 61),
+        ),
+    ),
+)
+
+
+def _apply(line: str, defect) -> str:
+    f = line.split(",")
+    kind = defect[0]
+    if kind == "extra":
+        f.append(defect[1])
+    elif kind == "drop":
+        del f[defect[1]]
+    elif kind == "text":
+        f[2], f[4] = "text", defect[1]
+    elif kind == "stamp":
+        pos, char = defect[1], defect[2]
+        f[3] = f[3][:pos] + char + f[3][pos + 1:]
+    elif kind == "stamp_tail":
+        f[3] = f[3][:16] + defect[1] if defect[1] in ("", "0") else f[3] + defect[1]
+    else:
+        f[kind] = defect[1]
+    return ",".join(f)
+
+
+FILE = st.lists(st.tuples(RECORD, st.one_of(st.none(), FIELD_DEFECT)), min_size=1, max_size=60)
+
+
+def _reference(lines):
+    """Accepted records and (line, reason) rejections, one parse_cdr_line call per line."""
+    records, rejections = [], []
+    for line_no, line in enumerate(lines[1:], start=2):
+        try:
+            records.append(parse_cdr_line(line))
+        except ParseError as exc:
+            rejections.append((line_no, str(exc)))
+    return records, rejections
+
+
+def _check_tensors(columns, records, include_empty_weeks):
+    ds = featurize_users(columns, include_empty_weeks=include_empty_weeks)
+    by_user_week = {}
+    for r in records:
+        monday = r.timestamp.date() - timedelta(days=r.timestamp.weekday())
+        by_user_week.setdefault((r.user_id, monday), []).append(r)
+    expected_rows = sorted(by_user_week)
+    if include_empty_weeks:
+        expected_rows = []
+        for user in sorted({u for u, _ in by_user_week}):
+            weeks = [w for u, w in by_user_week if u == user]
+            monday = min(weeks)
+            while monday <= max(weeks):
+                expected_rows.append((user, monday))
+                monday += timedelta(days=7)
+    assert list(zip(ds.user_ids, [w.start_date for w in ds.weeks])) == expected_rows
+    for i, key in enumerate(expected_rows):
+        expected = brute_week_tensor(by_user_week.get(key, []), key[1])
+        np.testing.assert_array_equal(ds.tensors[i], expected)
+    return ds
+
+
+@settings(max_examples=60, deadline=None)
+@given(FILE, st.booleans())
+def test_columnar_ingest_matches_the_reference_parser(drawn, include_empty_weeks):
+    lines = [CDR_HEADER] + [
+        format_cdr_line(rec) if defect is None else _apply(format_cdr_line(rec), defect)
+        for rec, defect in drawn
+    ]
+    records, rejections = _reference(lines)
+    columns, _, report = ingest(lines)
+    assert report.records_accepted == len(records) == len(columns)
+    assert [(r.line, r.reason) for r in report.rejections] == rejections
+    assert all(r.stream == "cdr" for r in report.rejections)
+    assert column_rows(columns) == record_rows(records)
+    if records:
+        _check_tensors(columns, records, include_empty_weeks)
+
+
+@settings(max_examples=25, deadline=None)
+@given(FILE)
+def test_crlf_line_endings_change_nothing(drawn):
+    lines = [CDR_HEADER] + [
+        format_cdr_line(rec) if defect is None else _apply(format_cdr_line(rec), defect)
+        for rec, defect in drawn
+    ]
+    lf_columns, _, lf_report = ingest([ln + "\n" for ln in lines])
+    crlf_columns, _, crlf_report = ingest([ln + "\r\n" for ln in lines])
+    assert crlf_report.to_json() == lf_report.to_json()
+    if len(lf_columns):
+        lf, crlf = featurize_users(lf_columns), featurize_users(crlf_columns)
+        assert (crlf.user_ids, crlf.weeks) == (lf.user_ids, lf.weeks)
+        np.testing.assert_array_equal(crlf.tensors, lf.tensors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ID_TEXT,
+    st.sampled_from(list(Direction)),
+    st.sampled_from(list(Kind)),
+    st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)),
+    st.integers(0, 10**12),
+    ID_TEXT,
+)
+def test_cdr_line_round_trip(user, direction, kind, timestamp, duration, contact):
+    rec = CdrRecord(
+        user, direction, kind, timestamp.replace(microsecond=0),
+        duration if kind is Kind.CALL else 0, contact,
+    )
+    assert parse_cdr_line(format_cdr_line(rec)) == rec
+    columns, _, report = ingest([format_cdr_line(rec)])
+    assert report.records_rejected == 0
+    assert column_rows(columns) == record_rows([rec])
+
+
+@settings(max_examples=100, deadline=None)
+@given(ID_TEXT, ID_TEXT, st.integers(0, 130))
+def test_labels_line_round_trip(user, gender, age):
+    rec = LabelRecord(user, gender, age)
+    assert parse_labels_line(f"{rec.user_id},{rec.gender},{rec.age_years}") == rec
+
+
+def test_day_numbers_follow_the_calendar():
+    days = [date(1, 1, 1), date(1969, 12, 31), date(1970, 1, 1), date(2000, 2, 29),
+            date(2100, 3, 1), date(9999, 12, 31)]
+    lines = [f"u,in,text,{d.isoformat()}T00:00:00,0,c" for d in days]
+    columns, _, report = ingest(lines)
+    assert report.records_rejected == 0
+    assert sorted(columns.day.tolist()) == [(d - date(1970, 1, 1)).days for d in days]

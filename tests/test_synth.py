@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from cdrnet.featurize import AgeBuckets, bucketize_age
-from cdrnet.ingest import CDR_HEADER, LABELS_HEADER, ingest
+from cdrnet.ingest import CDR_HEADER, LABELS_HEADER, ingest, parse_cdr_line
 from cdrnet.synth import (
     BLOCK_MASS,
     GENDERS,
@@ -22,6 +22,16 @@ from cdrnet.synth import (
 )
 
 BUCKETS = AgeBuckets((28, 38, 48))
+
+
+def _groups(cdr_lines):
+    """Records per user, each data line parsed by the reference parser."""
+    assert cdr_lines[0] == CDR_HEADER
+    groups = {}
+    for line in cdr_lines[1:]:
+        rec = parse_cdr_line(line)
+        groups.setdefault(rec.user_id, []).append(rec)
+    return groups
 
 
 def test_generate_is_deterministic():
@@ -49,7 +59,9 @@ def test_headers_present():
 
 def test_output_parses_without_rejections():
     cdr_lines, label_lines = generate(SynthConfig(users=25, weeks_per_user=3, seed=2))
-    groups, labels, report = ingest(cdr_lines, label_lines)
+    columns, labels, report = ingest(cdr_lines, label_lines)
+    groups = _groups(cdr_lines)
+    assert columns.user_ids == sorted(groups)
     assert report.records_rejected == 0
     assert report.labels_rejected == 0
     assert report.records_accepted == len(cdr_lines) - 1
@@ -75,7 +87,8 @@ def test_ages_fall_in_sampling_range():
 def test_events_land_in_the_users_weeks():
     config = SynthConfig(users=15, weeks_per_user=4, seed=7, start_monday=date(2024, 3, 4))
     cdr_lines, _ = generate(config)
-    groups, _, report = ingest(cdr_lines)
+    _, _, report = ingest(cdr_lines)
+    groups = _groups(cdr_lines)
     assert report.records_rejected == 0
     for records in groups.values():
         for rec in records:
@@ -85,7 +98,7 @@ def test_events_land_in_the_users_weeks():
 
 def test_contacts_are_scoped_to_their_user():
     cdr_lines, _ = generate(SynthConfig(users=10, weeks_per_user=2, seed=8))
-    groups, _, _ = ingest(cdr_lines)
+    groups = _groups(cdr_lines)
     for uid, records in groups.items():
         for rec in records:
             assert rec.correspondent_id.startswith("c" + uid[1:] + "n")
@@ -93,7 +106,7 @@ def test_contacts_are_scoped_to_their_user():
 
 def test_texts_have_zero_duration_and_calls_do_not_all():
     cdr_lines, _ = generate(SynthConfig(users=10, weeks_per_user=2, seed=9))
-    groups, _, _ = ingest(cdr_lines)
+    groups = _groups(cdr_lines)
     records = [r for recs in groups.values() for r in recs]
     texts = [r for r in records if r.kind.value == "text"]
     calls = [r for r in records if r.kind.value == "call"]
@@ -105,7 +118,7 @@ def test_texts_have_zero_duration_and_calls_do_not_all():
 def test_contact_pool_bounds_distinct_contacts():
     config = SynthConfig(users=5, weeks_per_user=6, seed=10, contact_pool=7)
     cdr_lines, _ = generate(config)
-    groups, _, _ = ingest(cdr_lines)
+    groups = _groups(cdr_lines)
     for records in groups.values():
         assert len({r.correspondent_id for r in records}) <= 7
 
@@ -169,7 +182,7 @@ def _cell_counts(groups, users=None):
 def test_null_signal_is_uniform_over_cells():
     config = SynthConfig(users=60, weeks_per_user=4, seed=21, signal=0.0, event_rate=100.0)
     cdr_lines, _ = generate(config)
-    groups, _, _ = ingest(cdr_lines)
+    groups = _groups(cdr_lines)
     counts = _cell_counts(groups)
     assert counts.sum() > 20000
     result = stats.chisquare(counts)
@@ -179,7 +192,7 @@ def test_null_signal_is_uniform_over_cells():
 def test_null_signal_has_neutral_habits():
     config = SynthConfig(users=60, weeks_per_user=4, seed=22, signal=0.0, event_rate=100.0)
     cdr_lines, _ = generate(config)
-    groups, _, _ = ingest(cdr_lines)
+    groups = _groups(cdr_lines)
     records = [r for recs in groups.values() for r in recs]
     n = len(records)
     call_frac = sum(r.kind.value == "call" for r in records) / n
@@ -195,7 +208,8 @@ def test_null_signal_has_neutral_habits():
 def test_full_signal_matches_archetype_cells():
     config = SynthConfig(users=320, weeks_per_user=4, seed=23, signal=1.0, event_rate=120.0)
     cdr_lines, label_lines = generate(config)
-    groups, labels, _ = ingest(cdr_lines, label_lines)
+    _, labels, _ = ingest(cdr_lines, label_lines)
+    groups = _groups(cdr_lines)
     archetypes = make_archetypes(AgeBuckets(config.age_edges), config.seed)
 
     by_class: dict[tuple[str, int], set[str]] = {}
@@ -215,7 +229,8 @@ def test_full_signal_matches_archetype_cells():
 def test_full_signal_matches_archetype_habits():
     config = SynthConfig(users=320, weeks_per_user=4, seed=24, signal=1.0, event_rate=120.0)
     cdr_lines, label_lines = generate(config)
-    groups, labels, _ = ingest(cdr_lines, label_lines)
+    _, labels, _ = ingest(cdr_lines, label_lines)
+    groups = _groups(cdr_lines)
     archetypes = make_archetypes(AgeBuckets(config.age_edges), config.seed)
 
     by_class: dict[tuple[str, int], list] = {}

@@ -19,14 +19,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .featurize import (
-    DEFAULT_AGE_EDGES,
-    STD_FLOOR,
-    AgeBuckets,
-    TensorDataset,
-    apply_normalizer,
-    bucketize_age,
-)
+from .featurize import STD_FLOOR, TensorDataset, apply_normalizer
 from .ingest import LabelRecord
 from .net import ModelParams, forward_batch
 
@@ -60,9 +53,7 @@ def _user_means(model: ModelParams, dataset: TensorDataset, users=None):
     averaged in file order. users, when given, selects the users to run.
     """
     ids = dataset.user_ids
-    rows = sorted(
-        (i for i, u in enumerate(ids) if users is None or u in users), key=ids.__getitem__
-    )
+    rows = dataset.rows_of(ids if users is None else users)
     if not rows:
         raise ValueError("need at least one week tensor")
     probs = np.empty((len(rows), model.config.classes))
@@ -117,7 +108,7 @@ def train_linear_svm(
     lam: float = 1e-4,
     epochs: int = 50,
     seed: int = 0,
-    class_labels: tuple[str, ...] | None = None,
+    n_classes: int | None = None,
 ) -> SvmModel:
     """Train K one-vs-rest hinge classifiers with Pegasos step sizes.
 
@@ -125,7 +116,8 @@ def train_linear_svm(
     margin violation (y*(w.x+b) < 1) w gains eta*y*x and b gains eta*y; w is
     then projected onto the ball of radius 1/sqrt(lam). The bias is not
     regularized. Each class trains on its own rng stream spawned from the
-    seed, so results are independent of class training order.
+    seed, so results are independent of class training order. n_classes
+    defaults to one more than the largest label.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
@@ -133,7 +125,8 @@ def train_linear_svm(
     y_all = np.asarray(labels, dtype=np.intp)
     if len(y_all) != len(x):
         raise ValueError("features and labels have different lengths")
-    n_classes = len(class_labels) if class_labels is not None else int(y_all.max()) + 1
+    if n_classes is None:
+        n_classes = int(y_all.max()) + 1
     if len(np.unique(y_all)) < 2:
         raise ValueError("need at least two classes present in the training labels")
     if lam <= 0.0 or epochs < 1:
@@ -215,25 +208,6 @@ def predict_dataset(
     return out
 
 
-def class_index_for_label(
-    record: LabelRecord,
-    attribute: str,
-    class_labels: tuple[str, ...],
-    age_edges: tuple[int, ...] = DEFAULT_AGE_EDGES,
-) -> int:
-    """Map a raw label row to a class index the same way training does."""
-    if attribute == "gender":
-        try:
-            return class_labels.index(record.gender)
-        except ValueError:
-            raise ValueError(
-                f"gender {record.gender!r} not among trained classes {class_labels}"
-            ) from None
-    if attribute == "age":
-        return bucketize_age(record.age_years, AgeBuckets(tuple(age_edges)))
-    raise ValueError(f"unknown attribute {attribute!r}")
-
-
 def train_svm_head(
     model: ModelParams,
     dataset: TensorDataset,
@@ -245,33 +219,32 @@ def train_svm_head(
 ) -> SvmModel:
     """Fit the SVM head on per-user features from the model's feature layer.
 
-    Users are mapped to classes with the model's own label rule, and the
+    Users are mapped to classes through the model's label space, and the
     same deterministic user split as network training keeps any validation
     users out of the SVM's training set.
     """
     from .training import split_users
 
-    if model.attribute is None or model.class_labels is None:
-        raise ValueError("model carries no attribute/class metadata")
-    edges = model.age_edges if model.age_edges is not None else DEFAULT_AGE_EDGES
+    space = model.label_space
+    if space is None:
+        raise ValueError("model carries no label space")
     users = sorted({u for u in dataset.user_ids if u in labels})
     if not users:
         raise ValueError("no labeled users in the dataset")
     train_users, _ = split_users(users, val_fraction, seed)
 
     feats = np.stack([f for _, _, f, _ in _user_means(model, dataset, set(train_users))])
-    y = [
-        class_index_for_label(labels[u], model.attribute, model.class_labels, edges)
-        for u in train_users
-    ]
-    return train_linear_svm(
-        feats, y, lam=lam, epochs=epochs, seed=seed, class_labels=model.class_labels
-    )
+    y = [space.index(labels[u]) for u in train_users]
+    return train_linear_svm(feats, y, lam=lam, epochs=epochs, seed=seed, n_classes=space.n_classes)
 
 
 @dataclass(frozen=True)
 class Metrics:
-    """Evaluation summary; confusion rows are true classes, columns predicted."""
+    """Evaluation summary; confusion rows are true classes, columns predicted.
+
+    n_users counts the scored users; unlabeled counts the predicted users
+    left out because they have no truth label.
+    """
 
     n_users: int
     accuracy: float
@@ -281,10 +254,12 @@ class Metrics:
     precision: np.ndarray
     recall: np.ndarray
     class_labels: tuple[str, ...] | None = None
+    unlabeled: int = 0
 
     def to_json(self) -> dict:
         return {
             "n_users": self.n_users,
+            "unlabeled": self.unlabeled,
             "accuracy": self.accuracy,
             "majority_accuracy": self.majority_accuracy,
             "uniform_accuracy": self.uniform_accuracy,
@@ -304,20 +279,22 @@ def evaluate(
     """Score (user_id, class index) predictions against a truth mapping.
 
     predictions may be UserPrediction objects or (user_id, class) pairs;
-    truth is a dict or pair list. Every predicted user must have a truth
-    entry. The majority baseline is the frequency of the most common true
+    truth is a dict or pair list. Predicted users without a truth entry are
+    left out and counted as unlabeled; a ValueError is raised when none has
+    one. The majority baseline is the frequency of the most common true
     class; the uniform baseline is 1/K.
     """
-    pairs = [
+    truth_map = dict(truth) if not isinstance(truth, dict) else truth
+    predicted = [
         (p.user_id, p.class_index) if isinstance(p, UserPrediction) else (p[0], int(p[1]))
         for p in predictions
     ]
-    truth_map = dict(truth) if not isinstance(truth, dict) else truth
-    if not pairs:
+    if not predicted:
         raise ValueError("no predictions to evaluate")
-    missing = [u for u, _ in pairs if u not in truth_map]
-    if missing:
-        raise ValueError(f"no truth label for user(s) {missing[:5]}")
+    pairs = [(u, c) for u, c in predicted if u in truth_map]
+    if not pairs:
+        missing = [u for u, _ in predicted]
+        raise ValueError(f"no truth label for any predicted user, e.g. {missing[:5]}")
 
     true = np.array([int(truth_map[u]) for u, _ in pairs], dtype=np.intp)
     pred = np.array([c for _, c in pairs], dtype=np.intp)
@@ -342,6 +319,7 @@ def evaluate(
         precision=precision,
         recall=recall,
         class_labels=class_labels,
+        unlabeled=len(predicted) - n,
     )
 
 
@@ -364,27 +342,32 @@ def write_predictions(path, predictions: list[UserPrediction]) -> None:
 
 
 def read_predictions(path) -> list[UserPrediction]:
-    """Parse a predictions CSV back into UserPrediction rows (weeks_used 0)."""
+    """Parse a predictions CSV back into UserPrediction rows (weeks_used 0).
+
+    The header fixes K; every row must carry K scores and a predicted class
+    in [0, K), or a ValueError names the file and line.
+    """
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or not lines[0].startswith("user_id,predicted_class,"):
+    header = lines[0].split(",") if lines else []
+    k = len(header) - 2
+    if k < 1 or header != ["user_id", "predicted_class", *(f"p_{i}" for i in range(k))]:
         raise ValueError(f"{path}: not a predictions file")
     out = []
-    for ln in lines[1:]:
+    for line_no, ln in enumerate(lines[1:], start=2):
         if not ln:
             continue
         parts = ln.split(",")
-        if len(parts) < 3:
-            raise ValueError(f"{path}: malformed row {ln!r}")
-        scores = np.array([float(v) for v in parts[2:]])
-        out.append(
-            UserPrediction(
-                user_id=parts[0],
-                scores=scores,
-                class_index=int(parts[1]),
-                weeks_used=0,
-            )
-        )
+        try:
+            if len(parts) != k + 2:
+                raise ValueError(f"{len(parts) - 2} scores for {k} classes")
+            class_index = int(parts[1])
+            if not 0 <= class_index < k:
+                raise ValueError(f"predicted_class {class_index} outside [0, {k})")
+            scores = np.array([float(v) for v in parts[2:]])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_no}: {exc}") from None
+        out.append(UserPrediction(parts[0], scores, class_index, weeks_used=0))
     return out
 
 

@@ -28,20 +28,13 @@ from .classify import (
     write_predictions,
 )
 from .container import ContainerError
-from .featurize import DEFAULT_AGE_EDGES, AgeBuckets, bucketize_age, featurize_users, fit_normalizer
+from .featurize import DEFAULT_AGE_EDGES, AgeBuckets, LabelSpace, featurize_users, fit_normalizer
 from .featurize import load_tensor_dataset, save_tensor_dataset
 from .ingest import IngestError, ParseError, ingest, load_labels
 from .modelfile import load_model, save_model
 from .net import DEFAULT_DENSE, DEFAULT_FILTERS, NetworkConfig, downsized_config, init_params
 from .synth import SynthConfig, generate, write_lines
-from .training import (
-    GRAD_TOL,
-    NumericError,
-    TrainConfig,
-    class_assignments,
-    grad_check,
-    train,
-)
+from .training import GRAD_TOL, NumericError, TrainConfig, grad_check, train
 
 # argparse types. Each raises ArgumentTypeError with a plain message, so a
 # bad value exits 1 with the usage line and the message names the value.
@@ -161,10 +154,11 @@ def _cmd_train(args) -> int:
     if not labels:
         print(f"error: {args.labels}: no usable labels", file=sys.stderr)
         return 2
-    users = sorted(set(ds.user_ids))
-    _, class_names = class_assignments(users, labels, args.attribute, args.age_edges)
+    users = set(ds.user_ids)
+    records = [r for u, r in labels.items() if u in users]
+    space = LabelSpace.fit(args.attribute, records, args.age_edges)
     net_config = NetworkConfig(
-        classes=len(class_names),
+        classes=space.n_classes,
         filters=args.filters,
         dense=args.dense,
         alpha=args.alpha,
@@ -178,7 +172,7 @@ def _cmd_train(args) -> int:
         weight_decay=args.weight_decay,
         val_fraction=args.val_fraction,
     )
-    params, history = train(ds, labels, args.attribute, train_config, net_config, args.age_edges)
+    params, history = train(ds, labels, space, train_config, net_config)
     save_model(args.out, params)
     if args.history:
         with open(args.history, "w", encoding="utf-8") as fh:
@@ -228,14 +222,14 @@ def _cmd_predict(args) -> int:
 def _cmd_evaluate(args) -> int:
     preds = read_predictions(args.predictions)
     labels, _ = load_labels(_read_lines(args.labels))
-    if args.attribute == "gender":
-        class_labels = tuple(sorted({r.gender for r in labels.values()}))
-        truth = {u: class_labels.index(r.gender) for u, r in labels.items()}
-    else:
-        buckets = AgeBuckets(args.age_edges)
-        class_labels = buckets.class_labels()
-        truth = {u: bucketize_age(r.age_years, buckets) for u, r in labels.items()}
-    metrics = evaluate(preds, truth, class_labels=class_labels)
+    space = LabelSpace.fit(args.attribute, labels.values(), args.age_edges)
+    if preds and len(preds[0].scores) != space.n_classes:
+        raise ValueError(
+            f"{args.predictions}: {len(preds[0].scores)} classes, but {args.labels} "
+            f"gives {space.n_classes} {args.attribute} classes {space.class_labels}"
+        )
+    truth = {u: space.index(r) for u, r in labels.items()}
+    metrics = evaluate(preds, truth, class_labels=space.class_labels)
     report = json.dumps(metrics.to_json(), indent=2, sort_keys=True)
     print(report)
     print(

@@ -27,7 +27,7 @@ from datetime import date
 import numpy as np
 
 from .container import read_container, write_container
-from .ingest import EPOCH_ORDINAL, CdrColumns, CdrRecord
+from .ingest import EPOCH_ORDINAL, CdrColumns, CdrRecord, LabelRecord
 
 N_CHANNELS, N_HOURS, N_DAYS = 8, 24, 7
 N_CELLS = N_HOURS * N_DAYS
@@ -115,10 +115,8 @@ class NormStats:
 
 
 def fit_normalizer(tensors) -> NormStats:
-    """Fit per-channel log1p statistics; accepts an (N,8,24,7) array or a list."""
+    """Fit per-channel log1p statistics over an (N,8,24,7) array."""
     arr = np.asarray(tensors, dtype=np.float64)
-    if arr.ndim == 3:
-        arr = arr[None]
     if arr.ndim != 4 or arr.shape[0] == 0:
         raise ValueError("fit_normalizer needs a non-empty list of week tensors")
     logs = np.log1p(arr)
@@ -168,6 +166,64 @@ def bucketize_age(age_years: int, buckets: AgeBuckets) -> int:
     return bisect_right(buckets.edges, age_years)
 
 
+@dataclass(frozen=True)
+class LabelSpace:
+    """The classes of one label attribute and the one rule mapping a label row to a class.
+
+    Gender classes are the sorted distinct genders of the records the space
+    is fitted on; age classes are the buckets of age_edges. A space is fitted
+    once and then carried by the model, so training, the SVM head and
+    evaluation index labels the same way.
+    """
+
+    attribute: str
+    class_labels: tuple[str, ...]
+    age_edges: tuple[int, ...] | None = None  # age only
+
+    def __post_init__(self):
+        labels = tuple(self.class_labels)
+        object.__setattr__(self, "class_labels", labels)
+        if self.attribute == "age":
+            edges = AgeBuckets(tuple(self.age_edges or ())).edges
+            object.__setattr__(self, "age_edges", edges)
+            if labels != AgeBuckets(edges).class_labels():
+                raise ValueError(f"class_labels {labels} disagree with age_edges {edges}")
+        elif self.attribute == "gender":
+            if self.age_edges is not None:
+                raise ValueError("a gender label space holds no age_edges")
+            if len(labels) < 2 or labels != tuple(sorted(set(labels))):
+                raise ValueError(
+                    f"gender class_labels must be two or more distinct values in sorted order, "
+                    f"got {labels}"
+                )
+        else:
+            raise ValueError(f"unknown attribute {self.attribute!r}, expected 'gender' or 'age'")
+
+    @classmethod
+    def fit(
+        cls, attribute: str, records, age_edges: tuple[int, ...] = DEFAULT_AGE_EDGES
+    ) -> LabelSpace:
+        """The space of attribute over the given label records."""
+        if attribute == "age":
+            return cls(attribute, AgeBuckets(tuple(age_edges)).class_labels(), tuple(age_edges))
+        return cls(attribute, tuple(sorted({r.gender for r in records})))
+
+    @property
+    def n_classes(self) -> int:
+        return len(self.class_labels)
+
+    def index(self, record: LabelRecord) -> int:
+        """Class index of a label row; a gender outside the space is a ValueError."""
+        if self.attribute == "age":
+            return bucketize_age(record.age_years, AgeBuckets(self.age_edges))
+        try:
+            return self.class_labels.index(record.gender)
+        except ValueError:
+            raise ValueError(
+                f"gender {record.gender!r} not among the classes {self.class_labels}"
+            ) from None
+
+
 @dataclass
 class TensorDataset:
     """Parallel (user_id, week, raw tensor) rows plus an optional NormStats sidecar."""
@@ -179,6 +235,12 @@ class TensorDataset:
 
     def __len__(self) -> int:
         return len(self.user_ids)
+
+    def rows_of(self, users) -> list[int]:
+        """Row indices of the given users' weeks, stably sorted by user id."""
+        chosen = set(users)
+        ids = self.user_ids
+        return sorted((i for i, u in enumerate(ids) if u in chosen), key=ids.__getitem__)
 
     def by_user(self) -> dict[str, np.ndarray]:
         """Stacked week tensors per user, users in sorted order."""

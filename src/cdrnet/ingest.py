@@ -5,7 +5,8 @@ Input formats (UTF-8 CSV, plain comma-separated tokens, one header row):
     CDR:    user_id,direction,kind,timestamp,duration_s,correspondent_id
             direction in {in,out}; kind in {call,text};
             timestamp "YYYY-MM-DDThh:mm:ss" in ASCII digits (local
-            wall-clock: no offset, no fraction); duration ASCII digits
+            wall-clock: no offset, no fraction); duration 1 to 15
+            ASCII digits
     labels: user_id,gender,age_years
 
 Parsing is total: every data line is either accepted or rejected with a
@@ -154,6 +155,8 @@ class IngestReport:
         return json.dumps(self.to_json(), indent=2)
 
 
+_MAX_DURATION_DIGITS = 15  # below 2**53, so float64 holds every value exactly
+
 _TIMESTAMP = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)", re.ASCII)
 
 
@@ -195,6 +198,10 @@ def parse_cdr_line(line: str) -> CdrRecord:
     timestamp = _parse_timestamp(ts_s)
     if not _is_ascii_number(dur_s):
         raise ParseError(f"negative or non-integer duration {dur_s!r}")
+    if len(dur_s) > _MAX_DURATION_DIGITS:
+        raise ParseError(
+            f"duration of {len(dur_s)} digits, at most {_MAX_DURATION_DIGITS} allowed"
+        )
     duration = int(dur_s)
     if kind is Kind.TEXT and duration != 0:
         raise ParseError(f"text with nonzero duration {duration}")
@@ -236,7 +243,6 @@ def parse_labels_line(line: str) -> LabelRecord:
 _NL, _CR, _COMMA = ord("\n"), ord("\r"), ord(",")
 _MAX_ID_BYTES = 64  # longer ids take the per-line path
 _PAD = _MAX_ID_BYTES  # zero bytes after the text: fixed-offset reads stay in the buffer
-_MAX_DURATION_DIGITS = 15  # below 2**53, so float64 holds every value exactly
 _DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
@@ -254,8 +260,8 @@ def _scan(lines: list[str]) -> tuple[CdrColumns, np.ndarray]:
 
     The whole text is one uint8 buffer; each check runs over a whole field
     column at once. Returns the columns and the per-line accept mask. A
-    refused line may still be valid (an id over _MAX_ID_BYTES, a very long
-    duration); the caller hands every refused line to parse_cdr_line.
+    refused line may still be valid (an id over _MAX_ID_BYTES); the caller
+    hands every refused line to parse_cdr_line.
     """
     n = len(lines)
     text = "".join(lines + ["\0" * _PAD])

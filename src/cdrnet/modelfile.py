@@ -1,17 +1,18 @@
 """Save and load trained models as a single binary file (magic "CDRNET/1").
 
 The file is the generic checksummed container from container.py: a JSON
-header with the layer geometry, attribute/class metadata, and an array
-manifest, followed by the raw float64 parameter payload. A model round
-trips bit-exactly, and any flipped byte is rejected at load time.
+header with the layer geometry, the label space (attribute, class_labels
+and, for age, age_edges) and an array manifest, followed by the raw float64
+parameter payload. A model round trips bit-exactly, and any flipped byte is
+rejected at load time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .container import read_container, write_container
-from .featurize import NormStats
+from .container import ContainerError, read_container, write_container
+from .featurize import LabelSpace, NormStats
 from .net import ModelParams, NetworkConfig, param_shapes
 
 MODEL_MAGIC = "CDRNET/1"
@@ -46,12 +47,12 @@ def _config_from_header(h: dict) -> NetworkConfig:
 def save_model(path, params: ModelParams) -> None:
     """Write a model file; arrays go in canonical parameter order."""
     header: dict = {"config": _config_header(params.config)}
-    if params.attribute is not None:
-        header["attribute"] = params.attribute
-    if params.class_labels is not None:
-        header["class_labels"] = list(params.class_labels)
-    if params.age_edges is not None:
-        header["age_edges"] = [int(e) for e in params.age_edges]
+    space = params.label_space
+    if space is not None:
+        header["attribute"] = space.attribute
+        header["class_labels"] = list(space.class_labels)
+        if space.age_edges is not None:
+            header["age_edges"] = list(space.age_edges)
 
     arrays: dict[str, np.ndarray] = {}
     for name in param_shapes(params.config):
@@ -68,8 +69,20 @@ def save_model(path, params: ModelParams) -> None:
     write_container(path, MODEL_MAGIC, header, arrays)
 
 
+def _label_space_from_header(path, h: dict, classes: int) -> LabelSpace | None:
+    if "attribute" not in h:
+        return None
+    labels = h.get("class_labels")
+    if not isinstance(labels, list) or len(labels) != classes:
+        raise ContainerError(f"{path}: class_labels {labels!r} must hold {classes} labels")
+    try:
+        return LabelSpace(h["attribute"], tuple(labels), h.get("age_edges"))
+    except (TypeError, ValueError) as exc:
+        raise ContainerError(f"{path}: {exc}") from None
+
+
 def load_model(path) -> ModelParams:
-    """Read a model file back; validates magic, checksum, and tensor shapes."""
+    """Read a model file back; validates magic, checksum, tensor shapes and the label space."""
     from .classify import SvmModel
 
     header, arrays = read_container(path, MODEL_MAGIC)
@@ -81,6 +94,7 @@ def load_model(path) -> ModelParams:
             raise ValueError(f"tensor {name} has shape {arr.shape}, expected {shape}")
         tensors[name] = arr
 
+    label_space = _label_space_from_header(path, header, config.classes)
     norm_stats = None
     if "norm.mean" in arrays:
         norm_stats = NormStats(mean=arrays["norm.mean"], std=arrays["norm.std"])
@@ -99,8 +113,6 @@ def load_model(path) -> ModelParams:
         config=config,
         tensors=tensors,
         norm_stats=norm_stats,
-        attribute=header.get("attribute"),
-        class_labels=tuple(header["class_labels"]) if "class_labels" in header else None,
-        age_edges=tuple(int(e) for e in header["age_edges"]) if "age_edges" in header else None,
+        label_space=label_space,
         svm=svm,
     )

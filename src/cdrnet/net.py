@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .featurize import N_CHANNELS, N_DAYS, N_HOURS, NormStats
+from .featurize import N_CHANNELS, N_DAYS, N_HOURS, LabelSpace, NormStats
 
 if TYPE_CHECKING:
     from .classify import SvmModel
@@ -126,9 +126,7 @@ class ModelParams:
     config: NetworkConfig
     tensors: dict[str, np.ndarray]
     norm_stats: NormStats | None = None
-    attribute: str | None = None  # "gender" or "age"
-    class_labels: tuple[str, ...] | None = None
-    age_edges: tuple[int, ...] | None = None
+    label_space: LabelSpace | None = None
     svm: "SvmModel | None" = None
 
 
@@ -169,17 +167,14 @@ def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
 
 
 def conv2d_valid(x, weights, bias) -> np.ndarray:
-    """Valid cross-correlation.
+    """Valid cross-correlation of an (N,C,H,W) batch.
 
-    x is (C,H,W) or batched (N,C,H,W); weights (C_out,C_in,kh,kw); output
-    (C_out, H-kh+1, W-kw+1) with out[o,y,x] = b[o] + sum input[c,y+i,x+j]*w[o,c,i,j].
+    weights (C_out,C_in,kh,kw); output (N, C_out, H-kh+1, W-kw+1) with
+    out[n,o,y,x] = b[o] + sum x[n,c,y+i,x+j]*w[o,c,i,j].
     """
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 3
-    if single:
-        x = x[None]
     if x.ndim != 4:
-        raise ValueError(f"expected (C,H,W) or (N,C,H,W) input, got shape {x.shape}")
+        raise ValueError(f"expected (N,C,H,W) input, got shape {x.shape}")
     c_out, c_in, kh, kw = weights.shape
     n, c, h, w = x.shape
     if c != c_in:
@@ -189,8 +184,7 @@ def conv2d_valid(x, weights, bias) -> np.ndarray:
     hp, wp = h - kh + 1, w - kw + 1
     cols = _im2col(x, kh, kw)
     out = cols @ weights.reshape(c_out, -1).T + bias
-    out = out.reshape(n, hp, wp, c_out).transpose(0, 3, 1, 2)
-    return out[0] if single else out
+    return out.reshape(n, hp, wp, c_out).transpose(0, 3, 1, 2)
 
 
 def dense_affine(x, weights, bias) -> np.ndarray:
@@ -261,15 +255,6 @@ def forward_batch(params: ModelParams, x) -> tuple[np.ndarray, np.ndarray, Forwa
     return probs, feats, trace
 
 
-def forward(params: ModelParams, x) -> tuple[np.ndarray, np.ndarray, ForwardTrace]:
-    """Single-sample forward for one (C, H, W) tensor; see forward_batch."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ValueError(f"expected a single (C,H,W) input, got shape {x.shape}")
-    probs, feats, trace = forward_batch(params, x[None])
-    return probs[0], feats[0], trace
-
-
 def _conv_input_grad(weights: np.ndarray, dout: np.ndarray, in_shape) -> np.ndarray:
     """Gradient w.r.t. the conv input: scatter each kernel tap's contribution."""
     _, _, kh, kw = weights.shape
@@ -286,15 +271,13 @@ def _conv_input_grad(weights: np.ndarray, dout: np.ndarray, in_shape) -> np.ndar
 def backward(params: ModelParams, trace: ForwardTrace, dlogits) -> dict[str, np.ndarray]:
     """Exact reverse-mode gradients for every parameter tensor.
 
-    dlogits is the loss gradient at the logits, (K,) or (N,K), matching the
-    forward call that produced the trace. Neither params nor trace are
+    dlogits is the (N,K) loss gradient at the logits of the forward_batch
+    call that produced the trace. Neither params nor trace are
     mutated; gradient shapes mirror parameter shapes.
     """
     cfg = params.config
     t = params.tensors
     dlogits = np.asarray(dlogits, dtype=np.float64)
-    if dlogits.ndim == 1:
-        dlogits = dlogits[None]
     if trace.logits is None or dlogits.shape != trace.logits.shape:
         raise ValueError("upstream gradient does not match the forward trace")
 

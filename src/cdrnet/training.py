@@ -12,20 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .featurize import (
-    DEFAULT_AGE_EDGES,
-    AgeBuckets,
-    NormStats,
-    TensorDataset,
-    apply_normalizer,
-    bucketize_age,
-    fit_normalizer,
-)
+from .featurize import LabelSpace, TensorDataset, apply_normalizer, fit_normalizer
 from .ingest import LabelRecord
-from .net import ModelParams, NetworkConfig, backward, forward, forward_batch, init_params
+from .net import ModelParams, NetworkConfig, backward, forward_batch, init_params
 
 GRAD_TOL = 1e-4
-ATTRIBUTES = ("gender", "age")
 
 
 class NumericError(ArithmeticError):
@@ -33,15 +24,11 @@ class NumericError(ArithmeticError):
 
 
 def cross_entropy(probs, labels) -> float:
-    """Mean negative log-likelihood; probabilities are clipped at 1e-12.
+    """Mean negative log-likelihood of an (N, K) batch against (N,) labels.
 
-    Accepts a single (K,) row with an int label or an (N, K) batch with an
-    (N,) label vector.
+    Probabilities are clipped at 1e-12.
     """
     p = np.asarray(probs, dtype=np.float64)
-    if p.ndim == 1:
-        p = p[None]
-        labels = [labels]
     idx = np.asarray(labels, dtype=np.intp)
     picked = p[np.arange(len(p)), idx]
     return float(-np.log(np.maximum(picked, 1e-12)).mean())
@@ -49,16 +36,10 @@ def cross_entropy(probs, labels) -> float:
 
 def loss_gradient(probs, labels) -> np.ndarray:
     """d(mean cross-entropy)/d(logits) = (probs - onehot) / N."""
-    p = np.asarray(probs, dtype=np.float64)
-    single = p.ndim == 1
-    if single:
-        p = p[None]
-        labels = [labels]
-    idx = np.asarray(labels, dtype=np.intp)
-    grad = p.copy()
-    grad[np.arange(len(p)), idx] -= 1.0
-    grad /= len(p)
-    return grad[0] if single else grad
+    grad = np.array(probs, dtype=np.float64)
+    grad[np.arange(len(grad)), np.asarray(labels, dtype=np.intp)] -= 1.0
+    grad /= len(grad)
+    return grad
 
 
 def sgd_step(
@@ -113,32 +94,6 @@ class EpochStats:
         }
 
 
-def class_assignments(
-    user_ids: list[str],
-    labels: dict[str, LabelRecord],
-    attribute: str,
-    age_edges: tuple[int, ...] = DEFAULT_AGE_EDGES,
-) -> tuple[dict[str, int], tuple[str, ...]]:
-    """Map each labeled user to a class index; returns (assignment, class names).
-
-    Gender classes are the sorted distinct values seen in the labels; age
-    classes are the bucket intervals. Users absent from the labels are left
-    out of the assignment.
-    """
-    if attribute not in ATTRIBUTES:
-        raise ValueError(f"unknown attribute {attribute!r}, expected one of {ATTRIBUTES}")
-    known = [u for u in user_ids if u in labels]
-    if attribute == "gender":
-        classes = tuple(sorted({labels[u].gender for u in known}))
-        if len(classes) < 2:
-            raise ValueError("need at least two distinct gender values to train")
-        index = {c: k for k, c in enumerate(classes)}
-        return {u: index[labels[u].gender] for u in known}, classes
-    buckets = AgeBuckets(tuple(age_edges))
-    assign = {u: bucketize_age(labels[u].age_years, buckets) for u in known}
-    return assign, buckets.class_labels()
-
-
 def split_users(user_ids: list[str], val_fraction: float, seed: int) -> tuple[list[str], list[str]]:
     """Deterministic user-level split; validation gets round(frac * n) users."""
     order = list(user_ids)
@@ -154,48 +109,48 @@ def split_users(user_ids: list[str], val_fraction: float, seed: int) -> tuple[li
 def train(
     dataset: TensorDataset,
     labels: dict[str, LabelRecord],
-    attribute: str,
+    label_space: LabelSpace,
     config: TrainConfig,
     net_config: NetworkConfig | None = None,
-    age_edges: tuple[int, ...] = DEFAULT_AGE_EDGES,
 ) -> tuple[ModelParams, list[EpochStats]]:
-    """Fit the network on week tensors grouped by user.
+    """Fit the network on the week tensors of the labeled users.
 
+    Users map to classes through label_space, which the model then carries.
     Unlabeled users are skipped. The normalizer is refitted on the training
     partition (any stats shipped with the dataset are ignored). Raises
     NumericError if the loss leaves the finite range.
     """
-    grouped = dataset.by_user()
-    assign, class_names = class_assignments(list(grouped), labels, attribute, age_edges)
-    by_user = {u: t for u, t in grouped.items() if u in assign}
-    if not by_user:
+    users = sorted({u for u in dataset.user_ids if u in labels})
+    if not users:
         raise ValueError("no labeled users in the dataset")
-
-    train_users, val_users = split_users(list(by_user), config.val_fraction, config.seed)
-
-    stats = fit_normalizer(np.concatenate([by_user[u] for u in train_users], axis=0))
-
-    def stack(users: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        xs = [apply_normalizer(by_user[u], stats) for u in users]
-        ys = [np.full(len(by_user[u]), assign[u], dtype=np.intp) for u in users]
-        return np.concatenate(xs, axis=0), np.concatenate(ys)
-
-    x_train, y_train = stack(train_users)
-    x_val, y_val = stack(val_users) if val_users else (None, None)
-
+    assign = {u: label_space.index(labels[u]) for u in users}
     if net_config is None:
-        net_config = NetworkConfig(classes=len(class_names))
-    elif net_config.classes != len(class_names):
+        net_config = NetworkConfig(classes=label_space.n_classes)
+    elif net_config.classes != label_space.n_classes:
         raise ValueError(
-            f"network emits {net_config.classes} classes but labels define {len(class_names)}"
+            f"network emits {net_config.classes} classes "
+            f"but labels define {label_space.n_classes}"
         )
+
+    train_users, val_users = split_users(users, config.val_fraction, config.seed)
+
+    def rows(users: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Raw week tensors and class labels of the users, rows sorted by user."""
+        index = dataset.rows_of(users)
+        y = np.array([assign[dataset.user_ids[i]] for i in index], dtype=np.intp)
+        return dataset.tensors[index], y
+
+    x_train, y_train = rows(train_users)
+    stats = fit_normalizer(x_train)
+    x_train = apply_normalizer(x_train, stats)
+    x_val = y_val = None
+    if val_users:
+        x_val, y_val = rows(val_users)
+        x_val = apply_normalizer(x_val, stats)
 
     params = init_params(net_config, config.seed)
     params.norm_stats = stats
-    params.attribute = attribute
-    params.class_labels = class_names
-    if attribute == "age":
-        params.age_edges = tuple(int(e) for e in age_edges)
+    params.label_space = label_space
 
     velocity = {name: np.zeros_like(t) for name, t in params.tensors.items()}
     rng = np.random.default_rng(config.seed + 1)
@@ -238,15 +193,16 @@ def max_relative_error(a: float, b: float) -> float:
 
 
 def grad_check(params: ModelParams, x, label: int, step: float = 1e-5) -> dict[str, float]:
-    """Central-difference check of every parameter gradient on one sample.
+    """Central-difference check of every parameter gradient on one (C,H,W) sample.
 
     Returns the worst relative error per parameter tensor; all values should
     sit below GRAD_TOL when the analytic backward pass is correct. Keep the
     network small: cost is two forward passes per scalar parameter.
     """
-    x = np.asarray(x, dtype=np.float64)
-    probs, _, trace = forward(params, x)
-    analytic = backward(params, trace, loss_gradient(probs, label))
+    x = np.asarray(x, dtype=np.float64)[None]
+    labels = [label]
+    probs, _, trace = forward_batch(params, x)
+    analytic = backward(params, trace, loss_gradient(probs, labels))
 
     worst: dict[str, float] = {}
     for name, tensor in params.tensors.items():
@@ -256,9 +212,9 @@ def grad_check(params: ModelParams, x, label: int, step: float = 1e-5) -> dict[s
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            plus = cross_entropy(forward(params, x)[0], label)
+            plus = cross_entropy(forward_batch(params, x)[0], labels)
             flat[i] = orig - step
-            minus = cross_entropy(forward(params, x)[0], label)
+            minus = cross_entropy(forward_batch(params, x)[0], labels)
             flat[i] = orig
             numeric = (plus - minus) / (2.0 * step)
             err = max(err, max_relative_error(numeric, grad_flat[i]))

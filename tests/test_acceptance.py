@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from cdrnet.classify import (
-    class_index_for_label,
     evaluate,
     predict_dataset,
     train_linear_svm,
@@ -21,7 +20,13 @@ from cdrnet.classify import (
     write_predictions,
 )
 from cdrnet.container import ContainerError
-from cdrnet.featurize import TensorDataset, WeekId, build_week_tensor, featurize_users
+from cdrnet.featurize import (
+    LabelSpace,
+    TensorDataset,
+    WeekId,
+    build_week_tensor,
+    featurize_users,
+)
 from cdrnet.ingest import ingest
 from cdrnet.modelfile import load_model, save_model
 from cdrnet.net import (
@@ -30,7 +35,7 @@ from cdrnet.net import (
     conv2d_valid,
     dense_affine,
     downsized_config,
-    forward,
+    forward_batch,
     init_params,
     softmax,
 )
@@ -78,16 +83,13 @@ def _experiment(signal: float, seed: int):
     results = {}
     for attribute in ("gender", "age"):
         train_config = TrainConfig(epochs=6, seed=seed, val_fraction=0.0)
-        model, _ = train(train_ds, labels, attribute, train_config)
+        space = LabelSpace.fit(attribute, [labels[u] for u in train_users])
+        model, _ = train(train_ds, labels, space, train_config)
         model.svm = train_svm_head(model, train_ds, labels, epochs=50, seed=seed)
-        edges = model.age_edges or (28, 38, 48)
-        truth = {
-            u: class_index_for_label(labels[u], attribute, model.class_labels, edges)
-            for u in test_users
-        }
+        truth = {u: model.label_space.index(labels[u]) for u in test_users}
         for head in ("avg", "svm"):
             preds = predict_dataset(model, test_ds, head=head)
-            results[(attribute, head)] = evaluate(preds, truth, class_labels=model.class_labels)
+            results[(attribute, head)] = evaluate(preds, truth, class_labels=space.class_labels)
     return results
 
 
@@ -238,8 +240,9 @@ def test_acceptance_8_determinism_and_serialization(tmp_path):
     ds = featurize_users(groups)
     net = NetworkConfig(classes=2, filters=(4, 4, 4, 4, 4, 8), dense=(16, 8))
     train_config = TrainConfig(epochs=2, seed=0, val_fraction=0.0)
-    model_a, _ = train(ds, labels, "gender", train_config, net)
-    model_b, _ = train(ds, labels, "gender", train_config, net)
+    space = LabelSpace.fit("gender", labels.values())
+    model_a, _ = train(ds, labels, space, train_config, net)
+    model_b, _ = train(ds, labels, space, train_config, net)
     path_a, path_b = tmp_path / "a.bin", tmp_path / "b.bin"
     save_model(path_a, model_a)
     save_model(path_b, model_b)
@@ -279,14 +282,14 @@ def test_acceptance_9_sgd_and_svm_sanity():
         for name in params.tensors:
             if name.endswith(".b"):
                 params.tensors[name] = rng.normal(0.0, 0.1, params.tensors[name].shape)
-        x = rng.normal(size=(config.in_channels, config.hours, config.days))
-        label = int(rng.integers(config.classes))
-        probs, _, trace = forward(params, x)
+        x = rng.normal(size=(1, config.in_channels, config.hours, config.days))
+        label = [int(rng.integers(config.classes))]
+        probs, _, trace = forward_batch(params, x)
         before = cross_entropy(probs, label)
         grads = backward(params, trace, loss_gradient(probs, label))
         velocity = {k: np.zeros_like(v) for k, v in params.tensors.items()}
         sgd_step(params.tensors, velocity, grads, learning_rate=1e-3)
-        after = cross_entropy(forward(params, x)[0], label)
+        after = cross_entropy(forward_batch(params, x)[0], label)
         wins += after < before
     sgd_ok = wins >= 99
 

@@ -16,7 +16,14 @@ import pytest
 
 import cdrnet.classify
 from cdrnet.cli import run
-from cdrnet.featurize import TensorDataset, WeekId, fit_normalizer
+from cdrnet.featurize import (
+    LabelSpace,
+    TensorDataset,
+    WeekId,
+    fit_normalizer,
+    save_tensor_dataset,
+)
+from cdrnet.modelfile import save_model
 from cdrnet.net import NetworkConfig, init_params
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -75,3 +82,28 @@ def test_featurize_report_is_the_first_stdout_line(tmp_path):
     assert report["rejections"]
     for entry in report["rejections"]:
         assert {"line", "reason", "stream"} <= set(entry)
+
+
+
+def test_predictions_and_metrics_have_the_shape_the_bench_reads(tmp_path):
+    # perfbench/checks.py reads line 0 of a predictions file as a header of
+    # exactly 2+K columns and every later line as one user's row, and the
+    # evaluate --out JSON for its "accuracy"
+    weeks = np.random.default_rng(1).poisson(1.0, size=(4, 8, 24, 7)).astype(np.float64)
+    ds = TensorDataset(["b", "a", "c", "a"], [WeekId(date(2024, 1, 1))] * 4, weeks)
+    save_tensor_dataset(tmp_path / "t.bin", ds)
+    model = init_params(NetworkConfig(classes=4, filters=(2, 2, 2, 2, 2, 4), dense=(8, 4)), 0)
+    model.label_space = LabelSpace.fit("age", [])
+    save_model(tmp_path / "m.bin", model)
+    (tmp_path / "l.csv").write_text("user_id,gender,age_years\na,f,20\nb,m,30\n", encoding="utf-8")
+    preds, metrics = tmp_path / "p.csv", tmp_path / "e.json"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert run(["predict", "--model", str(tmp_path / "m.bin"), "--tensors",
+                    str(tmp_path / "t.bin"), "--out", str(preds)]) == 0
+        assert run(["evaluate", "--predictions", str(preds), "--labels", str(tmp_path / "l.csv"),
+                    "--attribute", "age", "--out", str(metrics)]) == 0
+    header, *rows = [ln.split(",") for ln in preds.read_text(encoding="utf-8").splitlines()]
+    assert len(header) == 2 + 4
+    assert [r[0] for r in rows] == ["a", "b", "c"]
+    assert all(len(r) == len(header) and 0 <= int(r[1]) < 4 for r in rows)
+    assert 0.0 <= json.loads(metrics.read_text(encoding="utf-8"))["accuracy"] <= 1.0

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from datetime import date, timedelta
 
@@ -277,6 +278,15 @@ def test_evaluate_missing_truth_rejected():
         evaluate([("ghost", 0)], {"u1": 0}, n_classes=2)
 
 
+def test_evaluate_scores_labeled_users_and_counts_the_rest():
+    preds = [("u1", 0), ("ghost", 1), ("u2", 1), ("phantom", 0)]
+    m = evaluate(preds, {"u1": 0, "u2": 0, "u3": 1}, n_classes=2)
+    assert (m.n_users, m.unlabeled) == (2, 2)
+    assert m.accuracy == 0.5
+    assert m.confusion.sum() == 2
+    assert m.to_json()["unlabeled"] == 2
+
+
 def test_evaluate_accepts_user_prediction_objects():
     preds = [UserPrediction("u1", np.array([0.9, 0.1]), 0, 3)]
     m = evaluate(preds, {"u1": 0}, n_classes=2)
@@ -311,6 +321,35 @@ def test_read_predictions_rejects_foreign_file(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("something,else\n1,2\n")
     with pytest.raises(ValueError):
+        read_predictions(path)
+
+
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ("u2,5,0.5,0.5", "predicted_class 5 outside [0, 2)"),
+        ("u2,-1,0.5,0.5", "predicted_class -1 outside [0, 2)"),
+        ("u2,0,0.5", "1 scores for 2 classes"),
+        ("u2,0,0.5,0.25,0.25", "3 scores for 2 classes"),
+        ("u2,one,0.5,0.5", "invalid literal"),
+        ("u2,0,0.5,half", "could not convert"),
+    ],
+)
+def test_read_predictions_rejects_a_malformed_row(tmp_path, row, reason):
+    path = tmp_path / "p.csv"
+    path.write_text(f"user_id,predicted_class,p_0,p_1\nu1,0,0.5,0.5\n{row}\n")
+    with pytest.raises(ValueError, match=f"line 3: .*{re.escape(reason)}"):
+        read_predictions(path)
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["user_id,predicted_class", "user_id,predicted_class,", "user_id,predicted_class,p_1"],
+)
+def test_read_predictions_rejects_a_header_without_k_scores(tmp_path, header):
+    path = tmp_path / "p.csv"
+    path.write_text(f"{header}\nu1,0,0.5\n")
+    with pytest.raises(ValueError, match="not a predictions file"):
         read_predictions(path)
 
 

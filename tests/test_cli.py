@@ -8,8 +8,10 @@ import pytest
 
 from cdrnet.classify import UserPrediction, write_predictions
 from cdrnet.cli import run
+from cdrnet.container import read_container, write_container
 from cdrnet.featurize import TensorDataset, save_tensor_dataset
 from cdrnet.ingest import load_labels
+from cdrnet.modelfile import MODEL_MAGIC
 
 SMALL_TRAIN = [
     "--epochs", "2", "--filters", "4,4,4,4,4,8", "--dense", "16,8",
@@ -326,3 +328,119 @@ def test_both_heads_share_the_csv_schema(pipeline, tmp_path):
     assert avg_lines[0] == svm_lines[0]
     assert len(avg_lines) == len(svm_lines)
     assert [l.split(",")[0] for l in avg_lines] == [l.split(",")[0] for l in svm_lines]
+
+
+def _error_line(err):
+    """The one stderr line of a refused run."""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+def _predict(paths, out, head="avg"):
+    code, _, err = _run(
+        ["predict", "--model", paths["svm_model"], "--tensors", paths["tensors"],
+         "--out", out, "--head", head]
+    )
+    assert code == 0, err
+    return out
+
+
+def test_evaluate_skips_users_without_a_label(pipeline, tmp_path):
+    paths, _ = pipeline
+    preds = _predict(paths, tmp_path / "preds.csv")
+    lines = paths["labels"].read_text(encoding="utf-8").splitlines()
+    half = tmp_path / "half.csv"
+    half.write_text("\n".join(lines[:13]) + "\n", encoding="utf-8")  # header + 12 users
+    metrics_path = tmp_path / "metrics.json"
+    code, _, err = _run(
+        ["evaluate", "--predictions", preds, "--labels", half, "--attribute", "gender",
+         "--out", metrics_path]
+    )
+    assert code == 0, err
+    metrics = json.loads(metrics_path.read_text(encoding="utf-8"))
+    assert (metrics["n_users"], metrics["unlabeled"]) == (12, 12)
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda rows: rows[:1] + ["u999,5,0.5,0.5"] + rows[1:], "predicted_class 5 outside [0, 2)"),
+    (lambda rows: rows[:1] + ["u999,-1,0.5,0.5"] + rows[1:], "predicted_class -1 outside [0, 2)"),
+    (lambda rows: rows[:1] + ["u999,0,0.5"] + rows[1:], "1 scores for 2 classes"),
+])
+def test_evaluate_refuses_a_malformed_predictions_file(pipeline, tmp_path, edit, reason):
+    paths, _ = pipeline
+    preds = _predict(paths, tmp_path / "preds.csv")
+    preds.write_text("\n".join(edit(preds.read_text(encoding="utf-8").splitlines())) + "\n",
+                     encoding="utf-8")
+    code, _, err = _run(
+        ["evaluate", "--predictions", preds, "--labels", paths["labels"], "--attribute", "gender"]
+    )
+    assert code == 2
+    line = _error_line(err)
+    assert str(preds) in line and "line 2" in line and reason in line
+
+
+def test_evaluate_refuses_labels_with_a_gender_the_model_never_saw(pipeline, tmp_path):
+    paths, _ = pipeline
+    preds = _predict(paths, tmp_path / "preds.csv")
+    labels = tmp_path / "labels.csv"
+    labels.write_text(paths["labels"].read_text(encoding="utf-8") + "zz_extra,a,40\n",
+                      encoding="utf-8")
+    code, out, err = _run(
+        ["evaluate", "--predictions", preds, "--labels", labels, "--attribute", "gender"]
+    )
+    assert code == 2 and out == ""
+    assert "2 classes" in _error_line(err) and "3 gender classes" in err
+
+
+def test_evaluate_refuses_predictions_of_other_age_buckets(tmp_path):
+    # what a model trained with --age-edges 30,50 predicts: 3 classes
+    preds = tmp_path / "preds.csv"
+    write_predictions(preds, [UserPrediction("u1", np.array([0.2, 0.5, 0.3]), 1, 1)])
+    labels = tmp_path / "labels.csv"
+    labels.write_text("user_id,gender,age_years\nu1,f,40\n", encoding="utf-8")
+    code, _, err = _run(["evaluate", "--predictions", preds, "--labels", labels,
+                         "--attribute", "age"])
+    assert code == 2
+    assert "3 classes" in _error_line(err) and "4 age classes" in err
+    code, _, err = _run(["evaluate", "--predictions", preds, "--labels", labels,
+                         "--attribute", "age", "--age-edges", "30,50"])
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.update(class_labels=["f", "m", "x"]),
+    lambda h: h.update(class_labels=["f"]),
+    lambda h: h.update(class_labels=["m", "f"]),
+    lambda h: h.update(attribute="age", class_labels=["[0,30)", "[30,inf)"], age_edges=[28]),
+])
+def test_model_with_rewritten_label_space_exits_two(pipeline, tmp_path, edit):
+    paths, _ = pipeline
+    header, arrays = read_container(paths["model"], MODEL_MAGIC)
+    edit(header)
+    bad = tmp_path / "bad.bin"
+    write_container(bad, MODEL_MAGIC, header, arrays)  # with a valid checksum
+    code, _, err = _run(
+        ["predict", "--model", bad, "--tensors", paths["tensors"], "--out", tmp_path / "p.csv"]
+    )
+    assert code == 2
+    line = _error_line(err)
+    assert str(bad) in line and "class_labels" in line
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_featurize_rejects_an_overlong_duration(tmp_path):
+    cdr = tmp_path / "cdr.csv"
+    cdr.write_text(
+        "user_id,direction,kind,timestamp,duration_s,correspondent_id\n"
+        "u1,out,call,2024-01-01T10:00:00,30,c1\n"
+        f"u1,out,call,2024-01-01T11:00:00,{'9' * 400},c1\n",
+        encoding="utf-8",
+    )
+    code, out, err = _run(["featurize", "--cdr", cdr, "--out", tmp_path / "t.bin"])
+    assert code == 0, err
+    report = json.loads(out.splitlines()[0])
+    assert [(r["line"], r["reason"]) for r in report["rejections"]] == [
+        (3, "duration of 400 digits, at most 15 allowed")
+    ]

@@ -1,11 +1,15 @@
+from bisect import bisect_right
 from datetime import date, datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdrnet.featurize import (
     CHANNELS,
     AgeBuckets,
+    LabelSpace,
     NormStats,
     TensorDataset,
     WeekId,
@@ -17,7 +21,7 @@ from cdrnet.featurize import (
     load_tensor_dataset,
     save_tensor_dataset,
 )
-from cdrnet.ingest import CdrRecord, Direction, Kind, format_cdr_line, ingest
+from cdrnet.ingest import CdrRecord, Direction, Kind, LabelRecord, format_cdr_line, ingest
 
 from oracles import brute_week_tensor, random_records
 
@@ -183,6 +187,43 @@ def test_age_bucket_boundaries():
 def test_bad_age_edges_rejected(edges):
     with pytest.raises(ValueError):
         AgeBuckets(edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(["f", "m", "x", "F"]), st.integers(0, 130)), min_size=1),
+    st.lists(st.integers(1, 130), min_size=1, max_size=6, unique=True).map(sorted),
+)
+def test_label_space_follows_the_label_rule(rows, edges):
+    records = [LabelRecord(f"u{i}", gender, age) for i, (gender, age) in enumerate(rows)]
+    genders = sorted({gender for gender, _ in rows})
+    if len(genders) < 2:
+        with pytest.raises(ValueError):
+            LabelSpace.fit("gender", records, tuple(edges))
+    else:
+        space = LabelSpace.fit("gender", records, tuple(edges))
+        assert space.class_labels == tuple(genders) and space.age_edges is None
+        assert [space.index(r) for r in records] == [genders.index(g) for g, _ in rows]
+    space = LabelSpace.fit("age", records, tuple(edges))
+    assert space.n_classes == len(edges) + 1
+    assert [space.index(r) for r in records] == [bisect_right(edges, a) for _, a in rows]
+
+
+@pytest.mark.parametrize(
+    "attribute, class_labels, age_edges",
+    [
+        ("age", ("[0,28)", "[28,inf)"), (30,)),          # labels of other edges
+        ("age", ("[0,28)", "[28,38)", "[38,inf)"), (28,)),  # one class too many
+        ("age", ("[0,28)", "[28,inf)"), None),
+        ("gender", ("f", "m"), (28,)),
+        ("gender", ("m", "f"), None),                       # not sorted
+        ("gender", ("f", "f"), None),
+        ("height", ("a", "b"), None),
+    ],
+)
+def test_label_space_refuses_a_space_no_fit_makes(attribute, class_labels, age_edges):
+    with pytest.raises(ValueError):
+        LabelSpace(attribute, class_labels, age_edges)
 
 
 def _columns(records):

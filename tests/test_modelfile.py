@@ -3,7 +3,7 @@ import pytest
 
 from cdrnet.classify import SvmModel
 from cdrnet.container import ChecksumError, ContainerError, FormatVersionError
-from cdrnet.featurize import NormStats
+from cdrnet.featurize import LabelSpace, NormStats
 from cdrnet.modelfile import load_model, save_model
 from cdrnet.net import NetworkConfig, downsized_config, init_params
 
@@ -12,9 +12,7 @@ def _model(with_extras=True):
     params = init_params(downsized_config(), 7)
     if with_extras:
         params.norm_stats = NormStats(mean=np.arange(2.0), std=np.array([1.0, 2.0]))
-        params.attribute = "age"
-        params.class_labels = ("[0,28)", "[28,38)", "[38,inf)")
-        params.age_edges = (28, 38)
+        params.label_space = LabelSpace("age", ("[0,28)", "[28,38)", "[38,inf)"), (28, 38))
         params.svm = SvmModel(
             weights=np.arange(18.0).reshape(3, 6),
             bias=np.array([0.1, -0.2, 0.3]),
@@ -35,9 +33,9 @@ def test_round_trip_is_bit_exact(tmp_path):
         np.testing.assert_array_equal(back.tensors[name], tensor)
     np.testing.assert_array_equal(back.norm_stats.mean, params.norm_stats.mean)
     np.testing.assert_array_equal(back.norm_stats.std, params.norm_stats.std)
-    assert back.attribute == "age"
-    assert back.class_labels == params.class_labels
-    assert back.age_edges == (28, 38)
+    assert back.label_space.attribute == "age"
+    assert back.label_space.class_labels == params.label_space.class_labels
+    assert back.label_space.age_edges == (28, 38)
     np.testing.assert_array_equal(back.svm.weights, params.svm.weights)
     np.testing.assert_array_equal(back.svm.bias, params.svm.bias)
     np.testing.assert_array_equal(back.svm.feature_mean, params.svm.feature_mean)
@@ -51,9 +49,7 @@ def test_bare_model_round_trip(tmp_path):
     back = load_model(path)
     assert back.norm_stats is None
     assert back.svm is None
-    assert back.attribute is None
-    assert back.class_labels is None
-    assert back.age_edges is None
+    assert back.label_space is None
 
 
 def test_save_is_deterministic(tmp_path):

@@ -8,7 +8,6 @@ from cdrnet.net import (
     conv2d_valid,
     dense_affine,
     downsized_config,
-    forward,
     forward_batch,
     init_params,
     leaky_relu,
@@ -69,16 +68,6 @@ def test_conv_matches_oracle_fixed_case():
     np.testing.assert_allclose(conv2d_valid(x, w, b), brute_conv(x, w, b), atol=1e-12)
 
 
-def test_conv_single_sample_matches_batch():
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=(3, 2, 8, 7))
-    w = rng.normal(size=(5, 2, 3, 2))
-    b = rng.normal(size=5)
-    batched = conv2d_valid(x, w, b)
-    for i in range(3):
-        np.testing.assert_allclose(conv2d_valid(x[i], w, b), batched[i], rtol=1e-13, atol=1e-13)
-
-
 def test_conv_identity_kernel():
     x = np.arange(24.0).reshape(1, 1, 4, 6)
     w = np.ones((1, 1, 1, 1))
@@ -86,7 +75,7 @@ def test_conv_identity_kernel():
 
 
 def test_conv_shape_errors():
-    x = np.zeros((2, 3, 3))
+    x = np.zeros((1, 2, 3, 3))
     with pytest.raises(ValueError):
         conv2d_valid(x, np.zeros((1, 3, 2, 2)), np.zeros(1))  # channel mismatch
     with pytest.raises(ValueError):
@@ -175,7 +164,8 @@ def test_forward_single_matches_batch_row():
     x = rng.normal(size=(3, cfg.in_channels, cfg.hours, cfg.days))
     probs_b, feats_b, _ = forward_batch(params, x)
     for i in range(3):
-        probs, feats, _ = forward(params, x[i])
+        probs, feats, _ = forward_batch(params, x[i : i + 1])
+        probs, feats = probs[0], feats[0]
         np.testing.assert_allclose(probs, probs_b[i], rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(feats, feats_b[i], rtol=1e-12, atol=1e-12)
 
@@ -185,7 +175,7 @@ def test_forward_rejects_wrong_shape():
     with pytest.raises(ValueError):
         forward_batch(params, np.zeros((2, 3, 10, 7)))
     with pytest.raises(ValueError):
-        forward(params, np.zeros((2, 10, 6)))
+        forward_batch(params, np.zeros((1, 2, 10, 6)))
 
 
 def test_conv_is_linear_in_input_and_weights():

@@ -3,14 +3,13 @@ from datetime import date
 import numpy as np
 import pytest
 
-from cdrnet.featurize import TensorDataset, WeekId
+from cdrnet.featurize import LabelSpace, TensorDataset, WeekId
 from cdrnet.ingest import LabelRecord
 from cdrnet.net import NetworkConfig
 from cdrnet.training import (
     EpochStats,
     NumericError,
     TrainConfig,
-    class_assignments,
     cross_entropy,
     loss_gradient,
     sgd_step,
@@ -22,12 +21,12 @@ MONDAY = date(2024, 1, 1)
 
 
 def test_cross_entropy_perfect_prediction():
-    assert cross_entropy(np.array([1.0, 0.0]), 0) == 0.0
-    np.testing.assert_array_equal(loss_gradient(np.array([1.0, 0.0]), 0), [0.0, 0.0])
+    assert cross_entropy(np.array([[1.0, 0.0]]), [0]) == 0.0
+    np.testing.assert_array_equal(loss_gradient(np.array([[1.0, 0.0]]), [0]), [[0.0, 0.0]])
 
 
 def test_cross_entropy_is_clipped():
-    assert cross_entropy(np.array([0.0, 1.0]), 0) == pytest.approx(-np.log(1e-12))
+    assert cross_entropy(np.array([[0.0, 1.0]]), [0]) == pytest.approx(-np.log(1e-12))
 
 
 def test_cross_entropy_batch_mean():
@@ -86,27 +85,29 @@ def test_class_assignments_gender_sorted():
         "u2": LabelRecord("u2", "f", 40),
         "u3": LabelRecord("u3", "f", 50),
     }
-    assign, names = class_assignments(["u1", "u2", "u3", "u9"], labels, "gender")
-    assert names == ("f", "m")
-    assert assign == {"u1": 1, "u2": 0, "u3": 0}
+    space = LabelSpace.fit("gender", labels.values())
+    assert space.class_labels == ("f", "m")
+    assert {u: space.index(r) for u, r in labels.items()} == {"u1": 1, "u2": 0, "u3": 0}
+    with pytest.raises(ValueError, match="'x'"):
+        space.index(LabelRecord("u9", "x", 30))
 
 
 def test_class_assignments_single_gender_rejected():
     labels = {"u1": LabelRecord("u1", "f", 30)}
     with pytest.raises(ValueError):
-        class_assignments(["u1"], labels, "gender")
+        LabelSpace.fit("gender", labels.values())
 
 
 def test_class_assignments_age_buckets():
     labels = {"u1": LabelRecord("u1", "f", 27), "u2": LabelRecord("u2", "m", 48)}
-    assign, names = class_assignments(["u1", "u2"], labels, "age", (28, 38, 48))
-    assert assign == {"u1": 0, "u2": 3}
-    assert len(names) == 4
+    space = LabelSpace.fit("age", labels.values(), (28, 38, 48))
+    assert {u: space.index(r) for u, r in labels.items()} == {"u1": 0, "u2": 3}
+    assert space.n_classes == 4
 
 
 def test_unknown_attribute_rejected():
     with pytest.raises(ValueError):
-        class_assignments([], {}, "height")
+        LabelSpace.fit("height", [])
 
 
 @pytest.mark.parametrize(
@@ -122,6 +123,9 @@ def test_unknown_attribute_rejected():
 def test_bad_train_config_rejected(kwargs):
     with pytest.raises(ValueError):
         TrainConfig(**kwargs)
+
+
+GENDER = LabelSpace("gender", ("f", "m"))
 
 
 def _toy_dataset(n_users=24, weeks=3, seed=0):
@@ -154,22 +158,22 @@ def test_train_learns_a_separable_toy_task():
     ds, labels = _toy_dataset()
     cfg = TrainConfig(learning_rate=0.02, epochs=8, batch_size=8, seed=0, val_fraction=0.25)
     net = NetworkConfig(classes=2, **SMALL_NET)
-    params, history = train(ds, labels, "gender", cfg, net)
+    params, history = train(ds, labels, GENDER, cfg, net)
     assert len(history) == 8
     assert all(isinstance(h, EpochStats) for h in history)
     assert history[-1].train_loss < history[0].train_loss
     assert history[-1].val_accuracy == 1.0
-    assert params.attribute == "gender"
-    assert params.class_labels == ("f", "m")
+    assert params.label_space.attribute == "gender"
+    assert params.label_space.class_labels == ("f", "m")
     assert params.norm_stats is not None
-    assert params.age_edges is None
+    assert params.label_space.age_edges is None
 
 
 def test_train_without_validation_split():
     ds, labels = _toy_dataset(n_users=8, weeks=2)
     cfg = TrainConfig(epochs=1, batch_size=4, seed=0, val_fraction=0.0)
     net = NetworkConfig(classes=2, **SMALL_NET)
-    _, history = train(ds, labels, "gender", cfg, net)
+    _, history = train(ds, labels, GENDER, cfg, net)
     assert history[0].val_accuracy is None
 
 
@@ -177,8 +181,8 @@ def test_train_is_deterministic():
     ds, labels = _toy_dataset(n_users=8, weeks=2)
     cfg = TrainConfig(epochs=2, batch_size=4, seed=5, val_fraction=0.0)
     net = NetworkConfig(classes=2, **SMALL_NET)
-    a, _ = train(ds, labels, "gender", cfg, net)
-    b, _ = train(ds, labels, "gender", cfg, net)
+    a, _ = train(ds, labels, GENDER, cfg, net)
+    b, _ = train(ds, labels, GENDER, cfg, net)
     for name in a.tensors:
         np.testing.assert_array_equal(a.tensors[name], b.tensors[name])
 
@@ -188,10 +192,10 @@ def test_train_age_attribute_sets_bucket_metadata():
     labels = {u: LabelRecord(u, r.gender, 20 + 10 * (i % 4)) for i, (u, r) in enumerate(sorted(labels.items()))}
     cfg = TrainConfig(epochs=1, batch_size=4, seed=0, val_fraction=0.0)
     net = NetworkConfig(classes=4, **SMALL_NET)
-    params, _ = train(ds, labels, "age", cfg, net, age_edges=(28, 38, 48))
-    assert params.attribute == "age"
-    assert params.age_edges == (28, 38, 48)
-    assert params.class_labels == ("[0,28)", "[28,38)", "[38,48)", "[48,inf)")
+    params, _ = train(ds, labels, LabelSpace.fit("age", labels.values(), (28, 38, 48)), cfg, net)
+    assert params.label_space.attribute == "age"
+    assert params.label_space.age_edges == (28, 38, 48)
+    assert params.label_space.class_labels == ("[0,28)", "[28,38)", "[38,48)", "[48,inf)")
 
 
 def test_train_skips_unlabeled_users():
@@ -199,20 +203,20 @@ def test_train_skips_unlabeled_users():
     partial = {u: r for u, r in labels.items() if u not in ("u000", "u001")}
     cfg = TrainConfig(epochs=1, batch_size=4, seed=0, val_fraction=0.0)
     net = NetworkConfig(classes=2, **SMALL_NET)
-    params, _ = train(ds, partial, "gender", cfg, net)
+    params, _ = train(ds, partial, GENDER, cfg, net)
     assert params.tensors["head.w"].shape == (2, 8)
 
 
 def test_train_with_no_labeled_users_rejected():
     ds, _ = _toy_dataset(n_users=4, weeks=1)
     with pytest.raises(ValueError):
-        train(ds, {}, "gender", TrainConfig(epochs=1), NetworkConfig(classes=2, **SMALL_NET))
+        train(ds, {}, GENDER, TrainConfig(epochs=1), NetworkConfig(classes=2, **SMALL_NET))
 
 
 def test_class_count_mismatch_rejected():
     ds, labels = _toy_dataset(n_users=8, weeks=1)
     with pytest.raises(ValueError):
-        train(ds, labels, "gender", TrainConfig(epochs=1), NetworkConfig(classes=3, **SMALL_NET))
+        train(ds, labels, GENDER, TrainConfig(epochs=1), NetworkConfig(classes=3, **SMALL_NET))
 
 
 def test_non_finite_input_raises_numeric_error():
@@ -220,4 +224,4 @@ def test_non_finite_input_raises_numeric_error():
     ds.tensors[0, 0, 0, 0] = np.inf
     cfg = TrainConfig(epochs=1, batch_size=4, seed=0, val_fraction=0.0)
     with np.errstate(invalid="ignore"), pytest.raises(NumericError):
-        train(ds, labels, "gender", cfg, NetworkConfig(classes=2, **SMALL_NET))
+        train(ds, labels, GENDER, cfg, NetworkConfig(classes=2, **SMALL_NET))

@@ -345,7 +345,8 @@ def read_predictions(path) -> list[UserPrediction]:
     """Parse a predictions CSV back into UserPrediction rows (weeks_used 0).
 
     The header fixes K; every row must carry K scores and a predicted class
-    in [0, K), or a ValueError names the file and line.
+    in [0, K), and no user may appear on two rows, or a ValueError names
+    the file and line.
     """
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
@@ -354,11 +355,15 @@ def read_predictions(path) -> list[UserPrediction]:
     if k < 1 or header != ["user_id", "predicted_class", *(f"p_{i}" for i in range(k))]:
         raise ValueError(f"{path}: not a predictions file")
     out = []
+    first_line: dict[str, int] = {}
     for line_no, ln in enumerate(lines[1:], start=2):
         if not ln:
             continue
         parts = ln.split(",")
         try:
+            if parts[0] in first_line:
+                raise ValueError(f"user {parts[0]!r} already on line {first_line[parts[0]]}")
+            first_line[parts[0]] = line_no
             if len(parts) != k + 2:
                 raise ValueError(f"{len(parts) - 2} scores for {k} classes")
             class_index = int(parts[1])

@@ -26,7 +26,7 @@ from datetime import date
 
 import numpy as np
 
-from .container import read_container, write_container
+from .container import ContainerError, read_container, write_container
 from .ingest import EPOCH_ORDINAL, CdrColumns, CdrRecord, LabelRecord
 
 N_CHANNELS, N_HOURS, N_DAYS = 8, 24, 7
@@ -301,9 +301,20 @@ def save_tensor_dataset(path, ds: TensorDataset) -> None:
 
 
 def load_tensor_dataset(path) -> TensorDataset:
+    """Read a tensor file; a header that does not describe its tensors is a ContainerError."""
     header, arrays = read_container(path, TENSOR_MAGIC)
+    tensors = arrays.get("tensors")
+    if tensors is None or tensors.shape[1:] != (N_CHANNELS, N_HOURS, N_DAYS):
+        shape = None if tensors is None else tensors.shape
+        raise ContainerError(f"{path}: tensors of shape {shape}, expected (N, 8, 24, 7)")
+    for name in ("users", "weeks"):
+        value = header.get(name)
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise ContainerError(f"{path}: {name} is not a list of strings")
+        if len(value) != len(tensors):
+            raise ContainerError(f"{path}: {len(value)} {name} for {len(tensors)} tensors")
     weeks = [WeekId(date.fromisoformat(s)) for s in header["weeks"]]
     stats = None
     if header.get("has_norm"):
         stats = NormStats(arrays["norm.mean"], arrays["norm.std"])
-    return TensorDataset(list(header["users"]), weeks, arrays["tensors"], stats)
+    return TensorDataset(header["users"], weeks, tensors, stats)

@@ -86,13 +86,23 @@ def load_model(path) -> ModelParams:
     from .classify import SvmModel
 
     header, arrays = read_container(path, MODEL_MAGIC)
-    config = _config_from_header(header["config"])
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(config).items():
-        arr = arrays[name]
-        if arr.shape != shape:
-            raise ValueError(f"tensor {name} has shape {arr.shape}, expected {shape}")
-        tensors[name] = arr
+    try:
+        config = _config_from_header(header["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ContainerError(f"{path}: malformed config: {exc}") from None
+    shapes = param_shapes(config)
+    if "norm.mean" in arrays:
+        shapes.update({"norm.mean": (config.in_channels,), "norm.std": (config.in_channels,)})
+    if "svm.w" in arrays:
+        k, d = config.classes, config.feature_dim
+        shapes.update(
+            {"svm.w": (k, d), "svm.b": (k,), "svm.feature_mean": (d,), "svm.feature_std": (d,)}
+        )
+    for name, shape in shapes.items():
+        arr = arrays.get(name)
+        if arr is None or arr.shape != shape:
+            got = "missing" if arr is None else f"of shape {arr.shape}"
+            raise ContainerError(f"{path}: array {name} {got}, expected {shape}")
 
     label_space = _label_space_from_header(path, header, config.classes)
     norm_stats = None
@@ -101,17 +111,21 @@ def load_model(path) -> ModelParams:
 
     svm = None
     if "svm.w" in arrays:
+        try:
+            lam = float(header["svm"]["lam"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ContainerError(f"{path}: malformed svm: {exc}") from None
         svm = SvmModel(
             weights=arrays["svm.w"],
             bias=arrays["svm.b"],
-            lam=float(header["svm"]["lam"]),
+            lam=lam,
             feature_mean=arrays["svm.feature_mean"],
             feature_std=arrays["svm.feature_std"],
         )
 
     return ModelParams(
         config=config,
-        tensors=tensors,
+        tensors={name: arrays[name] for name in param_shapes(config)},
         norm_stats=norm_stats,
         label_space=label_space,
         svm=svm,

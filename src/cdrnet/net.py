@@ -8,19 +8,25 @@ day axis 7-1, so the flatten after the last conv is loss-free; the config
 constructor refuses any kernel/input combination that does not land on a
 1x1 spatial extent.
 
-Everything runs in float64 numpy with no autodiff framework. Convolutions
-are im2col + one matmul; gradients are hand-derived and cross-checked
-against central finite differences (training.grad_check).
+forward_batch walks one layer list (conv1..convL, dense7, dense8, head)
+and backward walks it in reverse, reusing each layer's input and
+leaky-ReLU slope from the forward trace. A convolution's output, its
+weight gradient and its input gradient are each a sum over kernel taps
+(i, j) of one matmul on the window x[:, :, i:i+Hp, j:j+Wp]; backward
+computes dW and dX in the same tap loop.
+
+Everything runs in float64 numpy with no autodiff framework. Gradients
+are hand-derived and cross-checked against central finite differences
+(training.grad_check).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .featurize import N_CHANNELS, N_DAYS, N_HOURS, LabelSpace, NormStats
 
@@ -155,22 +161,25 @@ def leaky_relu(x, alpha: float) -> np.ndarray:
     return np.where(x >= 0.0, x, alpha * x)
 
 
-def _leaky_grad(z: np.ndarray, alpha: float) -> np.ndarray:
-    return np.where(z >= 0.0, 1.0, alpha)
+def _tap_windows(x: np.ndarray, kh: int, kw: int):
+    """Yield (i, j, window) for every kernel tap of a valid convolution.
 
-
-def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """(N,C,H,W) -> (N*Hp*Wp, C*kh*kw) patch matrix for a valid convolution."""
-    win = sliding_window_view(x, (kh, kw), axis=(2, 3))  # (N,C,Hp,Wp,kh,kw)
-    n, c, hp, wp = win.shape[:4]
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(n * hp * wp, c * kh * kw)
+    The window is x[:, :, i:i+Hp, j:j+Wp] laid out as a (C, N*Hp*Wp) matrix,
+    so each tap's contribution to an output, dW or dX is one matmul.
+    """
+    n, c, h, w = x.shape
+    hp, wp = h - kh + 1, w - kw + 1
+    xt = x.transpose(1, 0, 2, 3)
+    for i in range(kh):
+        for j in range(kw):
+            yield i, j, xt[:, :, i : i + hp, j : j + wp].reshape(c, n * hp * wp)
 
 
 def conv2d_valid(x, weights, bias) -> np.ndarray:
     """Valid cross-correlation of an (N,C,H,W) batch.
 
     weights (C_out,C_in,kh,kw); output (N, C_out, H-kh+1, W-kw+1) with
-    out[n,o,y,x] = b[o] + sum x[n,c,y+i,x+j]*w[o,c,i,j].
+    out[n,o,y,x] = b[o] + sum x[n,c,y+i,x+j]*w[o,c,i,j], summed tap by tap.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4:
@@ -182,9 +191,24 @@ def conv2d_valid(x, weights, bias) -> np.ndarray:
     if kh > h or kw > w:
         raise ValueError(f"kernel {kh}x{kw} larger than input {h}x{w}")
     hp, wp = h - kh + 1, w - kw + 1
-    cols = _im2col(x, kh, kw)
-    out = cols @ weights.reshape(c_out, -1).T + bias
-    return out.reshape(n, hp, wp, c_out).transpose(0, 3, 1, 2)
+    out = np.zeros((c_out, n * hp * wp))
+    for i, j, win in _tap_windows(x, kh, kw):
+        out += weights[:, :, i, j] @ win
+    out += bias[:, None]
+    return out.reshape(c_out, n, hp, wp).transpose(1, 0, 2, 3)
+
+
+def _conv_grads(x: np.ndarray, weights: np.ndarray, dz: np.ndarray):
+    """(dW, dX) of conv2d_valid(x, weights, .) for the output gradient dz, tap by tap."""
+    c_out, c_in, kh, kw = weights.shape
+    n, _, hp, wp = dz.shape
+    dzt = dz.transpose(1, 0, 2, 3).reshape(c_out, n * hp * wp)
+    dw = np.empty(weights.shape)
+    dxt = np.zeros((c_in, n) + x.shape[2:])
+    for i, j, win in _tap_windows(x, kh, kw):
+        dw[:, :, i, j] = dzt @ win.T
+        dxt[:, :, i : i + hp, j : j + wp] += (weights[:, :, i, j].T @ dzt).reshape(c_in, n, hp, wp)
+    return dw, dxt.transpose(1, 0, 2, 3)
 
 
 def dense_affine(x, weights, bias) -> np.ndarray:
@@ -203,16 +227,22 @@ def softmax(logits) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _layer_names(config: NetworkConfig) -> list[str]:
+    """conv1..convL, dense7, dense8, head: the order forward_batch walks."""
+    return [f"conv{i}" for i in range(1, len(config.kernels) + 1)] + ["dense7", "dense8", "head"]
+
+
 @dataclass
 class ForwardTrace:
-    """Per-call cache of layer inputs/pre-activations needed by backward."""
+    """Per-call cache for backward: each layer's (input, leaky-ReLU slope).
 
-    conv_in: list[np.ndarray] = field(default_factory=list)
-    conv_pre: list[np.ndarray] = field(default_factory=list)
-    dense_in: list[np.ndarray] = field(default_factory=list)   # flat, a7, a8
-    dense_pre: list[np.ndarray] = field(default_factory=list)  # z7, z8
-    logits: np.ndarray | None = None
-    probs: np.ndarray | None = None
+    The slope is where(z >= 0, 1, alpha) of the layer's pre-activation z;
+    the head has no activation, so its slope is None.
+    """
+
+    layers: list[tuple[np.ndarray, np.ndarray | None]]
+    logits: np.ndarray
+    probs: np.ndarray
 
 
 def forward_batch(params: ModelParams, x) -> tuple[np.ndarray, np.ndarray, ForwardTrace]:
@@ -228,44 +258,20 @@ def forward_batch(params: ModelParams, x) -> tuple[np.ndarray, np.ndarray, Forwa
     if x.ndim != 4 or x.shape[1:] != expected:
         raise ValueError(f"input shape {x.shape} does not match (N, {expected})")
     t = params.tensors
-    trace = ForwardTrace()
-
+    layers = []
     a = x
-    for i in range(1, len(cfg.kernels) + 1):
-        trace.conv_in.append(a)
-        z = conv2d_valid(a, t[f"conv{i}.w"], t[f"conv{i}.b"])
-        trace.conv_pre.append(z)
-        a = leaky_relu(z, cfg.alpha)
-
-    flat = a.reshape(len(x), -1)  # spatial is 1x1 by config invariant
-    trace.dense_in.append(flat)
-    z7 = dense_affine(flat, t["dense7.w"], t["dense7.b"])
-    trace.dense_pre.append(z7)
-    a7 = leaky_relu(z7, cfg.alpha)
-    trace.dense_in.append(a7)
-    z8 = dense_affine(a7, t["dense8.w"], t["dense8.b"])
-    trace.dense_pre.append(z8)
-    feats = leaky_relu(z8, cfg.alpha)
-    trace.dense_in.append(feats)
-
-    logits = dense_affine(feats, t["head.w"], t["head.b"])
-    probs = softmax(logits)
-    trace.logits = logits
-    trace.probs = probs
-    return probs, feats, trace
-
-
-def _conv_input_grad(weights: np.ndarray, dout: np.ndarray, in_shape) -> np.ndarray:
-    """Gradient w.r.t. the conv input: scatter each kernel tap's contribution."""
-    _, _, kh, kw = weights.shape
-    hp, wp = dout.shape[2], dout.shape[3]
-    dx = np.zeros(in_shape)
-    for i in range(kh):
-        for j in range(kw):
-            # (N,O,Hp,Wp) x (O,C) -> (N,Hp,Wp,C)
-            contrib = np.tensordot(dout, weights[:, :, i, j], axes=([1], [0]))
-            dx[:, :, i : i + hp, j : j + wp] += contrib.transpose(0, 3, 1, 2)
-    return dx
+    for name in _layer_names(cfg):
+        w, b = t[f"{name}.w"], t[f"{name}.b"]
+        if w.ndim == 4:
+            z = conv2d_valid(a, w, b)
+        else:
+            a = a.reshape(len(x), -1)  # the last conv's spatial extent is 1x1
+            z = dense_affine(a, w, b)
+        slope = None if name == "head" else np.where(z >= 0.0, 1.0, cfg.alpha)
+        layers.append((a, slope))
+        a = z if slope is None else z * slope
+    probs = softmax(a)
+    return probs, layers[-1][0], ForwardTrace(layers, a, probs)
 
 
 def backward(params: ModelParams, trace: ForwardTrace, dlogits) -> dict[str, np.ndarray]:
@@ -275,42 +281,18 @@ def backward(params: ModelParams, trace: ForwardTrace, dlogits) -> dict[str, np.
     call that produced the trace. Neither params nor trace are
     mutated; gradient shapes mirror parameter shapes.
     """
-    cfg = params.config
-    t = params.tensors
-    dlogits = np.asarray(dlogits, dtype=np.float64)
-    if trace.logits is None or dlogits.shape != trace.logits.shape:
+    da = np.asarray(dlogits, dtype=np.float64)
+    if da.shape != trace.logits.shape:
         raise ValueError("upstream gradient does not match the forward trace")
-
-    flat, a7, feats = trace.dense_in
-    z7, z8 = trace.dense_pre
     g: dict[str, np.ndarray] = {}
-
-    g["head.w"] = dlogits.T @ feats
-    g["head.b"] = dlogits.sum(axis=0)
-    da8 = dlogits @ t["head.w"]
-
-    dz8 = da8 * _leaky_grad(z8, cfg.alpha)
-    g["dense8.w"] = dz8.T @ a7
-    g["dense8.b"] = dz8.sum(axis=0)
-    da7 = dz8 @ t["dense8.w"]
-
-    dz7 = da7 * _leaky_grad(z7, cfg.alpha)
-    g["dense7.w"] = dz7.T @ flat
-    g["dense7.b"] = dz7.sum(axis=0)
-    dflat = dz7 @ t["dense7.w"]
-
-    da = dflat.reshape(trace.conv_pre[-1].shape)
-    for i in range(len(cfg.kernels), 0, -1):
-        z = trace.conv_pre[i - 1]
-        x_in = trace.conv_in[i - 1]
-        w = t[f"conv{i}.w"]
-        dz = da * _leaky_grad(z, cfg.alpha)
-        _, _, kh, kw = w.shape
-        n, c_out, hp, wp = dz.shape
-        cols = _im2col(x_in, kh, kw)
-        dz_flat = dz.transpose(0, 2, 3, 1).reshape(n * hp * wp, c_out)
-        g[f"conv{i}.w"] = (dz_flat.T @ cols).reshape(w.shape)
-        g[f"conv{i}.b"] = dz.sum(axis=(0, 2, 3))
-        if i > 1:
-            da = _conv_input_grad(w, dz, x_in.shape)
+    for name, (x_in, slope) in reversed(list(zip(_layer_names(params.config), trace.layers))):
+        dz = da if slope is None else da.reshape(slope.shape) * slope
+        w = params.tensors[f"{name}.w"]
+        if w.ndim == 4:
+            g[f"{name}.w"], da = _conv_grads(x_in, w, dz)
+            g[f"{name}.b"] = dz.sum(axis=(0, 2, 3))
+        else:
+            g[f"{name}.w"] = dz.T @ x_in
+            g[f"{name}.b"] = dz.sum(axis=0)
+            da = dz @ w
     return g

@@ -89,6 +89,25 @@ def brute_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def brute_conv_grads(x: np.ndarray, w: np.ndarray, dz: np.ndarray):
+    """(dW, dX) of the valid cross-correlation for the output gradient dz, by direct summation."""
+    n, c_in, h, width = x.shape
+    c_out, _, kh, kw = w.shape
+    _, _, hp, wp = dz.shape
+    dw = np.zeros(w.shape)
+    dx = np.zeros(x.shape)
+    for s in range(n):
+        for o in range(c_out):
+            for y in range(hp):
+                for xx in range(wp):
+                    for c in range(c_in):
+                        for i in range(kh):
+                            for j in range(kw):
+                                dw[o, c, i, j] += dz[s, o, y, xx] * x[s, c, y + i, xx + j]
+                                dx[s, c, y + i, xx + j] += dz[s, o, y, xx] * w[o, c, i, j]
+    return dw, dx
+
+
 def brute_dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Affine map by explicit summation; x is (N, d_in)."""
     n = x.shape[0]

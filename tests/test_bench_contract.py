@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import cdrnet.classify
+import cdrnet.net
 from cdrnet.cli import run
 from cdrnet.featurize import (
     LabelSpace,
@@ -58,6 +59,25 @@ def test_classify_calls_the_net_through_its_module_names(monkeypatch):
     ds = TensorDataset(["a", "b", "a"], [WeekId(date(2024, 1, 1))] * 3, weeks)
     assert [p.user_id for p in cdrnet.classify.predict_dataset(model, ds)] == ["a", "b"]
     assert calls["forward_batch"] > 0 and calls["apply_normalizer"] > 0
+
+
+def test_forward_calls_each_conv_through_its_module_name_in_layer_order(monkeypatch):
+    # the bench times net.conv1..6 as the 1st..6th conv2d_valid span inside
+    # one forward_batch span
+    seen = []
+    conv = cdrnet.net.conv2d_valid
+
+    def counted(x, weights, bias):
+        seen.append(weights)
+        return conv(x, weights, bias)
+
+    monkeypatch.setattr(cdrnet.net, "conv2d_valid", counted)
+    config = NetworkConfig(classes=2)
+    params = init_params(config, 0)
+    cdrnet.net.forward_batch(params, np.zeros((2, 8, 24, 7)))
+    assert len(seen) == len(config.kernels)
+    for i, weights in enumerate(seen, start=1):
+        assert weights is params.tensors[f"conv{i}.w"]
 
 
 def test_dataset_grouping_and_user_split_exist():

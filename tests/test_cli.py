@@ -9,7 +9,7 @@ import pytest
 from cdrnet.classify import UserPrediction, write_predictions
 from cdrnet.cli import run
 from cdrnet.container import read_container, write_container
-from cdrnet.featurize import TensorDataset, save_tensor_dataset
+from cdrnet.featurize import TENSOR_MAGIC, TensorDataset, save_tensor_dataset
 from cdrnet.ingest import load_labels
 from cdrnet.modelfile import MODEL_MAGIC
 
@@ -367,6 +367,7 @@ def test_evaluate_skips_users_without_a_label(pipeline, tmp_path):
     (lambda rows: rows[:1] + ["u999,5,0.5,0.5"] + rows[1:], "predicted_class 5 outside [0, 2)"),
     (lambda rows: rows[:1] + ["u999,-1,0.5,0.5"] + rows[1:], "predicted_class -1 outside [0, 2)"),
     (lambda rows: rows[:1] + ["u999,0,0.5"] + rows[1:], "1 scores for 2 classes"),
+    (lambda rows: rows[:2] + rows[1:], "already on line 2"),
 ])
 def test_evaluate_refuses_a_malformed_predictions_file(pipeline, tmp_path, edit, reason):
     paths, _ = pipeline
@@ -428,6 +429,67 @@ def test_model_with_rewritten_label_space_exits_two(pipeline, tmp_path, edit):
     line = _error_line(err)
     assert str(bad) in line and "class_labels" in line
     assert not (tmp_path / "p.csv").exists()
+
+
+def _commands(paths, model, tensors, out):
+    return {
+        "predict": ["predict", "--model", model, "--tensors", tensors, "--out", out],
+        "train": ["train", "--tensors", tensors, "--labels", paths["labels"], "--out", out,
+                  "--attribute", "gender", *SMALL_TRAIN],
+        "train-svm": ["train-svm", "--model", model, "--tensors", tensors,
+                      "--labels", paths["labels"], "--out", out, "--epochs", 1],
+    }
+
+
+def _rewrite(src, dst, magic, edit):
+    header, arrays = read_container(src, magic)
+    edit(header, arrays)
+    write_container(dst, magic, header, arrays)  # with a valid checksum
+
+
+@pytest.mark.parametrize("command", ["predict", "train", "train-svm"])
+@pytest.mark.parametrize("edit, field", [
+    (lambda h, a: h.update(users=h["users"][:4]), "users"),
+    (lambda h, a: h.update(users=list(range(len(h["users"])))), "users"),
+    (lambda h, a: h.update(weeks=5), "weeks"),
+    (lambda h, a: h.update(weeks=h["weeks"][1:]), "weeks"),
+    (lambda h, a: a.pop("tensors"), "tensors"),
+    (lambda h, a: a.update(tensors=a["tensors"][:, :4]), "tensors"),
+])
+def test_tensor_file_with_a_crafted_header_exits_two(pipeline, tmp_path, command, edit, field):
+    paths, _ = pipeline
+    bad = tmp_path / "bad.bin"
+    _rewrite(paths["tensors"], bad, TENSOR_MAGIC, edit)
+    out = tmp_path / "out"
+    code, _, err = _run(_commands(paths, paths["svm_model"], bad, out)[command])
+    assert code == 2
+    line = _error_line(err)
+    assert str(bad) in line and field in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "train-svm"])
+@pytest.mark.parametrize("edit, field", [
+    (lambda h, a: h["config"].update(filters=None), "config"),
+    (lambda h, a: h["config"].pop("dense"), "config"),
+    (lambda h, a: h.pop("config"), "config"),
+    (lambda h, a: a.pop("conv3.w"), "conv3.w"),
+    (lambda h, a: a.update({"dense8.b": a["dense8.b"][:-1]}), "dense8.b"),
+    (lambda h, a: a.update({"svm.w": np.zeros((4, 2))}), "svm.w"),
+    (lambda h, a: a.pop("svm.feature_std"), "svm.feature_std"),
+    (lambda h, a: h.pop("svm"), "svm"),
+    (lambda h, a: a.update({"norm.std": np.ones(3)}), "norm.std"),
+])
+def test_model_file_with_a_crafted_header_exits_two(pipeline, tmp_path, command, edit, field):
+    paths, _ = pipeline
+    bad = tmp_path / "bad.bin"
+    _rewrite(paths["svm_model"], bad, MODEL_MAGIC, edit)
+    out = tmp_path / "out"
+    code, _, err = _run(_commands(paths, bad, paths["tensors"], out)[command])
+    assert code == 2
+    line = _error_line(err)
+    assert str(bad) in line and field in line
+    assert not out.exists()
 
 
 def test_featurize_rejects_an_overlong_duration(tmp_path):

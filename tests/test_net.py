@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdrnet.net import (
     NetworkConfig,
+    _conv_grads,
     conv2d_valid,
     dense_affine,
     downsized_config,
@@ -15,7 +18,7 @@ from cdrnet.net import (
     softmax,
 )
 
-from oracles import brute_conv, brute_dense
+from oracles import brute_conv, brute_conv_grads, brute_dense
 
 
 def test_default_config_shape_chain():
@@ -72,6 +75,28 @@ def test_conv_identity_kernel():
     x = np.arange(24.0).reshape(1, 1, 4, 6)
     w = np.ones((1, 1, 1, 1))
     np.testing.assert_array_equal(conv2d_valid(x, w, np.zeros(1)), x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    c_in=st.integers(1, 3),
+    c_out=st.integers(1, 3),
+    kh=st.integers(2, 3),
+    kw=st.integers(2, 3),
+    extra_h=st.integers(0, 3),
+    extra_w=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conv_grads_match_direct_sum(n, c_in, c_out, kh, kw, extra_h, extra_w, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, c_in, kh + extra_h, kw + extra_w))
+    w = rng.normal(size=(c_out, c_in, kh, kw))
+    dz = rng.normal(size=(n, c_out, extra_h + 1, extra_w + 1))
+    dw, dx = _conv_grads(x, w, dz)
+    dw_ref, dx_ref = brute_conv_grads(x, w, dz)
+    np.testing.assert_allclose(dw, dw_ref, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=1e-10)
 
 
 def test_conv_shape_errors():

@@ -14,6 +14,7 @@ Ties always break toward the lowest class index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -27,6 +28,10 @@ from .net import ModelParams, forward_batch
 # A fixed value keeps every user's scores independent of the other users in
 # the file: BLAS results for a row can change with the batch size.
 CHUNK_ROWS = 32
+
+# Below this, train_linear_svm folds its weight scale into the vector, so that
+# dividing by the scale cannot overflow.
+_MIN_SCALE = 1e-100
 
 
 @dataclass(frozen=True)
@@ -118,6 +123,12 @@ def train_linear_svm(
     regularized. Each class trains on its own rng stream spawned from the
     seed, so results are independent of class training order. n_classes
     defaults to one more than the largest label.
+
+    w is held as a float scale s times a vector v (Shalev-Shwartz et al.,
+    2007), so the shrink and the projection rescale s alone and a step
+    without a violation costs one dot product. ||w||^2 = s^2 ||v||^2 is
+    carried from that dot product and is recomputed when each epoch folds s
+    back into v. Results match the step-by-step update of w to rounding.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
@@ -140,29 +151,49 @@ def train_linear_svm(
     weights = np.zeros((n_classes, d))
     bias = np.zeros(n_classes)
     history: list[list[float]] = []
-    radius = 1.0 / np.sqrt(lam)
+    radius = 1.0 / math.sqrt(lam)
+    rows = list(z)
+    row_sq = np.einsum("ij,ij->i", z, z).tolist()
 
     streams = np.random.SeedSequence(seed).spawn(n_classes)
     for k in range(n_classes):
         rng = np.random.default_rng(streams[k])
         y = np.where(y_all == k, 1.0, -1.0)
-        w = np.zeros(d)
+        signs = y.tolist()
+        v = np.zeros(d)
+        s = 1.0
+        v_sq = 0.0
         b = 0.0
         t = 0
         curve: list[float] = []
         for _ in range(epochs):
-            for i in rng.permutation(n):
+            for i in rng.permutation(n).tolist():
                 t += 1
-                eta = 1.0 / (lam * t)
-                w *= 1.0 - 1.0 / t
-                if y[i] * (w @ z[i] + b) < 1.0:
-                    w += eta * y[i] * z[i]
-                    b += eta * y[i]
-                norm = np.sqrt(w @ w)
-                if norm > radius:
-                    w *= radius / norm
-            curve.append(_hinge_objective(w, b, z, y, lam))
-        weights[k] = w
+                s *= 1.0 - 1.0 / t
+                vz = float(v.dot(rows[i]))
+                if signs[i] * (s * vz + b) < 1.0:
+                    # s is 0 after step 1 and shrinks further with every
+                    # projection; fold it into v before dividing by it
+                    if s < _MIN_SCALE:
+                        v *= s
+                        v_sq *= s * s
+                        vz *= s
+                        s = 1.0
+                    g = signs[i] / (lam * t)
+                    c = g / s
+                    v += c * rows[i]
+                    # clamped: cancellation can leave a tiny negative sum
+                    v_sq = max(v_sq + c * (2.0 * vz + c * row_sq[i]), 0.0)
+                    b += g
+                    # only a violation can grow ||w||, so only it can project
+                    norm = s * math.sqrt(v_sq)
+                    if norm > radius:
+                        s *= radius / norm
+            v *= s
+            s = 1.0
+            v_sq = float(v.dot(v))
+            curve.append(_hinge_objective(v, b, z, y, lam))
+        weights[k] = v
         bias[k] = b
         history.append(curve)
 

@@ -313,8 +313,15 @@ def load_tensor_dataset(path) -> TensorDataset:
             raise ContainerError(f"{path}: {name} is not a list of strings")
         if len(value) != len(tensors):
             raise ContainerError(f"{path}: {len(value)} {name} for {len(tensors)} tensors")
+    # counts are finite and non-negative; a NaN minimum fails the test too
+    if tensors.size and not (0.0 <= tensors.min() and tensors.max() < np.inf):
+        raise ContainerError(f"{path}: tensors hold a NaN, infinite or negative count")
     weeks = [WeekId(date.fromisoformat(s)) for s in header["weeks"]]
     stats = None
     if header.get("has_norm"):
+        for name in ("norm.mean", "norm.std"):
+            shape = getattr(arrays.get(name), "shape", None)
+            if shape != (N_CHANNELS,):
+                raise ContainerError(f"{path}: {name} of shape {shape}, expected ({N_CHANNELS},)")
         stats = NormStats(arrays["norm.mean"], arrays["norm.std"])
     return TensorDataset(header["users"], weeks, tensors, stats)

@@ -267,7 +267,13 @@ def forward_batch(params: ModelParams, x) -> tuple[np.ndarray, np.ndarray, Forwa
         else:
             a = a.reshape(len(x), -1)  # the last conv's spatial extent is 1x1
             z = dense_affine(a, w, b)
-        slope = None if name == "head" else np.where(z >= 0.0, 1.0, cfg.alpha)
+        slope = None
+        if name != "head":
+            # a table lookup beats np.where with scalar arms; empty_like keeps
+            # z's memory layout, on which the later products' rounding depends
+            slope = np.array([cfg.alpha, 1.0]).take(
+                (z >= 0.0).view(np.uint8), out=np.empty_like(z)
+            )
         layers.append((a, slope))
         a = z if slope is None else z * slope
     probs = softmax(a)

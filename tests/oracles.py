@@ -122,6 +122,51 @@ def brute_dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def brute_pegasos(features, labels, lam: float, epochs: int, seed: int, n_classes: int):
+    """(weights, bias, objective_history) of one-vs-rest Pegasos, updating w at every step.
+
+    Features are standardized by their mean and by their std floored at 1e-6.
+    Class k walks permutations from the k-th child of SeedSequence(seed);
+    per step t: eta = 1/(lam*t), w *= 1 - 1/t, a margin violation adds
+    eta*y*z to w and eta*y to b, and w is projected onto the ball of radius
+    1/sqrt(lam). Each epoch ends with the objective
+    0.5*lam*|w|^2 + mean hinge.
+    """
+    x = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels)
+    z = (x - x.mean(axis=0)) / np.maximum(x.std(axis=0), 1e-6)
+    n, d = z.shape
+    weights = np.zeros((n_classes, d))
+    bias = np.zeros(n_classes)
+    history = []
+    radius = 1.0 / np.sqrt(lam)
+    streams = np.random.SeedSequence(seed).spawn(n_classes)
+    for k in range(n_classes):
+        rng = np.random.default_rng(streams[k])
+        y = np.where(labels == k, 1.0, -1.0)
+        w = np.zeros(d)
+        b = 0.0
+        t = 0
+        curve = []
+        for _ in range(epochs):
+            for i in rng.permutation(n):
+                t += 1
+                eta = 1.0 / (lam * t)
+                w *= 1.0 - 1.0 / t
+                if y[i] * (w @ z[i] + b) < 1.0:
+                    w += eta * y[i] * z[i]
+                    b += eta * y[i]
+                norm = np.sqrt(w @ w)
+                if norm > radius:
+                    w *= radius / norm
+            hinge = np.maximum(0.0, 1.0 - y * (z @ w + b))
+            curve.append(float(0.5 * lam * (w @ w) + hinge.mean()))
+        weights[k] = w
+        bias[k] = b
+        history.append(curve)
+    return weights, bias, history
+
+
 def random_records(rng: np.random.Generator, count: int, week_start):
     """Uniformly random records inside one calendar week (for oracle tests)."""
     from datetime import datetime, timedelta

@@ -24,6 +24,7 @@ from cdrnet.featurize import (
     fit_normalizer,
     save_tensor_dataset,
 )
+from cdrnet.ingest import LabelRecord
 from cdrnet.modelfile import save_model
 from cdrnet.net import NetworkConfig, init_params
 
@@ -78,6 +79,26 @@ def test_forward_calls_each_conv_through_its_module_name_in_layer_order(monkeypa
     assert len(seen) == len(config.kernels)
     for i, weights in enumerate(seen, start=1):
         assert weights is params.tensors[f"conv{i}.w"]
+
+
+def test_train_svm_head_fits_through_the_module_level_trainer(monkeypatch):
+    # the bench times classify.train_linear_svm_s as this call's span
+    calls = []
+    fit = cdrnet.classify.train_linear_svm
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(cdrnet.classify, "train_linear_svm", counted)
+    weeks = np.random.default_rng(2).poisson(1.0, size=(4, 8, 24, 7)).astype(np.float64)
+    model = init_params(NetworkConfig(classes=2, filters=(2, 2, 2, 2, 2, 4), dense=(8, 4)), 0)
+    labels = {u: LabelRecord(u, g, 30) for u, g in (("a", "f"), ("b", "m"), ("c", "f"))}
+    model.label_space = LabelSpace.fit("gender", labels.values())
+    ds = TensorDataset(["a", "b", "c", "a"], [WeekId(date(2024, 1, 1))] * 4, weeks)
+    svm = cdrnet.classify.train_svm_head(model, ds, labels, epochs=2)
+    assert len(calls) == 1
+    assert svm.weights.shape == (2, 4)
 
 
 def test_dataset_grouping_and_user_split_exist():

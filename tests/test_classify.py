@@ -4,6 +4,8 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdrnet.classify import (
     CHUNK_ROWS,
@@ -20,6 +22,7 @@ from cdrnet.classify import (
 )
 from cdrnet.featurize import TensorDataset, WeekId
 from cdrnet.net import NetworkConfig, forward_batch, init_params
+from oracles import brute_pegasos
 
 SMALL_NET = NetworkConfig(
     classes=3,
@@ -234,6 +237,28 @@ def test_svm_standardizes_features():
     svm = train_linear_svm(x, y, epochs=5, seed=0)
     np.testing.assert_allclose(svm.feature_mean, x.mean(axis=0))
     np.testing.assert_allclose(svm.feature_std, x.std(axis=0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    d=st.integers(1, 8),
+    k=st.integers(2, 4),
+    epochs=st.integers(1, 5),
+    lam=st.floats(1e-4, 1e6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_svm_matches_the_step_by_step_oracle(n, d, k, epochs, lam, seed):
+    # lam up to 1e6 makes the projection onto the 1/sqrt(lam) ball fire
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
+    y = rng.integers(0, k, size=n)
+    y[:2] = [0, 1]
+    svm = train_linear_svm(x, y, lam=lam, epochs=epochs, seed=seed, n_classes=k)
+    weights, bias, history = brute_pegasos(x, y, lam, epochs, seed, k)
+    for got, want in ((svm.weights, weights), (svm.bias, bias),
+                      (np.array(svm.objective_history), np.array(history))):
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
 
 
 def test_evaluate_perfect_predictions():

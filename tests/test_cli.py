@@ -455,6 +455,9 @@ def _rewrite(src, dst, magic, edit):
     (lambda h, a: h.update(weeks=h["weeks"][1:]), "weeks"),
     (lambda h, a: a.pop("tensors"), "tensors"),
     (lambda h, a: a.update(tensors=a["tensors"][:, :4]), "tensors"),
+    (lambda h, a: np.put(a["tensors"], 0, np.nan), "tensors"),
+    (lambda h, a: np.put(a["tensors"], 0, -5.0), "tensors"),
+    (lambda h, a: [a.pop(name) for name in ("norm.mean", "norm.std")], "norm.mean"),
 ])
 def test_tensor_file_with_a_crafted_header_exits_two(pipeline, tmp_path, command, edit, field):
     paths, _ = pipeline

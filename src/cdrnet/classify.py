@@ -22,7 +22,7 @@ import numpy as np
 
 from .featurize import STD_FLOOR, TensorDataset, apply_normalizer
 from .ingest import LabelRecord
-from .net import ModelParams, forward_batch
+from .net import COMPUTE_DTYPE, ModelParams, forward_batch
 
 # Rows per forward call at inference, equal to the default training batch.
 # A fixed value keeps every user's scores independent of the other users in
@@ -54,8 +54,10 @@ def _user_means(model: ModelParams, dataset: TensorDataset, users=None):
     Rows are stably sorted by user id and run through forward_batch in
     zero-padded chunks of exactly CHUNK_ROWS rows. Every row then meets the
     same GEMM shapes whatever other rows share its chunk, so a user's means
-    do not depend on the other users in the file. Each user's rows are
-    averaged in file order. users, when given, selects the users to run.
+    do not depend on the other users in the file. The net runs in
+    COMPUTE_DTYPE on normalized chunks; its outputs are widened to float64
+    and each user's rows are averaged in file order. users, when given,
+    selects the users to run.
     """
     ids = dataset.user_ids
     rows = dataset.rows_of(ids if users is None else users)
@@ -68,7 +70,9 @@ def _user_means(model: ModelParams, dataset: TensorDataset, users=None):
         part = rows[start : start + CHUNK_ROWS]
         chunk[: len(part)] = dataset.tensors[part]
         chunk[len(part) :] = 0.0
-        x = chunk if model.norm_stats is None else apply_normalizer(chunk, model.norm_stats)
+        x = chunk
+        if model.norm_stats is not None:
+            x = apply_normalizer(chunk, model.norm_stats).astype(COMPUTE_DTYPE)
         p, f, _ = forward_batch(model, x)
         probs[start : start + len(part)] = p[: len(part)]
         feats[start : start + len(part)] = f[: len(part)]

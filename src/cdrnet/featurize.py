@@ -128,7 +128,10 @@ def fit_normalizer(tensors) -> NormStats:
 def apply_normalizer(tensor, stats: NormStats) -> np.ndarray:
     """(log1p(cell) - mean_c) / std_c; works on (8,24,7) or batched (N,8,24,7)."""
     t = np.log1p(np.asarray(tensor, dtype=np.float64))
-    return (t - stats.mean[:, None, None]) / stats.std[:, None, None]
+    # in place, so that a caller's cast to float32 adds no third full-size array
+    t -= stats.mean[:, None, None]
+    t /= stats.std[:, None, None]
+    return t
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,21 @@
-"""Fixed temporal ConvNet: parameters, forward pass, reverse-mode backward.
+"""Temporal ConvNet over weekly activity tensors: parameters, forward pass, backward.
 
-The stack is six valid convolutions over the (hour, day) grid (four 4x1
-kernels, one 12x1, one 1x7), each followed by leaky ReLU, then two dense
-layers (also leaky ReLU) and an affine class map feeding a softmax. With
-the default 24x7 input the hour axis contracts 24-21-18-15-12-1 and the
-day axis 7-1, so the flatten after the last conv is loss-free; the config
-constructor refuses any kernel/input combination that does not land on a
-1x1 spatial extent.
+Hour convolutions (default 4x1 four times, then 12x1: 24-21-18-15-12-1
+hours), one closing convolution over the whole day (1x7), each with leaky
+ReLU, then two leaky-ReLU dense layers and an affine class map feeding a
+softmax. NetworkConfig accepts only that form.
 
-forward_batch walks one layer list (conv1..convL, dense7, dense8, head)
-and backward walks it in reverse, reusing each layer's input and
-leaky-ReLU slope from the forward trace. A convolution's output, its
-weight gradient and its input gradient are each a sum over kernel taps
-(i, j) of one matmul on the window x[:, :, i:i+Hp, j:j+Wp]; backward
-computes dW and dX in the same tap loop.
+Conv activations are channels first, (C, H, N*W), batch times day
+innermost, so hour tap i reads the view a[:, i:i+Hp, :] as one (C, Hp*N*W)
+matrix without a copy, and its share of the output, dW and dX is one
+matmul; the closing kernel is one matmul on the (N, C*W) flatten.
+backward walks forward_batch's layer list in reverse, reusing each layer's
+input and leaky-ReLU slope from the trace.
 
-Everything runs in float64 numpy with no autodiff framework. Gradients
-are hand-derived and cross-checked against central finite differences
-(training.grad_check).
+The net computes in its input's floating dtype and casts parameters per
+call: float32 (COMPUTE_DTYPE) for train, train-svm and predict, whose
+parameters stay float64, and float64 for the finite-difference gradient
+check (training.grad_check) that guards the hand-derived backward.
 """
 
 from __future__ import annotations
@@ -36,11 +34,12 @@ if TYPE_CHECKING:
 DEFAULT_KERNELS = ((4, 1), (4, 1), (4, 1), (4, 1), (12, 1), (1, 7))
 DEFAULT_FILTERS = (16, 16, 16, 16, 32, 64)
 DEFAULT_DENSE = (128, 64)
+COMPUTE_DTYPE = np.float32  # what train, train-svm and predict run the net in
 
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Layer stack description; validates the spatial shape chain on construction."""
+    """Layer stack description; validates the kernels and the shape chain on construction."""
 
     classes: int
     in_channels: int = N_CHANNELS
@@ -65,13 +64,12 @@ class NetworkConfig:
             raise ValueError(f"leaky slope {self.alpha} outside [0, 1)")
         if min(self.filters) < 1 or min(self.dense) < 1:
             raise ValueError("layer widths must be positive")
+        *hour, closing = self.kernels
+        if any(kh < 1 or kw != 1 for kh, kw in hour) or closing != (1, self.days):
+            raise ValueError(f"kernels {self.kernels} are not kh x 1, then 1 x {self.days}")
         chain = self.spatial_chain()
-        h, w = chain[-1]
-        if (h, w) != (1, 1):
-            raise ValueError(
-                f"shape chain does not close: spatial extent after the last conv "
-                f"is {h}x{w}, expected 1x1 (chain {chain})"
-            )
+        if chain[-1] != (1, 1):
+            raise ValueError(f"shape chain {chain} does not close on 1x1")
 
     def spatial_chain(self) -> list[tuple[int, int]]:
         """(H, W) after the input and after each conv; raises if a kernel overruns."""
@@ -91,20 +89,10 @@ class NetworkConfig:
 
 
 def downsized_config(classes: int = 3) -> NetworkConfig:
-    """Small config for finite-difference gradient checking (2x10x7 input).
-
-    The production kernel sizes cannot close a 10-hour input, so the hour
-    kernels shrink to 2,2,2,2,6: hours 10-9-8-7-6-1, days 7-1.
-    """
-    return NetworkConfig(
-        classes=classes,
-        in_channels=2,
-        hours=10,
-        days=7,
-        kernels=((2, 1), (2, 1), (2, 1), (2, 1), (6, 1), (1, 7)),
-        filters=(2, 2, 2, 2, 2, 2),
-        dense=(8, 6),
-    )
+    """Small config for finite-difference gradient checking: 2x10x7 input,
+    hour kernels 2,2,2,2,6 (hours 10-9-8-7-6-1), then the 1x7 day kernel."""
+    kernels = ((2, 1), (2, 1), (2, 1), (2, 1), (6, 1), (1, 7))
+    return NetworkConfig(classes, 2, 10, 7, kernels, filters=(2,) * 6, dense=(8, 6))
 
 
 def param_shapes(config: NetworkConfig) -> dict[str, tuple[int, ...]]:
@@ -116,12 +104,8 @@ def param_shapes(config: NetworkConfig) -> dict[str, tuple[int, ...]]:
         shapes[f"conv{i}.b"] = (f,)
         c_in = f
     d7, d8 = config.dense
-    shapes["dense7.w"] = (d7, config.filters[-1])
-    shapes["dense7.b"] = (d7,)
-    shapes["dense8.w"] = (d8, d7)
-    shapes["dense8.b"] = (d8,)
-    shapes["head.w"] = (config.classes, d8)
-    shapes["head.b"] = (config.classes,)
+    for name, shape in ("dense7", (d7, c_in)), ("dense8", (d8, d7)), ("head", (config.classes, d8)):
+        shapes[f"{name}.w"], shapes[f"{name}.b"] = shape, shape[:1]
     return shapes
 
 
@@ -139,90 +123,107 @@ class ModelParams:
 def init_params(config: NetworkConfig, seed: int) -> ModelParams:
     """He-style init adjusted for the leaky slope: Var = 2/((1+alpha^2) fan_in).
 
-    Weights are zero-mean Gaussians, biases exactly zero; bit-identical for
-    a given seed.
+    Weights are zero-mean Gaussians, biases zero; bit-identical for a seed.
     """
     rng = np.random.default_rng(seed)
-    denom = 1.0 + config.alpha**2
     tensors: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(config).items():
-        if name.endswith(".b"):
-            tensors[name] = np.zeros(shape)
-        else:
-            fan_in = int(np.prod(shape[1:]))
-            std = math.sqrt(2.0 / (denom * fan_in))
-            tensors[name] = rng.normal(0.0, std, shape)
+        std = math.sqrt(2.0 / ((1.0 + config.alpha**2) * math.prod(shape[1:])))
+        tensors[name] = np.zeros(shape) if name.endswith(".b") else rng.normal(0.0, std, shape)
     return ModelParams(config, tensors)
 
 
+def _float_array(x) -> np.ndarray:
+    """x as an array, widened to float64 unless it already holds floats."""
+    x = np.asarray(x)
+    return x if x.dtype.kind == "f" else x.astype(np.float64)
+
+
 def leaky_relu(x, alpha: float) -> np.ndarray:
-    """Elementwise x if x >= 0 else alpha*x."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x >= 0.0, x, alpha * x)
+    """Elementwise x if x >= 0 else alpha*x, in x's dtype."""
+    x = np.asarray(x)
+    return np.where(x >= 0, x, alpha * x)
 
 
-def _tap_windows(x: np.ndarray, kh: int, kw: int):
-    """Yield (i, j, window) for every kernel tap of a valid convolution.
+def _day_rows(x: np.ndarray, days: int) -> np.ndarray:
+    """The (N, C*days) flatten of a one-hour (C, 1, N*days) activation."""
+    c, _, m = x.shape
+    return x.reshape(c, m // days, days).transpose(1, 0, 2).reshape(m // days, c * days)
 
-    The window is x[:, :, i:i+Hp, j:j+Wp] laid out as a (C, N*Hp*Wp) matrix,
-    so each tap's contribution to an output, dW or dX is one matmul.
-    """
-    n, c, h, w = x.shape
-    hp, wp = h - kh + 1, w - kw + 1
-    xt = x.transpose(1, 0, 2, 3)
-    for i in range(kh):
-        for j in range(kw):
-            yield i, j, xt[:, :, i : i + hp, j : j + wp].reshape(c, n * hp * wp)
+
+def _hour_taps(weights: np.ndarray, dtype) -> np.ndarray:
+    """An hour kernel (C_out, C_in, kh, 1) as kh contiguous (C_out, C_in) tap matrices."""
+    return np.ascontiguousarray(weights[:, :, :, 0].transpose(2, 0, 1), dtype=dtype)
 
 
 def conv2d_valid(x, weights, bias) -> np.ndarray:
-    """Valid cross-correlation of an (N,C,H,W) batch.
+    """Valid cross-correlation of a channels-first (C, H, N*W) batch, in x's dtype.
 
-    weights (C_out,C_in,kh,kw); output (N, C_out, H-kh+1, W-kw+1) with
-    out[n,o,y,x] = b[o] + sum x[n,c,y+i,x+j]*w[o,c,i,j], summed tap by tap.
+    weights (C_out, C_in, kh, kw) is an hour kernel (kw == 1) or a closing
+    kernel over one-hour rows of kw days (kh == H == 1). The output is
+    (C_out, H-kh+1, N*(W-kw+1)) with
+    out[o, y, n*Wp+d] = b[o] + sum x[c, y+i, n*W+d+j] * w[o, c, i, j].
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 4:
-        raise ValueError(f"expected (N,C,H,W) input, got shape {x.shape}")
+    x = _float_array(x)
     c_out, c_in, kh, kw = weights.shape
-    n, c, h, w = x.shape
-    if c != c_in:
-        raise ValueError(f"input has {c} channels, kernel expects {c_in}")
-    if kh > h or kw > w:
-        raise ValueError(f"kernel {kh}x{kw} larger than input {h}x{w}")
-    hp, wp = h - kh + 1, w - kw + 1
-    out = np.zeros((c_out, n * hp * wp))
-    for i, j, win in _tap_windows(x, kh, kw):
-        out += weights[:, :, i, j] @ win
-    out += bias[:, None]
-    return out.reshape(c_out, n, hp, wp).transpose(1, 0, 2, 3)
+    if x.ndim != 3 or x.shape[0] != c_in:
+        raise ValueError(f"expected a ({c_in}, H, N*W) input, got shape {x.shape}")
+    c, h, m = x.shape
+    b = bias.astype(x.dtype, copy=False)
+    if kw > 1:
+        if kh != 1 or h != 1 or m % kw:
+            raise ValueError(f"a {kh}x{kw} kernel needs one-hour rows of {kw} days, not {x.shape}")
+        out = _day_rows(x, kw) @ weights.reshape(c_out, -1).T.astype(x.dtype) + b
+        return out.T[:, None, :]  # (C_out, 1, N), a view of the (N, C_out) product
+    hp = h - kh + 1
+    if hp < 1:
+        raise ValueError(f"a {kh}x1 kernel is taller than the {h}-hour input")
+    taps, x2 = _hour_taps(weights, x.dtype), x.reshape(c, h * m)
+    out = taps[0] @ x2[:, : hp * m]
+    for i in range(1, kh):
+        out += taps[i] @ x2[:, i * m : (i + hp) * m]
+    out += b[:, None]
+    return out.reshape(c_out, hp, m)
 
 
-def _conv_grads(x: np.ndarray, weights: np.ndarray, dz: np.ndarray):
-    """(dW, dX) of conv2d_valid(x, weights, .) for the output gradient dz, tap by tap."""
+def _conv_grads(x: np.ndarray, weights: np.ndarray, dz: np.ndarray, need_dx: bool = True):
+    """(dW, dX) of conv2d_valid(x, weights, .) for its output gradient dz; dX only if need_dx."""
     c_out, c_in, kh, kw = weights.shape
-    n, _, hp, wp = dz.shape
-    dzt = dz.transpose(1, 0, 2, 3).reshape(c_out, n * hp * wp)
-    dw = np.empty(weights.shape)
-    dxt = np.zeros((c_in, n) + x.shape[2:])
-    for i, j, win in _tap_windows(x, kh, kw):
-        dw[:, :, i, j] = dzt @ win.T
-        dxt[:, :, i : i + hp, j : j + wp] += (weights[:, :, i, j].T @ dzt).reshape(c_in, n, hp, wp)
-    return dw, dxt.transpose(1, 0, 2, 3)
+    c, h, m = x.shape
+    dz2, dx = dz.reshape(c_out, -1), None
+    if kw > 1:
+        rows = _day_rows(x, kw)
+        dw = (dz2 @ rows).reshape(weights.shape)
+        if need_dx:
+            drows = dz2.T @ weights.reshape(c_out, -1).astype(dz.dtype)
+            dx = drows.reshape(-1, c, kw).transpose(1, 0, 2).reshape(c, 1, m)
+        return dw, dx
+    hp, x2 = dz.shape[1], x.reshape(c, h * m)
+    dw = np.empty((c_out, c_in, kh, 1), dtype=dz.dtype)
+    for i in range(kh):
+        dw[:, :, i, 0] = dz2 @ x2[:, i * m : (i + hp) * m].T
+    if need_dx:
+        taps = _hour_taps(weights, dz.dtype)
+        dx = np.empty((c, h * m), dtype=dz.dtype)
+        np.matmul(taps[0].T, dz2, out=dx[:, : hp * m])
+        dx[:, hp * m :] = 0
+        for i in range(1, kh):
+            dx[:, i * m : (i + hp) * m] += taps[i].T @ dz2
+        dx = dx.reshape(c, h, m)
+    return dw, dx
 
 
 def dense_affine(x, weights, bias) -> np.ndarray:
-    """W x + b for a (d,) vector, or row-wise for an (N, d) batch."""
-    x = np.asarray(x, dtype=np.float64)
-    out_dim, in_dim = weights.shape
-    if x.shape[-1] != in_dim:
-        raise ValueError(f"input dim {x.shape[-1]} does not match weight dim {in_dim}")
-    return x @ weights.T + bias
+    """W x + b row-wise for an (N, d) batch, in x's dtype."""
+    x = _float_array(x)
+    if x.ndim != 2 or x.shape[1] != weights.shape[1]:
+        raise ValueError(f"expected an (N, {weights.shape[1]}) input, got shape {x.shape}")
+    return x @ weights.T.astype(x.dtype, copy=False) + bias.astype(x.dtype, copy=False)
 
 
 def softmax(logits) -> np.ndarray:
-    """Numerically stable exp-normalize over the last axis."""
-    z = np.asarray(logits, dtype=np.float64)
+    """Numerically stable exp-normalize over the last axis, in the logits' dtype."""
+    z = np.asarray(logits)
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -234,11 +235,8 @@ def _layer_names(config: NetworkConfig) -> list[str]:
 
 @dataclass
 class ForwardTrace:
-    """Per-call cache for backward: each layer's (input, leaky-ReLU slope).
-
-    The slope is where(z >= 0, 1, alpha) of the layer's pre-activation z;
-    the head has no activation, so its slope is None.
-    """
+    """Per-call cache for backward: each layer's input and leaky-ReLU slope
+    where(z >= 0, 1, alpha) of its pre-activation z (None for the head)."""
 
     layers: list[tuple[np.ndarray, np.ndarray | None]]
     logits: np.ndarray
@@ -246,34 +244,31 @@ class ForwardTrace:
 
 
 def forward_batch(params: ModelParams, x) -> tuple[np.ndarray, np.ndarray, ForwardTrace]:
-    """Full forward for an (N, C, H, W) batch.
+    """Full forward for an (N, C, H, W) batch, in the batch's floating dtype.
 
     Returns (probs (N,K), features (N, dense8), trace); the features are the
     last hidden activation, used for softmax averaging and as the SVM
     feature space.
     """
     cfg = params.config
-    x = np.asarray(x, dtype=np.float64)
-    expected = (cfg.in_channels, cfg.hours, cfg.days)
+    x, expected = _float_array(x), (cfg.in_channels, cfg.hours, cfg.days)
     if x.ndim != 4 or x.shape[1:] != expected:
         raise ValueError(f"input shape {x.shape} does not match (N, {expected})")
-    t = params.tensors
+    last_conv = f"conv{len(cfg.kernels)}"
+    slopes = np.array([cfg.alpha, 1.0], dtype=x.dtype)
     layers = []
-    a = x
+    a = np.ascontiguousarray(x.transpose(1, 2, 0, 3)).reshape(cfg.in_channels, cfg.hours, -1)
     for name in _layer_names(cfg):
-        w, b = t[f"{name}.w"], t[f"{name}.b"]
+        w, b = params.tensors[f"{name}.w"], params.tensors[f"{name}.b"]
         if w.ndim == 4:
             z = conv2d_valid(a, w, b)
+            if name == last_conv:
+                z = z.reshape(len(b), len(x)).T  # the 1x1 extent flattens to (N, C)
         else:
-            a = a.reshape(len(x), -1)  # the last conv's spatial extent is 1x1
             z = dense_affine(a, w, b)
-        slope = None
-        if name != "head":
-            # a table lookup beats np.where with scalar arms; empty_like keeps
-            # z's memory layout, on which the later products' rounding depends
-            slope = np.array([cfg.alpha, 1.0]).take(
-                (z >= 0.0).view(np.uint8), out=np.empty_like(z)
-            )
+        # a table lookup beats np.where with scalar arms; the indices are 0
+        # or 1, so mode="wrap" only skips the bounds check
+        slope = None if name == "head" else slopes.take((z >= 0).view(np.uint8), mode="wrap")
         layers.append((a, slope))
         a = z if slope is None else z * slope
     probs = softmax(a)
@@ -281,24 +276,28 @@ def forward_batch(params: ModelParams, x) -> tuple[np.ndarray, np.ndarray, Forwa
 
 
 def backward(params: ModelParams, trace: ForwardTrace, dlogits) -> dict[str, np.ndarray]:
-    """Exact reverse-mode gradients for every parameter tensor.
+    """Exact reverse-mode gradients for every parameter tensor, in the trace's dtype.
 
     dlogits is the (N,K) loss gradient at the logits of the forward_batch
-    call that produced the trace. Neither params nor trace are
-    mutated; gradient shapes mirror parameter shapes.
+    call that produced the trace. Neither params nor trace are mutated;
+    gradient shapes mirror parameter shapes. conv1's unused dX is skipped.
     """
-    da = np.asarray(dlogits, dtype=np.float64)
+    da = np.asarray(dlogits, dtype=trace.logits.dtype)
     if da.shape != trace.logits.shape:
         raise ValueError("upstream gradient does not match the forward trace")
+    names = _layer_names(params.config)
+    last_conv = len(params.config.kernels) - 1
     g: dict[str, np.ndarray] = {}
-    for name, (x_in, slope) in reversed(list(zip(_layer_names(params.config), trace.layers))):
-        dz = da if slope is None else da.reshape(slope.shape) * slope
-        w = params.tensors[f"{name}.w"]
+    for k in reversed(range(len(names))):
+        (x_in, slope), w = trace.layers[k], params.tensors[f"{names[k]}.w"]
+        dz = da if slope is None else da * slope
         if w.ndim == 4:
-            g[f"{name}.w"], da = _conv_grads(x_in, w, dz)
-            g[f"{name}.b"] = dz.sum(axis=(0, 2, 3))
+            if k == last_conv:
+                dz = dz.T.reshape(len(w), 1, -1)  # back to the conv layout (C, 1, N)
+            g[f"{names[k]}.w"], da = _conv_grads(x_in, w, dz, need_dx=k > 0)
+            g[f"{names[k]}.b"] = dz.sum(axis=(1, 2))
         else:
-            g[f"{name}.w"] = dz.T @ x_in
-            g[f"{name}.b"] = dz.sum(axis=0)
-            da = dz @ w
+            g[f"{names[k]}.w"] = dz.T @ x_in
+            g[f"{names[k]}.b"] = dz.sum(axis=0)
+            da = dz @ w.astype(dz.dtype, copy=False)
     return g

@@ -14,13 +14,13 @@ import numpy as np
 
 from .featurize import LabelSpace, TensorDataset, apply_normalizer, fit_normalizer
 from .ingest import LabelRecord
-from .net import ModelParams, NetworkConfig, backward, forward_batch, init_params
+from .net import COMPUTE_DTYPE, ModelParams, NetworkConfig, backward, forward_batch, init_params
 
 GRAD_TOL = 1e-4
 
 
 class NumericError(ArithmeticError):
-    """Loss or gradients stopped being finite during optimization."""
+    """Loss, gradients or parameters stopped being finite during optimization."""
 
 
 def cross_entropy(probs, labels) -> float:
@@ -35,8 +35,10 @@ def cross_entropy(probs, labels) -> float:
 
 
 def loss_gradient(probs, labels) -> np.ndarray:
-    """d(mean cross-entropy)/d(logits) = (probs - onehot) / N."""
-    grad = np.array(probs, dtype=np.float64)
+    """d(mean cross-entropy)/d(logits) = (probs - onehot) / N, in the dtype of probs."""
+    grad = np.array(probs)
+    if grad.dtype.kind != "f":
+        grad = grad.astype(np.float64)
     grad[np.arange(len(grad)), np.asarray(labels, dtype=np.intp)] -= 1.0
     grad /= len(grad)
     return grad
@@ -106,6 +108,9 @@ def split_users(user_ids: list[str], val_fraction: float, seed: int) -> tuple[li
     return train, val
 
 
+# overflow in the net is caught by the finiteness checks and raised as
+# NumericError, not printed as warnings
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     dataset: TensorDataset,
     labels: dict[str, LabelRecord],
@@ -117,8 +122,10 @@ def train(
 
     Users map to classes through label_space, which the model then carries.
     Unlabeled users are skipped. The normalizer is refitted on the training
-    partition (any stats shipped with the dataset are ignored). Raises
-    NumericError if the loss leaves the finite range.
+    partition (any stats shipped with the dataset are ignored). The net runs
+    in COMPUTE_DTYPE on float64 parameters, which the SGD updates in place.
+    Raises NumericError when the loss, a gradient or a parameter stops
+    being finite.
     """
     users = sorted({u for u in dataset.user_ids if u in labels})
     if not users:
@@ -142,11 +149,11 @@ def train(
 
     x_train, y_train = rows(train_users)
     stats = fit_normalizer(x_train)
-    x_train = apply_normalizer(x_train, stats)
+    x_train = apply_normalizer(x_train, stats).astype(COMPUTE_DTYPE)
     x_val = y_val = None
     if val_users:
         x_val, y_val = rows(val_users)
-        x_val = apply_normalizer(x_val, stats)
+        x_val = apply_normalizer(x_val, stats).astype(COMPUTE_DTYPE)
 
     params = init_params(net_config, config.seed)
     params.norm_stats = stats
@@ -160,12 +167,16 @@ def train(
     for epoch in range(1, config.epochs + 1):
         perm = rng.permutation(n)
         total, seen = 0.0, 0
-        for start in range(0, n, config.batch_size):
+        grads: dict[str, np.ndarray] = {}
+        for step, start in enumerate(range(0, n, config.batch_size), start=1):
             idx = perm[start : start + config.batch_size]
             probs, _, trace = forward_batch(params, x_train[idx])
             loss = cross_entropy(probs, y_train[idx])
             if not np.isfinite(loss):
-                raise NumericError(f"non-finite loss at epoch {epoch}")
+                # a non-finite update makes the next loss non-finite; name it
+                bad = _first_non_finite(grads, params.tensors)
+                where = f"step {step - 1}" if bad else f"step {step}"
+                raise NumericError(f"non-finite {bad or 'loss'} at epoch {epoch}, {where}")
             grads = backward(params, trace, loss_gradient(probs, y_train[idx]))
             sgd_step(
                 params.tensors,
@@ -177,6 +188,9 @@ def train(
             )
             total += loss * len(idx)
             seen += len(idx)
+        bad = _first_non_finite(grads, params.tensors)
+        if bad:
+            raise NumericError(f"non-finite {bad} at epoch {epoch}, step {step}")
 
         val_acc = None
         if x_val is not None:
@@ -185,6 +199,15 @@ def train(
         history.append(EpochStats(epoch=epoch, train_loss=total / seen, val_accuracy=val_acc))
 
     return params, history
+
+
+def _first_non_finite(grads: dict[str, np.ndarray], tensors: dict[str, np.ndarray]) -> str | None:
+    """'<name> gradient' or '<name> parameter' of the first non-finite tensor, else None."""
+    for kind, arrays in (("gradient", grads), ("parameter", tensors)):
+        for name, arr in arrays.items():
+            if not np.isfinite(arr).all():
+                return f"{name} {kind}"
+    return None
 
 
 def max_relative_error(a: float, b: float) -> float:

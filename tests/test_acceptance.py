@@ -51,7 +51,14 @@ from cdrnet.training import (
     train,
 )
 
-from oracles import brute_conv, brute_dense, brute_week_tensor, random_records
+from oracles import (
+    batch_first,
+    brute_conv,
+    brute_dense,
+    brute_week_tensor,
+    channels_first,
+    random_records,
+)
 
 
 def _report(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -157,11 +164,15 @@ def test_acceptance_4_kernel_oracles():
         n = int(rng.integers(1, 4))
         c_in, c_out = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         h, w = int(rng.integers(2, 13)), int(rng.integers(2, 8))
-        kh, kw = int(rng.integers(1, h + 1)), int(rng.integers(1, w + 1))
+        if rng.integers(2):  # an hour kernel
+            kh, kw = int(rng.integers(1, h + 1)), 1
+        else:  # a closing kernel over a one-hour input of whole days
+            h, kh, kw = 1, 1, w
         x = rng.normal(size=(n, c_in, h, w))
         weight = rng.normal(size=(c_out, c_in, kh, kw))
         bias = rng.normal(size=c_out)
-        diff = np.abs(conv2d_valid(x, weight, bias) - brute_conv(x, weight, bias)).max()
+        out = batch_first(conv2d_valid(channels_first(x), weight, bias), n)
+        diff = np.abs(out - brute_conv(x, weight, bias)).max()
         worst_conv = max(worst_conv, float(diff))
 
     worst_dense = 0.0

@@ -255,6 +255,19 @@ def test_corrupt_model_exits_two(pipeline, tmp_path):
     assert "error:" in err
 
 
+def test_train_with_a_huge_learning_rate_exits_three(pipeline, tmp_path):
+    paths, _ = pipeline
+    out = tmp_path / "model.bin"
+    code, _, err = _run(["train", "--tensors", paths["tensors"], "--labels", paths["labels"],
+                         "--out", out, "--attribute", "gender", *SMALL_TRAIN, "--lr", "1e30"])
+    assert code == 3
+    line = _error_line(err)
+    assert re.fullmatch(
+        r"error: non-finite (loss|\S+ (gradient|parameter)) at epoch \d+, step \d+", line
+    ), line
+    assert not out.exists()
+
+
 def test_gradcheck_passes(tmp_path):
     code, out, _ = _run(["gradcheck", "--seed", 7])
     assert code == 0
@@ -482,6 +495,7 @@ def test_tensor_file_with_a_crafted_header_exits_two(pipeline, tmp_path, command
     (lambda h, a: a.pop("svm.feature_std"), "svm.feature_std"),
     (lambda h, a: h.pop("svm"), "svm"),
     (lambda h, a: a.update({"norm.std": np.ones(3)}), "norm.std"),
+    (lambda h, a: h["config"].update(kernels=[[4, 1]] * 4 + [[12, 7], [1, 1]]), "config"),
 ])
 def test_model_file_with_a_crafted_header_exits_two(pipeline, tmp_path, command, edit, field):
     paths, _ = pipeline

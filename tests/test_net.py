@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cdrnet.net import (
     NetworkConfig,
     _conv_grads,
+    backward,
     conv2d_valid,
     dense_affine,
     downsized_config,
@@ -17,8 +18,9 @@ from cdrnet.net import (
     param_shapes,
     softmax,
 )
+from cdrnet.training import loss_gradient
 
-from oracles import brute_conv, brute_conv_grads, brute_dense
+from oracles import batch_first, brute_conv, brute_conv_grads, brute_dense, channels_first
 
 
 def test_default_config_shape_chain():
@@ -43,6 +45,9 @@ def test_downsized_config_closes_to_one_cell():
         {"classes": 4, "alpha": -0.1},
         {"classes": 4, "filters": (16, 16, 16, 16, 32)},  # length mismatch
         {"classes": 4, "hours": 23},                      # chain lands on 0 hours
+        {"classes": 4, "kernels": ((4, 1),) * 4 + ((12, 7), (1, 1))},  # a 2-D kernel
+        {"classes": 4, "kernels": ((1, 7),) + ((4, 1),) * 4 + ((12, 1),)},  # day kernel first
+        {"classes": 4, "hours": 20, "kernels": ((0, 1),) + ((4, 1),) * 3 + ((12, 1), (1, 7))},
     ],
 )
 def test_invalid_configs_rejected(kwargs):
@@ -63,18 +68,26 @@ def test_param_shapes_default_config():
     assert len(shapes) == 18
 
 
+def _conv(x, w, b):
+    """conv2d_valid on an (N, C, H, W) batch, answered in the same layout."""
+    return batch_first(conv2d_valid(channels_first(x), w, b), len(x))
+
+
 def test_conv_matches_oracle_fixed_case():
     rng = np.random.default_rng(1)
-    x = rng.normal(size=(2, 3, 6, 5))
-    w = rng.normal(size=(4, 3, 2, 3))
     b = rng.normal(size=4)
-    np.testing.assert_allclose(conv2d_valid(x, w, b), brute_conv(x, w, b), atol=1e-12)
+    x = rng.normal(size=(2, 3, 6, 5))
+    w = rng.normal(size=(4, 3, 2, 1))  # an hour kernel
+    np.testing.assert_allclose(_conv(x, w, b), brute_conv(x, w, b), atol=1e-12)
+    x = rng.normal(size=(2, 3, 1, 5))
+    w = rng.normal(size=(4, 3, 1, 5))  # a closing kernel over whole days
+    np.testing.assert_allclose(_conv(x, w, b), brute_conv(x, w, b), atol=1e-12)
 
 
 def test_conv_identity_kernel():
     x = np.arange(24.0).reshape(1, 1, 4, 6)
     w = np.ones((1, 1, 1, 1))
-    np.testing.assert_array_equal(conv2d_valid(x, w, np.zeros(1)), x)
+    np.testing.assert_array_equal(_conv(x, w, np.zeros(1)), x)
 
 
 @settings(max_examples=40, deadline=None)
@@ -86,25 +99,38 @@ def test_conv_identity_kernel():
     kw=st.integers(2, 3),
     extra_h=st.integers(0, 3),
     extra_w=st.integers(0, 3),
+    closing=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_conv_grads_match_direct_sum(n, c_in, c_out, kh, kw, extra_h, extra_w, seed):
+def test_conv_grads_match_direct_sum(n, c_in, c_out, kh, kw, extra_h, extra_w, closing, seed):
+    # the kernels the net accepts: kh x 1 over any width, or 1 x W over a
+    # one-hour input of width W
+    if closing:
+        kh, extra_h, extra_w = 1, 0, 0
+    else:
+        kw = 1
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, c_in, kh + extra_h, kw + extra_w))
     w = rng.normal(size=(c_out, c_in, kh, kw))
     dz = rng.normal(size=(n, c_out, extra_h + 1, extra_w + 1))
-    dw, dx = _conv_grads(x, w, dz)
+    dw, dx = _conv_grads(channels_first(x), w, channels_first(dz))
     dw_ref, dx_ref = brute_conv_grads(x, w, dz)
     np.testing.assert_allclose(dw, dw_ref, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(batch_first(dx, n), dx_ref, rtol=0, atol=1e-10)
 
 
 def test_conv_shape_errors():
-    x = np.zeros((1, 2, 3, 3))
+    x = channels_first(np.zeros((1, 2, 3, 3)))
     with pytest.raises(ValueError):
-        conv2d_valid(x, np.zeros((1, 3, 2, 2)), np.zeros(1))  # channel mismatch
+        conv2d_valid(x, np.zeros((1, 3, 2, 1)), np.zeros(1))  # channel mismatch
     with pytest.raises(ValueError):
-        conv2d_valid(x, np.zeros((1, 2, 4, 2)), np.zeros(1))  # kernel too tall
+        conv2d_valid(x, np.zeros((1, 2, 4, 1)), np.zeros(1))  # kernel too tall
+    with pytest.raises(ValueError):
+        conv2d_valid(x, np.zeros((1, 2, 1, 3)), np.zeros(1))  # day kernel on 3 hours
+    with pytest.raises(ValueError):
+        conv2d_valid(x, np.zeros((1, 2, 2, 3)), np.zeros(1))  # a 2-D kernel
+    with pytest.raises(ValueError):
+        conv2d_valid(x[:, :1], np.zeros((1, 2, 1, 2)), np.zeros(1))  # 3 columns, 2-day rows
     with pytest.raises(ValueError):
         conv2d_valid(np.zeros(5), np.zeros((1, 1, 1, 1)), np.zeros(1))
 
@@ -115,12 +141,13 @@ def test_dense_matches_oracle():
     w = rng.normal(size=(3, 7))
     b = rng.normal(size=3)
     np.testing.assert_allclose(dense_affine(x, w, b), brute_dense(x, w, b), atol=1e-12)
-    np.testing.assert_allclose(dense_affine(x[0], w, b), brute_dense(x[:1], w, b)[0], atol=1e-12)
 
 
 def test_dense_dimension_mismatch():
     with pytest.raises(ValueError):
         dense_affine(np.zeros(5), np.zeros((3, 7)), np.zeros(3))
+    with pytest.raises(ValueError):
+        dense_affine(np.zeros(7), np.zeros((3, 7)), np.zeros(3))  # a vector, not a batch
 
 
 def test_leaky_relu_values():
@@ -207,17 +234,17 @@ def test_conv_is_linear_in_input_and_weights():
     rng = np.random.default_rng(9)
     x1 = rng.normal(size=(2, 3, 8, 7))
     x2 = rng.normal(size=(2, 3, 8, 7))
-    w1 = rng.normal(size=(4, 3, 3, 2))
-    w2 = rng.normal(size=(4, 3, 3, 2))
+    w1 = rng.normal(size=(4, 3, 3, 1))
+    w2 = rng.normal(size=(4, 3, 3, 1))
     zero = np.zeros(4)
     np.testing.assert_allclose(
-        conv2d_valid(x1 + x2, w1, zero),
-        conv2d_valid(x1, w1, zero) + conv2d_valid(x2, w1, zero),
+        _conv(x1 + x2, w1, zero),
+        _conv(x1, w1, zero) + _conv(x2, w1, zero),
         atol=1e-12,
     )
     np.testing.assert_allclose(
-        conv2d_valid(x1, w1 + w2, zero),
-        conv2d_valid(x1, w1, zero) + conv2d_valid(x1, w2, zero),
+        _conv(x1, w1 + w2, zero),
+        _conv(x1, w1, zero) + _conv(x1, w2, zero),
         atol=1e-12,
     )
 
@@ -231,8 +258,8 @@ def test_conv_translation_equivariant_along_hours():
     x2 = np.zeros((1, 1, 10, 4))
     x1[0, 0, 2:5] = pattern
     x2[0, 0, 3:6] = pattern
-    y1 = conv2d_valid(x1, w, b)
-    y2 = conv2d_valid(x2, w, b)
+    y1 = _conv(x1, w, b)
+    y2 = _conv(x2, w, b)
     np.testing.assert_allclose(y2[:, :, 1:], y1[:, :, :-1], atol=1e-12)
 
 
@@ -245,3 +272,56 @@ def test_forward_is_pure():
     probs_b, feats_b, _ = forward_batch(params, x)
     np.testing.assert_array_equal(probs_a, probs_b)
     np.testing.assert_array_equal(feats_a, feats_b)
+
+
+def _relative(got, want):
+    return float(np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    hour_kernels=st.lists(st.integers(1, 4), max_size=4),
+    days=st.integers(1, 7),
+    widths=st.lists(st.integers(1, 4), min_size=8, max_size=8),
+    classes=st.integers(2, 4),
+    n=st.integers(1, 40),
+    param_dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_float32_input_runs_in_float32_and_tracks_float64(
+    hour_kernels, days, widths, classes, n, param_dtype, seed
+):
+    kernels = tuple((k, 1) for k in hour_kernels) + ((1, days),)
+    cfg = NetworkConfig(
+        classes=classes,
+        in_channels=widths[0],
+        hours=1 + sum(k - 1 for k in hour_kernels),
+        days=days,
+        kernels=kernels,
+        filters=tuple(widths[1 : 1 + len(kernels)]),
+        dense=(widths[6] + 2, widths[7] + 1),
+    )
+    params = init_params(cfg, seed % 1000)
+    rng = np.random.default_rng(seed)
+    for name in params.tensors:
+        if name.endswith(".b"):
+            params.tensors[name] = rng.normal(0.0, 0.1, params.tensors[name].shape)
+    x = rng.normal(size=(n, cfg.in_channels, cfg.hours, cfg.days))
+    labels = rng.integers(classes, size=n)
+    probs64, _, trace64 = forward_batch(params, x)
+    grads64 = backward(params, trace64, loss_gradient(probs64, labels))
+
+    params.tensors = {k: v.astype(param_dtype) for k, v in params.tensors.items()}
+    probs32, feats32, trace32 = forward_batch(params, x.astype(np.float32))
+    grads32 = backward(params, trace32, loss_gradient(probs32, labels))
+
+    arrays = [a for layer in trace32.layers for a in layer if a is not None]
+    arrays += [probs32, feats32, trace32.logits, trace32.probs, *grads32.values()]
+    assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+    assert _relative(probs32, probs64) <= 1e-4
+    # over all gradients at once: a single tensor's gradient can be a
+    # near-cancelling sum, whose float32 rounding is large relative to it
+    names = sorted(grads64)
+    flat32 = np.concatenate([grads32[k].ravel() for k in names])
+    flat64 = np.concatenate([grads64[k].ravel() for k in names])
+    assert _relative(flat32, flat64) <= 1e-4

@@ -3,6 +3,7 @@ from datetime import date
 import numpy as np
 import pytest
 
+from cdrnet import training
 from cdrnet.featurize import LabelSpace, TensorDataset, WeekId
 from cdrnet.ingest import LabelRecord
 from cdrnet.net import NetworkConfig
@@ -225,3 +226,29 @@ def test_non_finite_input_raises_numeric_error():
     cfg = TrainConfig(epochs=1, batch_size=4, seed=0, val_fraction=0.0)
     with np.errstate(invalid="ignore"), pytest.raises(NumericError):
         train(ds, labels, GENDER, cfg, NetworkConfig(classes=2, **SMALL_NET))
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("gradient", "non-finite conv3.w gradient at epoch 1, step 2"),
+    ("parameter", "non-finite dense7.b parameter at epoch 1, step 2"),
+])
+def test_numeric_error_names_the_tensor_epoch_and_step(monkeypatch, bad, message):
+    ds, labels = _toy_dataset(n_users=8, weeks=2)
+    cfg = TrainConfig(epochs=2, batch_size=4, seed=0, val_fraction=0.0)
+    calls = []
+    real_backward = training.backward
+
+    def backward(params, trace, dlogits):
+        grads = real_backward(params, trace, dlogits)
+        calls.append(None)
+        if len(calls) == 2:
+            if bad == "gradient":
+                grads["conv3.w"][0, 0, 0, 0] = np.inf
+            else:  # a parameter gone non-finite under finite gradients
+                params.tensors["dense7.b"][0] = np.inf
+        return grads
+
+    monkeypatch.setattr(training, "backward", backward)
+    with pytest.raises(NumericError) as info:
+        train(ds, labels, GENDER, cfg, NetworkConfig(classes=2, **SMALL_NET))
+    assert str(info.value) == message

@@ -14,8 +14,20 @@ Weeks are Monday-anchored local time. Normalization is log1p followed by
 per-channel z-scoring with training-set statistics: counts and durations
 are heavy-tailed, raw values would be poorly scaled for convolution.
 
-Datasets round-trip through a "CDRTENSOR/1" container (see container.py)
-holding the raw tensors plus an optional NormStats sidecar.
+Datasets round-trip through a "CDRTENSOR/2" container (see container.py)
+holding the raw tensors in compressed sparse row form plus an optional
+NormStats sidecar. Row i's non-zero cells are cells[offsets[i]:offsets[i+1]],
+each a flat (channel, hour, day) index below 1344 in increasing order, with
+their values in counts at the same positions:
+
+    offsets   <i8   N+1 entries, offsets[0] == 0, offsets[N] == len(cells)
+    cells     <u2   flat cell index of each non-zero count
+    counts    <f8   the non-zero counts
+
+The tensors are mostly zeros (9.4% of cells are non-zero on a reference
+synthetic set), so the file is an eighth of the dense float64 size or less.
+Loading checks the arrays and scatters them into a dense (N, 8, 24, 7)
+float64 array. Dense "CDRTENSOR/1" files are refused; featurize rebuilds them.
 """
 
 from __future__ import annotations
@@ -26,11 +38,12 @@ from datetime import date
 
 import numpy as np
 
-from .container import ContainerError, read_container, write_container
+from .container import ContainerError, FormatVersionError, read_container, write_container
 from .ingest import EPOCH_ORDINAL, CdrColumns, CdrRecord, LabelRecord
 
 N_CHANNELS, N_HOURS, N_DAYS = 8, 24, 7
 N_CELLS = N_HOURS * N_DAYS
+TENSOR_CELLS = N_CHANNELS * N_CELLS  # flat cells of one week tensor
 
 CHANNELS = (
     "out_unique_contacts",
@@ -46,7 +59,7 @@ CHANNELS = (
 _CH_UNIQUE, _CH_CALLS, _CH_TEXTS, _CH_DURATION = 0, 1, 2, 3
 _IN_BASE = 4  # incoming channels follow the four outgoing ones
 
-TENSOR_MAGIC = "CDRTENSOR/1"
+TENSOR_MAGIC = "CDRTENSOR/2"
 STD_FLOOR = 1e-6
 
 
@@ -121,8 +134,12 @@ def fit_normalizer(tensors) -> NormStats:
         raise ValueError("fit_normalizer needs a non-empty list of week tensors")
     logs = np.log1p(arr)
     mean = logs.mean(axis=(0, 2, 3))
-    std = np.maximum(logs.std(axis=(0, 2, 3)), STD_FLOOR)
-    return NormStats(mean, std)
+    # logs.std(axis=(0, 2, 3)) step for step, with the deviations in place of
+    # the logs instead of in a second full-size array
+    logs -= mean[:, None, None]
+    np.multiply(logs, logs, out=logs)
+    std = np.sqrt(logs.sum(axis=(0, 2, 3)) / (logs.size // N_CHANNELS))
+    return NormStats(mean, np.maximum(std, STD_FLOOR))
 
 
 def apply_normalizer(tensor, stats: NormStats) -> np.ndarray:
@@ -290,36 +307,85 @@ def featurize_users(columns: CdrColumns, include_empty_weeks: bool = False) -> T
 
 
 def save_tensor_dataset(path, ds: TensorDataset) -> None:
+    """Write a tensor file, keeping only the non-zero cells of each tensor."""
+    flat = ds.tensors.reshape(len(ds), TENSOR_CELLS)
+    nonzero = np.flatnonzero(flat)
     header = {
         "count": len(ds),
         "users": ds.user_ids,
         "weeks": [wk.start_date.isoformat() for wk in ds.weeks],
         "has_norm": ds.norm_stats is not None,
     }
-    arrays = {"tensors": ds.tensors}
+    arrays = {
+        "offsets": np.searchsorted(nonzero, np.arange(len(ds) + 1) * TENSOR_CELLS),
+        "cells": (nonzero % TENSOR_CELLS).astype(np.uint16),
+        "counts": flat.reshape(-1)[nonzero].astype(np.float64, copy=False),
+    }
     if ds.norm_stats is not None:
         arrays["norm.mean"] = ds.norm_stats.mean
         arrays["norm.std"] = ds.norm_stats.std
     write_container(path, TENSOR_MAGIC, header, arrays)
 
 
+_SPARSE_DTYPES = {"offsets": np.int64, "cells": np.uint16, "counts": np.float64}
+
+
+def _sparse_index(path, arrays: dict[str, np.ndarray]) -> tuple[int, np.ndarray, np.ndarray]:
+    """(rows, flat index into the dense tensors, counts) of a file's sparse arrays.
+
+    Arrays that do not form the layout in the module docstring are a
+    ContainerError naming the array.
+    """
+    for name, dtype in _SPARSE_DTYPES.items():
+        arr = arrays.get(name)
+        if arr is None or arr.ndim != 1 or arr.dtype != dtype:
+            got = "missing" if arr is None else f"of shape {arr.shape} and dtype {arr.dtype}"
+            raise ContainerError(f"{path}: array {name} {got}, expected 1-D {np.dtype(dtype)}")
+    offsets, cells, counts = arrays["offsets"], arrays["cells"], arrays["counts"]
+    if not len(offsets) or offsets[0] != 0:
+        raise ContainerError(f"{path}: offsets do not start at 0")
+    sizes = np.diff(offsets)
+    if (sizes < 0).any():
+        raise ContainerError(f"{path}: offsets decrease")
+    if offsets[-1] != len(cells):
+        raise ContainerError(f"{path}: offsets end at {offsets[-1]}, not at the {len(cells)} cells")
+    if len(counts) != len(cells):
+        raise ContainerError(f"{path}: {len(counts)} counts for {len(cells)} cells")
+    if len(cells) and cells.max() >= TENSOR_CELLS:
+        raise ContainerError(
+            f"{path}: cells hold index {cells.max()}, expected below {TENSOR_CELLS}"
+        )
+    # counts are finite and non-negative; a NaN minimum fails the test too
+    if len(counts) and not (0.0 <= counts.min() and counts.max() < np.inf):
+        raise ContainerError(f"{path}: counts hold a NaN, infinite or negative count")
+    index = np.repeat(np.arange(len(sizes)) * TENSOR_CELLS, sizes)
+    index += cells
+    if (index[1:] <= index[:-1]).any():
+        raise ContainerError(f"{path}: cells of a tensor are not in increasing order")
+    return len(sizes), index, counts
+
+
 def load_tensor_dataset(path) -> TensorDataset:
     """Read a tensor file; a header that does not describe its tensors is a ContainerError."""
-    header, arrays = read_container(path, TENSOR_MAGIC)
-    tensors = arrays.get("tensors")
-    if tensors is None or tensors.shape[1:] != (N_CHANNELS, N_HOURS, N_DAYS):
-        shape = None if tensors is None else tensors.shape
-        raise ContainerError(f"{path}: tensors of shape {shape}, expected (N, 8, 24, 7)")
+    try:
+        header, arrays = read_container(path, TENSOR_MAGIC)
+    except FormatVersionError:
+        raise FormatVersionError(
+            f"{path}: not a {TENSOR_MAGIC} tensor file; re-run featurize to rebuild it"
+        ) from None
+    rows, index, counts = _sparse_index(path, arrays)
     for name in ("users", "weeks"):
         value = header.get(name)
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
             raise ContainerError(f"{path}: {name} is not a list of strings")
-        if len(value) != len(tensors):
-            raise ContainerError(f"{path}: {len(value)} {name} for {len(tensors)} tensors")
-    # counts are finite and non-negative; a NaN minimum fails the test too
-    if tensors.size and not (0.0 <= tensors.min() and tensors.max() < np.inf):
-        raise ContainerError(f"{path}: tensors hold a NaN, infinite or negative count")
-    weeks = [WeekId(date.fromisoformat(s)) for s in header["weeks"]]
+        if len(value) != rows:
+            raise ContainerError(f"{path}: {len(value)} {name} for {rows} tensors in offsets")
+    tensors = np.zeros((rows, N_CHANNELS, N_HOURS, N_DAYS))
+    tensors.reshape(-1)[index] = counts
+    try:
+        weeks = [WeekId(date.fromisoformat(s)) for s in header["weeks"]]
+    except ValueError as exc:
+        raise ContainerError(f"{path}: weeks hold a bad week start: {exc}") from None
     stats = None
     if header.get("has_norm"):
         for name in ("norm.mean", "norm.std"):

@@ -21,10 +21,12 @@ from cdrnet.featurize import (
     LabelSpace,
     TensorDataset,
     WeekId,
+    featurize_users,
     fit_normalizer,
+    load_tensor_dataset,
     save_tensor_dataset,
 )
-from cdrnet.ingest import LabelRecord
+from cdrnet.ingest import LabelRecord, ingest
 from cdrnet.modelfile import save_model
 from cdrnet.net import NetworkConfig, init_params
 
@@ -106,6 +108,25 @@ def test_dataset_grouping_and_user_split_exist():
 
     assert callable(TensorDataset.by_user)
     assert callable(training.split_users)
+
+
+def test_featurize_output_loads_back_as_the_dense_tensors_the_bench_reads(tmp_path):
+    # perfbench/checks.py compares ds.tensors[i] with the brute-force oracle and
+    # perfbench/pipeline.py reads ds.by_user() and ds.tensors != 0
+    cdr = tmp_path / "cdr.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["synth", "--cdr", str(cdr), "--labels", str(tmp_path / "l.csv"),
+                    "--users", "6", "--weeks", "3", "--seed", "2"]) == 0
+        assert run(["featurize", "--cdr", str(cdr), "--out", str(tmp_path / "t.bin")]) == 0
+    groups, _, _ = ingest(cdr.read_text(encoding="utf-8").splitlines(keepends=True))
+    expected = featurize_users(groups)
+    ds = load_tensor_dataset(tmp_path / "t.bin")
+    assert ds.tensors.dtype == np.float64 and ds.tensors.shape == (len(expected), 8, 24, 7)
+    assert np.array_equal(ds.tensors, expected.tensors)
+    assert (ds.user_ids, ds.weeks) == (expected.user_ids, expected.weeks)
+    by_user = ds.by_user()
+    assert list(by_user) == sorted(set(expected.user_ids))
+    assert sum(len(t) for t in by_user.values()) == len(expected)
 
 
 def test_featurize_report_is_the_first_stdout_line(tmp_path):

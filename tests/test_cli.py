@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -466,11 +467,25 @@ def _rewrite(src, dst, magic, edit):
     (lambda h, a: h.update(users=list(range(len(h["users"])))), "users"),
     (lambda h, a: h.update(weeks=5), "weeks"),
     (lambda h, a: h.update(weeks=h["weeks"][1:]), "weeks"),
-    (lambda h, a: a.pop("tensors"), "tensors"),
-    (lambda h, a: a.update(tensors=a["tensors"][:, :4]), "tensors"),
-    (lambda h, a: np.put(a["tensors"], 0, np.nan), "tensors"),
-    (lambda h, a: np.put(a["tensors"], 0, -5.0), "tensors"),
+    # the four cases of the dense layout's "tensors" array, ported to the
+    # sparse arrays under their old ids: missing, misshapen, NaN and -5
+    pytest.param(lambda h, a: a.pop("counts"), "counts", id="<lambda>-tensors0"),
+    pytest.param(lambda h, a: a.update(counts=a["counts"][:, None]), "counts",
+                 id="<lambda>-tensors1"),
+    pytest.param(lambda h, a: np.put(a["counts"], 0, np.nan), "counts", id="<lambda>-tensors2"),
+    pytest.param(lambda h, a: np.put(a["counts"], 0, -5.0), "counts", id="<lambda>-tensors3"),
     (lambda h, a: [a.pop(name) for name in ("norm.mean", "norm.std")], "norm.mean"),
+    (lambda h, a: a.pop("offsets"), "offsets"),
+    (lambda h, a: a.update(cells=a["cells"].astype(np.int64)), "cells"),
+    (lambda h, a: np.put(a["offsets"], 0, 1), "offsets"),
+    (lambda h, a: np.put(a["offsets"], 1, a["offsets"][2] + 1), "offsets"),
+    (lambda h, a: np.put(a["offsets"], -1, a["offsets"][-1] + 1), "offsets"),
+    (lambda h, a: a.update(counts=a["counts"][:-1]), "counts"),
+    (lambda h, a: np.put(a["cells"], 0, 8 * 24 * 7), "cells"),
+    (lambda h, a: np.put(a["cells"], [0, 1], a["cells"][[1, 0]]), "cells"),
+    (lambda h, a: a.update(offsets=np.append(a["offsets"], a["offsets"][-1])), "users"),
+    (lambda h, a: h["weeks"].__setitem__(0, "2024,01-01"), "weeks"),
+    (lambda h, a: h["weeks"].__setitem__(0, "2024-01-02"), "weeks"),
 ])
 def test_tensor_file_with_a_crafted_header_exits_two(pipeline, tmp_path, command, edit, field):
     paths, _ = pipeline
@@ -481,6 +496,44 @@ def test_tensor_file_with_a_crafted_header_exits_two(pipeline, tmp_path, command
     assert code == 2
     line = _error_line(err)
     assert str(bad) in line and field in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "train", "train-svm"])
+@pytest.mark.parametrize("dtype", ["|O", ">f8", "<f4"])
+def test_tensor_file_with_a_foreign_array_dtype_exits_two(pipeline, tmp_path, command, dtype):
+    paths, _ = pipeline
+    raw = paths["tensors"].read_bytes()
+    start = raw.index(b"\n") + 1 + 8  # after the magic line and the header length
+    end = start + int.from_bytes(raw[start - 8 : start], "little")
+    header = json.loads(raw[start:end])
+    for entry in header["arrays"]:
+        if entry["name"] == "counts":
+            entry["dtype"] = dtype  # refused by the manifest check, before any sizing
+    header_bytes = json.dumps(header, sort_keys=True).encode()
+    body = raw[: start - 8] + len(header_bytes).to_bytes(8, "little") + header_bytes
+    body += raw[end:-32]
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(body + hashlib.sha256(body).digest())
+    out = tmp_path / "out"
+    code, _, err = _run(_commands(paths, paths["svm_model"], bad, out)[command])
+    assert code == 2
+    line = _error_line(err)
+    assert str(bad) in line and "counts" in line and dtype in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "train", "train-svm"])
+def test_dense_tensor_file_of_the_first_format_exits_two(pipeline, tmp_path, command):
+    paths, _ = pipeline
+    old = tmp_path / "old.bin"
+    write_container(old, "CDRTENSOR/1", {"users": ["u1"], "weeks": ["2024-01-01"]},
+                    {"tensors": np.zeros((1, 8, 24, 7))})
+    out = tmp_path / "out"
+    code, _, err = _run(_commands(paths, paths["svm_model"], old, out)[command])
+    assert code == 2
+    line = _error_line(err)
+    assert str(old) in line and "re-run featurize" in line
     assert not out.exists()
 
 

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdrnet.container import read_container
 from cdrnet.featurize import (
     CHANNELS,
+    TENSOR_MAGIC,
     AgeBuckets,
     LabelSpace,
     NormStats,
@@ -303,6 +305,62 @@ def test_tensor_dataset_round_trip_without_stats(tmp_path):
     path = tmp_path / "t.bin"
     save_tensor_dataset(path, ds)
     assert load_tensor_dataset(path).norm_stats is None
+
+
+def test_empty_tensor_dataset_round_trips(tmp_path):
+    path = tmp_path / "t.bin"
+    save_tensor_dataset(path, TensorDataset([], [], np.zeros((0, 8, 24, 7))))
+    back = load_tensor_dataset(path)
+    assert (back.user_ids, back.weeks, back.tensors.shape) == ([], [], (0, 8, 24, 7))
+
+
+def test_empty_weeks_store_no_cells_and_round_trip(tmp_path):
+    groups = _groups({"u": [(0, 9), (28, 10)], "v": [(3, 1)]})
+    ds = featurize_users(groups, include_empty_weeks=True)
+    assert len(ds) == 6 and not ds.tensors[1:4].any()
+    path = tmp_path / "t.bin"
+    save_tensor_dataset(path, ds)
+    _, arrays = read_container(path, TENSOR_MAGIC)
+    assert np.diff(arrays["offsets"]).tolist()[1:4] == [0, 0, 0]
+    assert len(arrays["cells"]) == np.count_nonzero(ds.tensors)
+    back = load_tensor_dataset(path)
+    assert (back.user_ids, back.weeks) == (ds.user_ids, ds.weeks)
+    assert back.tensors.dtype == np.float64
+    np.testing.assert_array_equal(back.tensors, ds.tensors)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.integers(0, 6),
+    density=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sparse_tensor_file_round_trips_any_counts(tmp_path_factory, rows, density, seed):
+    rng = np.random.default_rng(seed)
+    tensors = rng.exponential(50.0, size=(rows, 8, 24, 7))
+    tensors[rng.random(tensors.shape) >= density] = 0.0
+    ds = TensorDataset([f"u{i}" for i in range(rows)], [WEEK] * rows, tensors)
+    path = tmp_path_factory.mktemp("sparse") / "t.bin"
+    save_tensor_dataset(path, ds)
+    back = load_tensor_dataset(path)
+    assert back.user_ids == ds.user_ids
+    assert np.array_equal(back.tensors, tensors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 5),
+    scale=st.sampled_from([0.0, 0.1, 3.0, 1e4]),
+    density=st.sampled_from([0.05, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_normalizer_equals_numpy_mean_and_std(rows, scale, density, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.exponential(scale, size=(rows, 8, 24, 7)) * (rng.random((rows, 8, 24, 7)) < density)
+    logs = np.log1p(x)
+    stats = fit_normalizer(x)
+    assert np.array_equal(stats.mean, logs.mean(axis=(0, 2, 3)))
+    assert np.array_equal(stats.std, np.maximum(logs.std(axis=(0, 2, 3)), 1e-6))
 
 
 def test_channel_sums_conserve_counts_and_durations():

@@ -288,8 +288,8 @@ class Metrics:
     confusion: np.ndarray
     precision: np.ndarray
     recall: np.ndarray
-    class_labels: tuple[str, ...] | None = None
-    unlabeled: int = 0
+    class_labels: tuple[str, ...]
+    unlabeled: int
 
     def to_json(self) -> dict:
         return {
@@ -301,40 +301,30 @@ class Metrics:
             "confusion": self.confusion.tolist(),
             "precision": [float(p) for p in self.precision],
             "recall": [float(r) for r in self.recall],
-            "class_labels": list(self.class_labels) if self.class_labels else None,
+            "class_labels": list(self.class_labels),
         }
 
 
 def evaluate(
-    predictions,
-    truth,
-    n_classes: int | None = None,
-    class_labels: tuple[str, ...] | None = None,
+    predictions: list[UserPrediction], truth: dict[str, int], class_labels: tuple[str, ...]
 ) -> Metrics:
-    """Score (user_id, class index) predictions against a truth mapping.
+    """Score predictions against true class indices over K = len(class_labels) classes.
 
-    predictions may be UserPrediction objects or (user_id, class) pairs;
-    truth is a dict or pair list. Predicted users without a truth entry are
-    left out and counted as unlabeled; a ValueError is raised when none has
-    one. The majority baseline is the frequency of the most common true
-    class; the uniform baseline is 1/K.
+    Predicted users without a truth entry are left out and counted as
+    unlabeled; a ValueError is raised when none has one. The majority
+    baseline is the frequency of the most common true class; the uniform
+    baseline is 1/K.
     """
-    truth_map = dict(truth) if not isinstance(truth, dict) else truth
-    predicted = [
-        (p.user_id, p.class_index) if isinstance(p, UserPrediction) else (p[0], int(p[1]))
-        for p in predictions
-    ]
-    if not predicted:
+    if not predictions:
         raise ValueError("no predictions to evaluate")
-    pairs = [(u, c) for u, c in predicted if u in truth_map]
-    if not pairs:
-        missing = [u for u, _ in predicted]
-        raise ValueError(f"no truth label for any predicted user, e.g. {missing[:5]}")
+    scored = [p for p in predictions if p.user_id in truth]
+    if not scored:
+        missing = [p.user_id for p in predictions[:5]]
+        raise ValueError(f"no truth label for any predicted user, e.g. {missing}")
 
-    true = np.array([int(truth_map[u]) for u, _ in pairs], dtype=np.intp)
-    pred = np.array([c for _, c in pairs], dtype=np.intp)
-    if n_classes is None:
-        n_classes = len(class_labels) if class_labels else int(max(true.max(), pred.max())) + 1
+    true = np.array([truth[p.user_id] for p in scored], dtype=np.intp)
+    pred = np.array([p.class_index for p in scored], dtype=np.intp)
+    n_classes = len(class_labels)
 
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(confusion, (true, pred), 1)
@@ -344,7 +334,7 @@ def evaluate(
     precision = np.divide(diag, col, out=np.zeros(n_classes), where=col > 0)
     recall = np.divide(diag, row, out=np.zeros(n_classes), where=row > 0)
 
-    n = len(pairs)
+    n = len(scored)
     return Metrics(
         n_users=n,
         accuracy=float((true == pred).mean()),
@@ -354,7 +344,7 @@ def evaluate(
         precision=precision,
         recall=recall,
         class_labels=class_labels,
-        unlabeled=len(predicted) - n,
+        unlabeled=len(predictions) - n,
     )
 
 

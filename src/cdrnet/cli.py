@@ -28,7 +28,7 @@ from .classify import (
     write_predictions,
 )
 from .container import ContainerError
-from .featurize import DEFAULT_AGE_EDGES, AgeBuckets, LabelSpace, featurize_users, fit_normalizer
+from .featurize import DEFAULT_AGE_EDGES, LabelSpace, featurize_users, fit_normalizer
 from .featurize import load_tensor_dataset, save_tensor_dataset
 from .ingest import IngestError, ParseError, ingest, load_labels
 from .modelfile import load_model, save_model
@@ -93,7 +93,7 @@ def _checked_ints(text: str, check) -> tuple[int, ...]:
 
 
 def _age_edges(text: str) -> tuple[int, ...]:
-    return _checked_ints(text, lambda v: AgeBuckets(v).edges)
+    return _checked_ints(text, lambda v: LabelSpace.fit("age", (), v).age_edges)
 
 
 def _filters(text: str) -> tuple[int, ...]:
@@ -112,6 +112,14 @@ def _dense(text: str) -> tuple[int, ...]:
 def _read_lines(path) -> list[str]:
     with open(path, encoding="utf-8") as fh:
         return fh.readlines()
+
+
+def _load_tensors(path):
+    """A tensor file with at least one tensor; an empty one is a ValueError."""
+    ds = load_tensor_dataset(path)
+    if len(ds) == 0:
+        raise ValueError(f"{path}: empty tensor file")
+    return ds
 
 
 def _cmd_synth(args) -> int:
@@ -138,7 +146,7 @@ def _cmd_featurize(args) -> int:
     if report.records_accepted == 0:
         print(f"error: {args.cdr}: no usable records", file=sys.stderr)
         return 2
-    ds = featurize_users(groups, include_empty_weeks=args.include_empty_weeks)
+    ds = featurize_users(groups)
     ds.norm_stats = fit_normalizer(ds.tensors)
     save_tensor_dataset(args.out, ds)
     print(f"wrote {len(ds)} user-week tensors for {len(set(ds.user_ids))} users")
@@ -146,10 +154,7 @@ def _cmd_featurize(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    ds = load_tensor_dataset(args.tensors)
-    if len(ds) == 0:
-        print(f"error: {args.tensors}: empty tensor file", file=sys.stderr)
-        return 2
+    ds = _load_tensors(args.tensors)
     labels, report = load_labels(_read_lines(args.labels))
     if not labels:
         print(f"error: {args.labels}: no usable labels", file=sys.stderr)
@@ -186,10 +191,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_train_svm(args) -> int:
     params = load_model(args.model)
-    ds = load_tensor_dataset(args.tensors)
-    if len(ds) == 0:
-        print(f"error: {args.tensors}: empty tensor file", file=sys.stderr)
-        return 2
+    ds = _load_tensors(args.tensors)
     labels, _ = load_labels(_read_lines(args.labels))
     svm = train_svm_head(
         params,
@@ -209,10 +211,7 @@ def _cmd_train_svm(args) -> int:
 
 def _cmd_predict(args) -> int:
     params = load_model(args.model)
-    ds = load_tensor_dataset(args.tensors)
-    if len(ds) == 0:
-        print(f"error: {args.tensors}: empty tensor file", file=sys.stderr)
-        return 2
+    ds = _load_tensors(args.tensors)
     preds = predict_dataset(params, ds, head=args.head)
     write_predictions(args.out, preds)
     print(f"wrote {len(preds)} predictions ({args.head} head) to {args.out}")
@@ -290,7 +289,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("featurize", help="turn a CDR csv into week tensors")
     p.add_argument("--cdr", required=True, help="input CDR csv path")
     p.add_argument("--out", required=True, help="output tensor file path")
-    p.add_argument("--include-empty-weeks", action="store_true")
     p.set_defaults(func=_cmd_featurize)
 
     p = sub.add_parser("train", help="train the network on week tensors")

@@ -66,7 +66,7 @@ def write_container(path, magic: str, header: dict, arrays: dict[str, np.ndarray
     for name, arr in arrays.items():
         arr = np.asarray(arr)
         dtype = arr.dtype.str if arr.dtype.str in DTYPES else DEFAULT_DTYPE
-        arr = np.ascontiguousarray(arr, dtype=dtype)
+        arr = np.require(arr, dtype, requirements="C")  # keeps a 0-d shape
         entry = {"name": name, "shape": list(arr.shape)}
         if dtype != DEFAULT_DTYPE:
             entry["dtype"] = dtype

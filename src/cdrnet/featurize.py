@@ -39,7 +39,7 @@ from datetime import date
 import numpy as np
 
 from .container import ContainerError, FormatVersionError, read_container, write_container
-from .ingest import EPOCH_ORDINAL, CdrColumns, CdrRecord, LabelRecord
+from .ingest import EPOCH_ORDINAL, CdrColumns, LabelRecord
 
 N_CHANNELS, N_HOURS, N_DAYS = 8, 24, 7
 N_CELLS = N_HOURS * N_DAYS
@@ -108,17 +108,6 @@ def _count_tensors(row, n_rows: int, columns: CdrColumns, weekday) -> np.ndarray
     return counts.reshape(n_rows, N_CHANNELS, N_HOURS, N_DAYS)
 
 
-def build_week_tensor(records: list[CdrRecord], week: WeekId) -> np.ndarray:
-    """Raw (8, 24, 7) counts for one user-week; raises ValueError for a record outside it."""
-    columns = CdrColumns.from_records(records)
-    weekday = columns.day - (week.start_date.toordinal() - EPOCH_ORDINAL)
-    outside = (weekday < 0) | (weekday >= N_DAYS)
-    if outside.any():
-        rec = records[int(np.argmax(outside))]
-        raise ValueError(f"record at {rec.timestamp} outside week of {week.start_date}")
-    return _count_tensors(np.zeros(len(columns), dtype=np.int64), 1, columns, weekday)[0]
-
-
 @dataclass(frozen=True)
 class NormStats:
     """Per-channel mean/std of log1p cell values over a training set."""
@@ -151,39 +140,21 @@ def apply_normalizer(tensor, stats: NormStats) -> np.ndarray:
     return t
 
 
-@dataclass(frozen=True)
-class AgeBuckets:
-    """Right-open age intervals from strictly increasing year edges."""
-
-    edges: tuple[int, ...]
-
-    def __post_init__(self):
-        edges = tuple(int(e) for e in self.edges)
-        object.__setattr__(self, "edges", edges)
-        if not edges:
-            raise ValueError("at least one bucket edge required")
-        if any(b <= a for a, b in zip(edges, edges[1:])):
-            raise ValueError(f"bucket edges must be strictly increasing: {edges}")
-        if edges[0] <= 0:
-            raise ValueError("bucket edges must be positive years")
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.edges) + 1
-
-    def class_labels(self) -> tuple[str, ...]:
-        bounds = (0,) + self.edges
-        labels = [f"[{lo},{hi})" for lo, hi in zip(bounds, self.edges)]
-        labels.append(f"[{self.edges[-1]},inf)")
-        return tuple(labels)
-
-
 DEFAULT_AGE_EDGES = (28, 38, 48)
 
 
-def bucketize_age(age_years: int, buckets: AgeBuckets) -> int:
-    """Index i with age in [edge_{i-1}, edge_i); first bucket starts at 0, last is open."""
-    return bisect_right(buckets.edges, age_years)
+def _age_labels(edges: tuple[int, ...]) -> tuple[str, ...]:
+    """Class labels "[lo,hi)" of the age buckets cut at strictly increasing positive years.
+
+    The first bucket starts at 0 and the last, "[last edge,inf)", is open.
+    """
+    if not edges:
+        raise ValueError("at least one bucket edge required")
+    if any(b <= a for a, b in zip(edges, edges[1:])):
+        raise ValueError(f"bucket edges must be strictly increasing: {edges}")
+    if edges[0] <= 0:
+        raise ValueError("bucket edges must be positive years")
+    return tuple(f"[{lo},{hi})" for lo, hi in zip((0,) + edges, edges)) + (f"[{edges[-1]},inf)",)
 
 
 @dataclass(frozen=True)
@@ -204,9 +175,9 @@ class LabelSpace:
         labels = tuple(self.class_labels)
         object.__setattr__(self, "class_labels", labels)
         if self.attribute == "age":
-            edges = AgeBuckets(tuple(self.age_edges or ())).edges
+            edges = tuple(int(e) for e in self.age_edges or ())
             object.__setattr__(self, "age_edges", edges)
-            if labels != AgeBuckets(edges).class_labels():
+            if labels != _age_labels(edges):
                 raise ValueError(f"class_labels {labels} disagree with age_edges {edges}")
         elif self.attribute == "gender":
             if self.age_edges is not None:
@@ -225,7 +196,8 @@ class LabelSpace:
     ) -> LabelSpace:
         """The space of attribute over the given label records."""
         if attribute == "age":
-            return cls(attribute, AgeBuckets(tuple(age_edges)).class_labels(), tuple(age_edges))
+            edges = tuple(int(e) for e in age_edges)
+            return cls(attribute, _age_labels(edges), edges)
         return cls(attribute, tuple(sorted({r.gender for r in records})))
 
     @property
@@ -235,7 +207,8 @@ class LabelSpace:
     def index(self, record: LabelRecord) -> int:
         """Class index of a label row; a gender outside the space is a ValueError."""
         if self.attribute == "age":
-            return bucketize_age(record.age_years, AgeBuckets(self.age_edges))
+            # age in [edge_{i-1}, edge_i) is class i
+            return bisect_right(self.age_edges, record.age_years)
         try:
             return self.class_labels.index(record.gender)
         except ValueError:
@@ -270,12 +243,10 @@ class TensorDataset:
         return {uid: self.tensors[rows] for uid, rows in sorted(index.items())}
 
 
-def featurize_users(columns: CdrColumns, include_empty_weeks: bool = False) -> TensorDataset:
+def featurize_users(columns: CdrColumns) -> TensorDataset:
     """One raw tensor per active (user, week), users and weeks in sorted order.
 
-    By default a week with zero activity produces no tensor. With
-    include_empty_weeks, zero tensors fill the gaps inside each user's
-    [first, last] active-week span.
+    A week with zero activity produces no tensor.
     """
     if not len(columns):
         return TensorDataset([], [], np.zeros((0, N_CHANNELS, N_HOURS, N_DAYS)))
@@ -284,17 +255,7 @@ def featurize_users(columns: CdrColumns, include_empty_weeks: bool = False) -> T
     first = int(week.min())
     n_weeks = int(week.max()) - first + 1
     key = columns.user * n_weeks + (week - first)
-    if include_empty_weeks:
-        n_users = len(columns.user_ids)
-        lo = np.full(n_users, n_weeks)
-        hi = np.full(n_users, -1)
-        np.minimum.at(lo, columns.user, week - first)
-        np.maximum.at(hi, columns.user, week - first)
-        span = np.maximum(hi - lo + 1, 0)
-        starts = np.repeat(np.arange(n_users) * n_weeks + lo - (np.cumsum(span) - span), span)
-        row_keys = starts + np.arange(span.sum())
-    else:
-        row_keys = _distinct(key)
+    row_keys = _distinct(key)
     row = np.searchsorted(row_keys, key)
     tensors = _count_tensors(row, len(row_keys), columns, weekday)
     user_of, week_of = np.divmod(row_keys, n_weeks)

@@ -23,7 +23,6 @@ refuse with parse_cdr_line, so both accept exactly the same lines.
 from __future__ import annotations
 
 import enum
-import json
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime
@@ -150,9 +149,6 @@ class IngestReport:
                 for r in self.rejections
             ],
         }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
 
 
 _MAX_DURATION_DIGITS = 15  # below 2**53, so float64 holds every value exactly

@@ -139,12 +139,6 @@ def _float_array(x) -> np.ndarray:
     return x if x.dtype.kind == "f" else x.astype(np.float64)
 
 
-def leaky_relu(x, alpha: float) -> np.ndarray:
-    """Elementwise x if x >= 0 else alpha*x, in x's dtype."""
-    x = np.asarray(x)
-    return np.where(x >= 0, x, alpha * x)
-
-
 def _day_rows(x: np.ndarray, days: int) -> np.ndarray:
     """The (N, C*days) flatten of a one-hour (C, 1, N*days) activation."""
     c, _, m = x.shape

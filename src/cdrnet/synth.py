@@ -25,7 +25,7 @@ from datetime import date, datetime, timedelta
 
 import numpy as np
 
-from .featurize import DEFAULT_AGE_EDGES, N_DAYS, N_HOURS, AgeBuckets
+from .featurize import DEFAULT_AGE_EDGES, N_DAYS, N_HOURS, LabelSpace
 from .ingest import CDR_HEADER, LABELS_HEADER
 
 GENDERS = ("f", "m")
@@ -75,21 +75,14 @@ class Archetype:
     contact_reuse: float
 
 
-def tv_distance(p, q) -> float:
-    """Total-variation distance between two cell distributions."""
-    return float(0.5 * np.abs(np.asarray(p) - np.asarray(q)).sum())
-
-
-def make_archetypes(
-    buckets: AgeBuckets, seed: int, genders: tuple[str, ...] = GENDERS
-) -> dict[tuple[str, int], Archetype]:
+def make_archetypes(n_buckets: int, seed: int) -> dict[tuple[str, int], Archetype]:
     """One archetype per (gender, age bucket), deterministic in the seed.
 
     Each class puts BLOCK_MASS of its cell probability uniformly on its own
     slice of a permuted cell ordering and spreads the rest uniformly, which
     makes every pairwise total-variation distance exactly BLOCK_MASS.
     """
-    classes = [(g, k) for g in genders for k in range(buckets.num_classes)]
+    classes = [(g, k) for g in GENDERS for k in range(n_buckets)]
     n_cells = N_HOURS * N_DAYS
     rng = np.random.default_rng(seed)
     blocks = np.array_split(rng.permutation(n_cells), len(classes))
@@ -121,8 +114,8 @@ def generate(config: SynthConfig) -> tuple[list[str], list[str]]:
     uniformly, then emits Poisson(event_rate) events per week whose (hour,
     day) cells follow s * class_intensity + (1 - s) * uniform.
     """
-    buckets = AgeBuckets(config.age_edges)
-    archetypes = make_archetypes(buckets, config.seed)
+    edges = LabelSpace.fit("age", (), config.age_edges).age_edges
+    archetypes = make_archetypes(len(edges) + 1, config.seed)
     n_cells = N_HOURS * N_DAYS
     uniform = np.full(n_cells, 1.0 / n_cells)
     s = config.signal
@@ -135,9 +128,9 @@ def generate(config: SynthConfig) -> tuple[list[str], list[str]]:
         rng = np.random.default_rng(streams[u])
         uid = f"u{u:06d}"
         gender = GENDERS[0] if rng.random() < config.gender_ratio else GENDERS[1]
-        bucket = int(rng.integers(buckets.num_classes))
-        lo = 0 if bucket == 0 else buckets.edges[bucket - 1]
-        hi = buckets.edges[bucket] if bucket < len(buckets.edges) else buckets.edges[-1] + 30
+        bucket = int(rng.integers(len(edges) + 1))
+        lo = 0 if bucket == 0 else edges[bucket - 1]
+        hi = edges[bucket] if bucket < len(edges) else edges[-1] + 30
         age = int(rng.integers(lo, hi))
         label_lines.append(f"{uid},{gender},{age}")
 

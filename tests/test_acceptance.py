@@ -24,10 +24,9 @@ from cdrnet.featurize import (
     LabelSpace,
     TensorDataset,
     WeekId,
-    build_week_tensor,
     featurize_users,
 )
-from cdrnet.ingest import ingest
+from cdrnet.ingest import format_cdr_line, ingest
 from cdrnet.modelfile import load_model, save_model
 from cdrnet.net import (
     NetworkConfig,
@@ -146,8 +145,14 @@ def test_acceptance_3_featurization_oracle():
     while total < 10000:
         count = int(rng.integers(200, 600))
         records = random_records(rng, count, monday)
-        got = build_week_tensor(records, WeekId(monday))
-        exact = exact and np.array_equal(got, brute_week_tensor(records, monday))
+        columns, _, report = ingest([format_cdr_line(r) for r in records])
+        ds = featurize_users(columns)
+        exact = (
+            exact
+            and report.records_accepted == count
+            and ds.weeks == [WeekId(monday)]
+            and np.array_equal(ds.tensors[0], brute_week_tensor(records, monday))
+        )
         total += count
     _report(
         3,

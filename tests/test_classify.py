@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from cdrnet.classify import (
     CHUNK_ROWS,
-    Metrics,
     SvmModel,
     UserPrediction,
     evaluate,
@@ -261,10 +260,18 @@ def test_svm_matches_the_step_by_step_oracle(n, d, k, epochs, lam, seed):
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
 
 
+GENDERS = ("f", "m")
+
+
+def _rows(pairs, k=2):
+    """UserPrediction rows of (user, class) pairs, one-hot scores over k classes."""
+    return [UserPrediction(u, np.eye(k)[c], c, 1) for u, c in pairs]
+
+
 def test_evaluate_perfect_predictions():
-    preds = [("u1", 0), ("u2", 1), ("u3", 0), ("u4", 1)]
+    preds = _rows([("u1", 0), ("u2", 1), ("u3", 0), ("u4", 1)])
     truth = {"u1": 0, "u2": 1, "u3": 0, "u4": 1}
-    m = evaluate(preds, truth, n_classes=2)
+    m = evaluate(preds, truth, GENDERS)
     assert m.accuracy == 1.0
     np.testing.assert_array_equal(m.confusion, [[2, 0], [0, 2]])
     np.testing.assert_array_equal(m.precision, [1.0, 1.0])
@@ -272,9 +279,9 @@ def test_evaluate_perfect_predictions():
 
 
 def test_evaluate_majority_baseline_counting():
-    preds = [("a", 0), ("b", 0), ("c", 0), ("d", 0)]
+    preds = _rows([("a", 0), ("b", 0), ("c", 0), ("d", 0)])
     truth = {"a": 0, "b": 0, "c": 0, "d": 1}
-    m = evaluate(preds, truth, n_classes=2)
+    m = evaluate(preds, truth, GENDERS)
     assert m.accuracy == 0.75
     assert m.majority_accuracy == 0.75
     assert m.uniform_accuracy == 0.5
@@ -282,30 +289,30 @@ def test_evaluate_majority_baseline_counting():
 
 def test_evaluate_imbalanced_majority():
     truth = {f"u{i}": (0 if i < 9 else 1) for i in range(16)}
-    preds = [(u, 0) for u in truth]
-    m = evaluate(preds, truth, n_classes=2)
+    preds = _rows([(u, 0) for u in truth])
+    m = evaluate(preds, truth, GENDERS)
     assert m.majority_accuracy == pytest.approx(0.5625)
 
 
 def test_evaluate_confusion_invariants():
     rng = np.random.default_rng(2)
     truth = {f"u{i}": int(rng.integers(3)) for i in range(60)}
-    preds = [(u, int(rng.integers(3))) for u in truth]
-    m = evaluate(preds, truth, n_classes=3)
+    pairs = [(u, int(rng.integers(3))) for u in truth]
+    m = evaluate(_rows(pairs, 3), truth, ("a", "b", "c"))
     assert m.confusion.sum() == 60
     assert np.trace(m.confusion) / 60 == pytest.approx(m.accuracy)
-    true_counts = np.bincount([truth[u] for u, _ in preds], minlength=3)
+    true_counts = np.bincount([truth[u] for u, _ in pairs], minlength=3)
     np.testing.assert_array_equal(m.confusion.sum(axis=1), true_counts)
 
 
 def test_evaluate_missing_truth_rejected():
     with pytest.raises(ValueError):
-        evaluate([("ghost", 0)], {"u1": 0}, n_classes=2)
+        evaluate(_rows([("ghost", 0)]), {"u1": 0}, GENDERS)
 
 
 def test_evaluate_scores_labeled_users_and_counts_the_rest():
-    preds = [("u1", 0), ("ghost", 1), ("u2", 1), ("phantom", 0)]
-    m = evaluate(preds, {"u1": 0, "u2": 0, "u3": 1}, n_classes=2)
+    preds = _rows([("u1", 0), ("ghost", 1), ("u2", 1), ("phantom", 0)])
+    m = evaluate(preds, {"u1": 0, "u2": 0, "u3": 1}, GENDERS)
     assert (m.n_users, m.unlabeled) == (2, 2)
     assert m.accuracy == 0.5
     assert m.confusion.sum() == 2
@@ -314,14 +321,14 @@ def test_evaluate_scores_labeled_users_and_counts_the_rest():
 
 def test_evaluate_accepts_user_prediction_objects():
     preds = [UserPrediction("u1", np.array([0.9, 0.1]), 0, 3)]
-    m = evaluate(preds, {"u1": 0}, n_classes=2)
+    m = evaluate(preds, {"u1": 0}, GENDERS)
     assert m.accuracy == 1.0
 
 
 def test_metrics_to_json_round_trips_through_json():
     import json
 
-    m = evaluate([("u1", 0)], {"u1": 1}, n_classes=2, class_labels=("f", "m"))
+    m = evaluate(_rows([("u1", 0)]), {"u1": 1}, GENDERS)
     parsed = json.loads(json.dumps(m.to_json()))
     assert parsed["accuracy"] == 0.0
     assert parsed["class_labels"] == ["f", "m"]

@@ -109,6 +109,7 @@ def test_missing_required_flag_is_usage_error(tmp_path):
     ("synth", "--event-rate", "0"),
     ("synth", "--age-edges", "0,10"),
     ("evaluate", "--age-edges", "30,30"),
+    ("featurize", "--include-empty-weeks", None),  # removed flag, no value
 ])
 def test_bad_argument_value_is_usage_error(tmp_path, command, flag, value):
     files = {
@@ -119,8 +120,9 @@ def test_bad_argument_value_is_usage_error(tmp_path, command, flag, value):
         "synth": ["--cdr", tmp_path / "c.csv", "--labels", tmp_path / "l.csv", "--users", "3"],
         "evaluate": ["--predictions", tmp_path / "p.csv", "--labels", tmp_path / "l.csv",
                      "--attribute", "age"],
+        "featurize": ["--cdr", tmp_path / "c.csv", "--out", tmp_path / "t.bin"],
     }[command]
-    code, _, err = _run([command, *files, flag, value])
+    code, _, err = _run([command, *files, flag, *([] if value is None else [value])])
     assert code == 1
     assert err.startswith("usage:") and flag in err
     assert "Traceback" not in err

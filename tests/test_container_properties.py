@@ -41,11 +41,13 @@ def test_integer_arrays_keep_their_dtype(tmp_path):
         "f": np.array([1.5, -2.0]),
         "i": np.array([-3, 2**40], dtype=np.int64),
         "u": np.array([0, 1343, 65535], dtype=np.uint16),
+        "f0": np.array(2.5),  # 0-d arrays keep shape ()
+        "i0": np.array(-7, dtype=np.int64),
     }
     write_container(path, MAGIC, {}, arrays)
     _, back = read_container(path, MAGIC)
     for name, arr in arrays.items():
-        assert back[name].dtype == arr.dtype
+        assert (back[name].dtype, back[name].shape) == (arr.dtype, arr.shape)
         np.testing.assert_array_equal(back[name], arr)
 
 

@@ -10,14 +10,11 @@ from cdrnet.container import read_container
 from cdrnet.featurize import (
     CHANNELS,
     TENSOR_MAGIC,
-    AgeBuckets,
     LabelSpace,
     NormStats,
     TensorDataset,
     WeekId,
     apply_normalizer,
-    bucketize_age,
-    build_week_tensor,
     featurize_users,
     fit_normalizer,
     load_tensor_dataset,
@@ -75,18 +72,11 @@ def test_week_id_rejects_non_monday():
         WeekId(date(2024, 1, 2))
 
 
-def test_week_contains():
-    def contains(ts):
-        try:
-            build_week_tensor([_at(ts)], WEEK)
-        except ValueError:
-            return False
-        return True
-
-    assert contains(datetime(2024, 1, 1, 0, 0))
-    assert contains(datetime(2024, 1, 7, 23, 59, 59))
-    assert not contains(datetime(2024, 1, 8, 0, 0))
-    assert not contains(datetime(2023, 12, 31, 23, 59, 59))
+def _week_tensor(records):
+    """The one tensor featurize makes of one user's records inside the week of MONDAY."""
+    ds = featurize_users(_columns(records))
+    assert ds.weeks == [WEEK]
+    return ds.tensors[0]
 
 
 def test_small_tensor_by_hand():
@@ -96,7 +86,7 @@ def test_small_tensor_by_hand():
         _rec(Direction.OUTGOING, Kind.TEXT, day=1, hour=9, contact="b", minute=7),
         _rec(Direction.INCOMING, Kind.TEXT, day=6, hour=23, contact="a"),
     ]
-    t = build_week_tensor(records, WEEK)
+    t = _week_tensor(records)
     assert t[1, 9, 1] == 2       # out calls
     assert t[3, 9, 1] == 75      # out call seconds
     assert t[2, 9, 1] == 1       # out texts
@@ -111,7 +101,7 @@ def test_same_contact_call_and_text_counted_once():
         _rec(Direction.OUTGOING, Kind.CALL, day=0, hour=8, duration=10, contact="a"),
         _rec(Direction.OUTGOING, Kind.TEXT, day=0, hour=8, contact="a", minute=30),
     ]
-    t = build_week_tensor(records, WEEK)
+    t = _week_tensor(records)
     assert t[0, 8, 0] == 1
 
 
@@ -120,27 +110,23 @@ def test_directions_do_not_mix():
         _rec(Direction.OUTGOING, Kind.CALL, day=2, hour=12, duration=5, contact="a"),
         _rec(Direction.INCOMING, Kind.CALL, day=2, hour=12, duration=7, contact="a", minute=1),
     ]
-    t = build_week_tensor(records, WEEK)
+    t = _week_tensor(records)
     assert t[0, 12, 2] == 1 and t[4, 12, 2] == 1
     assert t[3, 12, 2] == 5 and t[7, 12, 2] == 7
-
-
-def test_record_outside_week_rejected():
-    rec = _rec(Direction.OUTGOING, Kind.CALL, day=0, hour=1, duration=1)
-    with pytest.raises(ValueError):
-        build_week_tensor([rec], WeekId(date(2024, 1, 8)))
 
 
 def test_tensor_matches_brute_force_oracle():
     rng = np.random.default_rng(42)
     records = random_records(rng, 500, MONDAY)
-    got = build_week_tensor(records, WEEK)
+    got = _week_tensor(records)
     expected = brute_week_tensor(records, MONDAY)
     np.testing.assert_array_equal(got, expected)
 
 
 def test_empty_record_list_gives_zero_tensor():
-    np.testing.assert_array_equal(build_week_tensor([], WEEK), np.zeros((8, 24, 7)))
+    """No records make zero tensors: an empty (0, 8, 24, 7) stack."""
+    ds = featurize_users(_columns([]))
+    assert (ds.user_ids, ds.weeks, ds.tensors.shape) == ([], [], (0, 8, 24, 7))
 
 
 def test_normalizer_zscores_training_set():
@@ -177,18 +163,17 @@ def test_apply_normalizer_single_tensor():
 
 
 def test_age_bucket_boundaries():
-    buckets = AgeBuckets((28, 38, 48))
-    assert buckets.num_classes == 4
-    assert [bucketize_age(a, buckets) for a in (0, 27, 28, 37, 38, 47, 48, 90)] == [
-        0, 0, 1, 1, 2, 2, 3, 3,
-    ]
-    assert buckets.class_labels() == ("[0,28)", "[28,38)", "[38,48)", "[48,inf)")
+    space = LabelSpace.fit("age", (), (28, 38, 48))
+    assert space.n_classes == 4
+    ages = (0, 27, 28, 37, 38, 47, 48, 90)
+    assert [space.index(LabelRecord("u", "f", a)) for a in ages] == [0, 0, 1, 1, 2, 2, 3, 3]
+    assert space.class_labels == ("[0,28)", "[28,38)", "[38,48)", "[48,inf)")
 
 
 @pytest.mark.parametrize("edges", [(), (28, 28), (38, 28), (0, 10), (-1, 5)])
 def test_bad_age_edges_rejected(edges):
     with pytest.raises(ValueError):
-        AgeBuckets(edges)
+        LabelSpace.fit("age", (), edges)
 
 
 @settings(max_examples=100, deadline=None)
@@ -268,15 +253,6 @@ def test_empty_weeks_skipped_by_default():
     assert len(ds) == 2
 
 
-def test_include_empty_weeks_fills_user_span():
-    groups = _groups({"u": [(0, 9), (14, 10)]})
-    ds = featurize_users(groups, include_empty_weeks=True)
-    assert len(ds) == 3
-    assert ds.weeks[1].start_date == date(2024, 1, 8)
-    np.testing.assert_array_equal(ds.tensors[1], np.zeros((8, 24, 7)))
-    assert ds.tensors[0].sum() > 0 and ds.tensors[2].sum() > 0
-
-
 def test_by_user_stacks_rows():
     groups = _groups({"u1": [(0, 9), (7, 9)], "u2": [(1, 5)]})
     ds = featurize_users(groups)
@@ -315,9 +291,11 @@ def test_empty_tensor_dataset_round_trips(tmp_path):
 
 
 def test_empty_weeks_store_no_cells_and_round_trip(tmp_path):
-    groups = _groups({"u": [(0, 9), (28, 10)], "v": [(3, 1)]})
-    ds = featurize_users(groups, include_empty_weeks=True)
-    assert len(ds) == 6 and not ds.tensors[1:4].any()
+    active = featurize_users(_groups({"u": [(0, 9), (28, 10)], "v": [(3, 1)]}))
+    tensors = np.zeros((6, 8, 24, 7))
+    tensors[[0, 4, 5]] = active.tensors
+    weeks = [WeekId(date(2024, 1, 1 + 7 * w)) for w in range(5)] + [WEEK]
+    ds = TensorDataset(["u"] * 5 + ["v"], weeks, tensors)
     path = tmp_path / "t.bin"
     save_tensor_dataset(path, ds)
     _, arrays = read_container(path, TENSOR_MAGIC)
@@ -366,7 +344,7 @@ def test_fit_normalizer_equals_numpy_mean_and_std(rows, scale, density, seed):
 def test_channel_sums_conserve_counts_and_durations():
     rng = np.random.default_rng(3)
     records = random_records(rng, 400, MONDAY)
-    t = build_week_tensor(records, WEEK)
+    t = _week_tensor(records)
     out = [r for r in records if r.direction is Direction.OUTGOING]
     inc = [r for r in records if r.direction is Direction.INCOMING]
     assert t[1].sum() == sum(r.kind is Kind.CALL for r in out)
@@ -381,14 +359,12 @@ def test_tensor_is_permutation_invariant():
     rng = np.random.default_rng(4)
     records = random_records(rng, 200, MONDAY)
     shuffled = [records[i] for i in rng.permutation(len(records))]
-    np.testing.assert_array_equal(
-        build_week_tensor(records, WEEK), build_week_tensor(shuffled, WEEK)
-    )
+    np.testing.assert_array_equal(_week_tensor(records), _week_tensor(shuffled))
 
 
 def test_unique_contacts_bounded_by_cell_events():
     rng = np.random.default_rng(5)
     records = random_records(rng, 600, MONDAY)
-    t = build_week_tensor(records, WEEK)
+    t = _week_tensor(records)
     assert (t[0] <= t[1] + t[2]).all()
     assert (t[4] <= t[5] + t[6]).all()

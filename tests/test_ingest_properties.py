@@ -69,9 +69,8 @@ FIELD_DEFECT = st.one_of(
     st.tuples(st.just(4), st.sampled_from(["", "-5", "4.5", "²", "٣", "007", "0", "5", " 1",
                                            "1234567890123456789"])),
     st.tuples(st.just("text"), st.sampled_from(["0", "5", "00"])),
-    # from index 3 on, so a valid year stays within a decade and the
-    # include_empty_weeks spans stay small
-    st.tuples(st.just("stamp"), st.integers(3, 18), st.sampled_from("0123456789-T:+Z. ٣")),
+    # any position, so a valid year may be anything from 0001 to 9999
+    st.tuples(st.just("stamp"), st.integers(0, 18), st.sampled_from("0123456789-T:+Z. ٣")),
     st.tuples(st.just("stamp_tail"), st.sampled_from(["", "Z", "+01:00", ".5", "0"])),
     # digits in the fixed layout, often out of range
     st.tuples(
@@ -122,31 +121,21 @@ def _reference(lines):
     return records, rejections
 
 
-def _check_tensors(columns, records, include_empty_weeks):
-    ds = featurize_users(columns, include_empty_weeks=include_empty_weeks)
+def _check_tensors(columns, records):
+    ds = featurize_users(columns)
     by_user_week = {}
     for r in records:
         monday = r.timestamp.date() - timedelta(days=r.timestamp.weekday())
         by_user_week.setdefault((r.user_id, monday), []).append(r)
     expected_rows = sorted(by_user_week)
-    if include_empty_weeks:
-        expected_rows = []
-        for user in sorted({u for u, _ in by_user_week}):
-            weeks = [w for u, w in by_user_week if u == user]
-            monday = min(weeks)
-            while monday <= max(weeks):
-                expected_rows.append((user, monday))
-                monday += timedelta(days=7)
     assert list(zip(ds.user_ids, [w.start_date for w in ds.weeks])) == expected_rows
     for i, key in enumerate(expected_rows):
-        expected = brute_week_tensor(by_user_week.get(key, []), key[1])
-        np.testing.assert_array_equal(ds.tensors[i], expected)
-    return ds
+        np.testing.assert_array_equal(ds.tensors[i], brute_week_tensor(by_user_week[key], key[1]))
 
 
 @settings(max_examples=60, deadline=None)
-@given(FILE, st.booleans())
-def test_columnar_ingest_matches_the_reference_parser(drawn, include_empty_weeks):
+@given(FILE)
+def test_columnar_ingest_matches_the_reference_parser(drawn):
     lines = [CDR_HEADER] + [
         format_cdr_line(rec) if defect is None else _apply(format_cdr_line(rec), defect)
         for rec, defect in drawn
@@ -158,7 +147,7 @@ def test_columnar_ingest_matches_the_reference_parser(drawn, include_empty_weeks
     assert all(r.stream == "cdr" for r in report.rejections)
     assert column_rows(columns) == record_rows(records)
     if records:
-        _check_tensors(columns, records, include_empty_weeks)
+        _check_tensors(columns, records)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from cdrnet.net import (
     downsized_config,
     forward_batch,
     init_params,
-    leaky_relu,
     param_shapes,
     softmax,
 )
@@ -150,12 +150,6 @@ def test_dense_dimension_mismatch():
         dense_affine(np.zeros(7), np.zeros((3, 7)), np.zeros(3))  # a vector, not a batch
 
 
-def test_leaky_relu_values():
-    x = np.array([-2.0, -0.5, 0.0, 0.5, 3.0])
-    np.testing.assert_allclose(leaky_relu(x, 0.01), [-0.02, -0.005, 0.0, 0.5, 3.0])
-    np.testing.assert_allclose(leaky_relu(x, 0.0), [0.0, 0.0, 0.0, 0.5, 3.0])
-
-
 def test_softmax_is_a_distribution():
     rng = np.random.default_rng(4)
     z = rng.normal(size=(10, 6)) * 5
@@ -207,6 +201,46 @@ def test_forward_batch_outputs():
     assert feats.shape == (5, cfg.feature_dim)
     np.testing.assert_allclose(probs.sum(axis=1), np.ones(5), atol=1e-9)
     assert trace.logits.shape == (5, cfg.classes)
+
+
+def _leaky(z, alpha):
+    return np.where(z >= 0, z, alpha * z)
+
+
+@pytest.mark.parametrize(
+    "alpha, leaky_values",
+    [(0.01, [-0.02, -0.005, 0.0, 0.5, 3.0]), (0.0, [0.0, 0.0, 0.0, 0.5, 3.0])],
+    ids=["alpha=0.01", "alpha=0"],
+)
+@pytest.mark.parametrize(
+    "config", [NetworkConfig(classes=4), downsized_config()], ids=["default", "downsized"]
+)
+@pytest.mark.parametrize("n", [1, 7])
+def test_forward_matches_layer_by_layer_oracle(alpha, leaky_values, config, n):
+    """float64 probs and features of a layer-by-layer brute-force composition."""
+    np.testing.assert_allclose(_leaky(np.array([-2.0, -0.5, 0.0, 0.5, 3.0]), alpha), leaky_values)
+    cfg = dataclasses.replace(config, alpha=alpha)
+    params = init_params(cfg, 2)
+    rng = np.random.default_rng(n)
+    for name in params.tensors:
+        if name.endswith(".b"):
+            params.tensors[name] = rng.normal(0.0, 0.1, params.tensors[name].shape)
+    x = rng.normal(size=(n, cfg.in_channels, cfg.hours, cfg.days))
+    probs, feats, _ = forward_batch(params, x)
+
+    t = params.tensors
+    a = x
+    for i in range(1, len(cfg.kernels) + 1):
+        z = brute_conv(a, t[f"conv{i}.w"], t[f"conv{i}.b"])
+        assert (z < 0).any() and (z > 0).any()  # both arms of the slope are taken
+        a = _leaky(z, alpha)
+    a = a.reshape(n, -1)
+    for name in ("dense7", "dense8"):
+        a = _leaky(brute_dense(a, t[f"{name}.w"], t[f"{name}.b"]), alpha)
+    logits = brute_dense(a, t["head.w"], t["head.b"])
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    np.testing.assert_allclose(feats, a, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(probs, e / e.sum(axis=1, keepdims=True), rtol=0, atol=1e-10)
 
 
 def test_forward_single_matches_batch_row():

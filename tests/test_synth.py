@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cdrnet.featurize import AgeBuckets, bucketize_age
+from cdrnet.featurize import LabelSpace
 from cdrnet.ingest import CDR_HEADER, LABELS_HEADER, ingest, parse_cdr_line
 from cdrnet.synth import (
     BLOCK_MASS,
@@ -17,11 +17,10 @@ from cdrnet.synth import (
     SynthConfig,
     generate,
     make_archetypes,
-    tv_distance,
     write_lines,
 )
 
-BUCKETS = AgeBuckets((28, 38, 48))
+N_BUCKETS = 4  # the default age edges (28, 38, 48)
 
 
 def _groups(cdr_lines):
@@ -124,21 +123,21 @@ def test_contact_pool_bounds_distinct_contacts():
 
 
 def test_make_archetypes_deterministic():
-    a = make_archetypes(BUCKETS, seed=1)
-    b = make_archetypes(BUCKETS, seed=1)
+    a = make_archetypes(N_BUCKETS, seed=1)
+    b = make_archetypes(N_BUCKETS, seed=1)
     assert a.keys() == b.keys()
     for key in a:
         np.testing.assert_array_equal(a[key].intensity, b[key].intensity)
         assert a[key].call_ratio == b[key].call_ratio
-    c = make_archetypes(BUCKETS, seed=2)
+    c = make_archetypes(N_BUCKETS, seed=2)
     assert any(
         not np.array_equal(a[key].intensity, c[key].intensity) for key in a
     )
 
 
 def test_archetype_cardinality_and_keys():
-    arch = make_archetypes(BUCKETS, seed=0)
-    expected = {(g, k) for g in GENDERS for k in range(BUCKETS.num_classes)}
+    arch = make_archetypes(N_BUCKETS, seed=0)
+    expected = {(g, k) for g in GENDERS for k in range(N_BUCKETS)}
     assert set(arch) == expected
     for (g, k), a in arch.items():
         assert isinstance(a, Archetype)
@@ -146,14 +145,14 @@ def test_archetype_cardinality_and_keys():
 
 
 def test_archetype_intensities_are_distributions():
-    for a in make_archetypes(BUCKETS, seed=0).values():
+    for a in make_archetypes(N_BUCKETS, seed=0).values():
         assert a.intensity.shape == (24, 7)
         assert (a.intensity > 0).all()
         np.testing.assert_allclose(a.intensity.sum(), 1.0, rtol=1e-12)
 
 
 def test_archetype_scalars_within_ranges():
-    for a in make_archetypes(BUCKETS, seed=0).values():
+    for a in make_archetypes(N_BUCKETS, seed=0).values():
         assert 0.3 <= a.call_ratio <= 0.7
         assert 0.35 <= a.out_ratio <= 0.65
         assert 60.0 <= a.mean_duration_s <= 240.0
@@ -162,9 +161,9 @@ def test_archetype_scalars_within_ranges():
 
 @pytest.mark.parametrize("edges", [(28, 38, 48), (30, 50), (25, 35, 45, 55, 65)])
 def test_pairwise_tv_distance_is_block_mass(edges):
-    arch = make_archetypes(AgeBuckets(edges), seed=0)
+    arch = make_archetypes(len(edges) + 1, seed=0)
     for a, b in itertools.combinations(arch.values(), 2):
-        tv = tv_distance(a.intensity.reshape(-1), b.intensity.reshape(-1))
+        tv = 0.5 * np.abs(a.intensity - b.intensity).sum()
         assert tv >= 0.2
         np.testing.assert_allclose(tv, BLOCK_MASS, rtol=1e-12)
 
@@ -210,11 +209,12 @@ def test_full_signal_matches_archetype_cells():
     cdr_lines, label_lines = generate(config)
     _, labels, _ = ingest(cdr_lines, label_lines)
     groups = _groups(cdr_lines)
-    archetypes = make_archetypes(AgeBuckets(config.age_edges), config.seed)
+    space = LabelSpace.fit("age", (), config.age_edges)
+    archetypes = make_archetypes(space.n_classes, config.seed)
 
     by_class: dict[tuple[str, int], set[str]] = {}
     for uid, rec in labels.items():
-        key = (rec.gender, bucketize_age(rec.age_years, AgeBuckets(config.age_edges)))
+        key = (rec.gender, space.index(rec))
         by_class.setdefault(key, set()).add(uid)
 
     for key, users in sorted(by_class.items()):
@@ -231,11 +231,12 @@ def test_full_signal_matches_archetype_habits():
     cdr_lines, label_lines = generate(config)
     _, labels, _ = ingest(cdr_lines, label_lines)
     groups = _groups(cdr_lines)
-    archetypes = make_archetypes(AgeBuckets(config.age_edges), config.seed)
+    space = LabelSpace.fit("age", (), config.age_edges)
+    archetypes = make_archetypes(space.n_classes, config.seed)
 
     by_class: dict[tuple[str, int], list] = {}
     for uid, rec in labels.items():
-        key = (rec.gender, bucketize_age(rec.age_years, AgeBuckets(config.age_edges)))
+        key = (rec.gender, space.index(rec))
         by_class.setdefault(key, []).extend(groups.get(uid, []))
 
     for key, records in sorted(by_class.items()):

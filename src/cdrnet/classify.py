@@ -15,7 +15,7 @@ Ties always break toward the lowest class index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import groupby
 
 import numpy as np
@@ -292,17 +292,10 @@ class Metrics:
     unlabeled: int
 
     def to_json(self) -> dict:
-        return {
-            "n_users": self.n_users,
-            "unlabeled": self.unlabeled,
-            "accuracy": self.accuracy,
-            "majority_accuracy": self.majority_accuracy,
-            "uniform_accuracy": self.uniform_accuracy,
-            "confusion": self.confusion.tolist(),
-            "precision": [float(p) for p in self.precision],
-            "recall": [float(r) for r in self.recall],
-            "class_labels": list(self.class_labels),
-        }
+        out = asdict(self)
+        for name in ("confusion", "precision", "recall"):
+            out[name] = out[name].tolist()
+        return out
 
 
 def evaluate(

@@ -193,15 +193,18 @@ def _cmd_train_svm(args) -> int:
     params = load_model(args.model)
     ds = _load_tensors(args.tensors)
     labels, _ = load_labels(_read_lines(args.labels))
-    svm = train_svm_head(
-        params,
-        ds,
-        labels,
-        lam=args.lam,
-        epochs=args.epochs,
-        seed=args.seed,
-        val_fraction=args.val_fraction,
-    )
+    try:
+        svm = train_svm_head(
+            params,
+            ds,
+            labels,
+            lam=args.lam,
+            epochs=args.epochs,
+            seed=args.seed,
+            val_fraction=args.val_fraction,
+        )
+    except ValueError as exc:  # e.g. a label outside the model's classes
+        raise ValueError(f"{args.model}, {args.labels}: {exc}") from None
     params.svm = svm
     out = args.out if args.out else args.model
     save_model(out, params)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import date, datetime
 from typing import Iterable
 
@@ -139,16 +139,7 @@ class IngestReport:
         self.rejections.append(Rejection(stream, line, reason))
 
     def to_json(self) -> dict:
-        return {
-            "records_accepted": self.records_accepted,
-            "records_rejected": self.records_rejected,
-            "labels_accepted": self.labels_accepted,
-            "labels_rejected": self.labels_rejected,
-            "rejections": [
-                {"stream": r.stream, "line": r.line, "reason": r.reason}
-                for r in self.rejections
-            ],
-        }
+        return asdict(self)
 
 
 _MAX_DURATION_DIGITS = 15  # below 2**53, so float64 holds every value exactly

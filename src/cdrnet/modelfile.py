@@ -9,6 +9,8 @@ rejected at load time.
 
 from __future__ import annotations
 
+from dataclasses import asdict, fields
+
 import numpy as np
 
 from .container import ContainerError, read_container, write_container
@@ -18,54 +20,28 @@ from .net import ModelParams, NetworkConfig, param_shapes
 MODEL_MAGIC = "CDRNET/1"
 
 
-def _config_header(config: NetworkConfig) -> dict:
-    return {
-        "classes": config.classes,
-        "in_channels": config.in_channels,
-        "hours": config.hours,
-        "days": config.days,
-        "kernels": [list(k) for k in config.kernels],
-        "filters": list(config.filters),
-        "dense": list(config.dense),
-        "alpha": config.alpha,
-    }
-
-
-def _config_from_header(h: dict) -> NetworkConfig:
-    return NetworkConfig(
-        classes=int(h["classes"]),
-        in_channels=int(h["in_channels"]),
-        hours=int(h["hours"]),
-        days=int(h["days"]),
-        kernels=tuple((int(a), int(b)) for a, b in h["kernels"]),
-        filters=tuple(int(f) for f in h["filters"]),
-        dense=tuple(int(d) for d in h["dense"]),
-        alpha=float(h["alpha"]),
-    )
+# file name of each SVM head array: (SvmModel field, shape for a network config)
+_SVM_ARRAYS = {
+    "svm.w": ("weights", lambda c: (c.classes, c.feature_dim)),
+    "svm.b": ("bias", lambda c: (c.classes,)),
+    "svm.feature_mean": ("feature_mean", lambda c: (c.feature_dim,)),
+    "svm.feature_std": ("feature_std", lambda c: (c.feature_dim,)),
+}
 
 
 def save_model(path, params: ModelParams) -> None:
     """Write a model file; arrays go in canonical parameter order."""
-    header: dict = {"config": _config_header(params.config)}
-    space = params.label_space
-    if space is not None:
-        header["attribute"] = space.attribute
-        header["class_labels"] = list(space.class_labels)
-        if space.age_edges is not None:
-            header["age_edges"] = list(space.age_edges)
+    header: dict = {"config": asdict(params.config)}
+    if params.label_space is not None:
+        header.update((k, v) for k, v in asdict(params.label_space).items() if v is not None)
 
-    arrays: dict[str, np.ndarray] = {}
-    for name in param_shapes(params.config):
-        arrays[name] = params.tensors[name]
+    arrays = {name: params.tensors[name] for name in param_shapes(params.config)}
     if params.norm_stats is not None:
         arrays["norm.mean"] = params.norm_stats.mean
         arrays["norm.std"] = params.norm_stats.std
     if params.svm is not None:
         header["svm"] = {"lam": params.svm.lam}
-        arrays["svm.w"] = params.svm.weights
-        arrays["svm.b"] = params.svm.bias
-        arrays["svm.feature_mean"] = params.svm.feature_mean
-        arrays["svm.feature_std"] = params.svm.feature_std
+        arrays.update({name: getattr(params.svm, f) for name, (f, _) in _SVM_ARRAYS.items()})
     write_container(path, MODEL_MAGIC, header, arrays)
 
 
@@ -76,7 +52,9 @@ def _label_space_from_header(path, h: dict, classes: int) -> LabelSpace | None:
     if not isinstance(labels, list) or len(labels) != classes:
         raise ContainerError(f"{path}: class_labels {labels!r} must hold {classes} labels")
     try:
-        return LabelSpace(h["attribute"], tuple(labels), h.get("age_edges"))
+        return LabelSpace(**{f.name: h.get(f.name) for f in fields(LabelSpace)})
+    except OverflowError as exc:  # an infinite age edge
+        raise ContainerError(f"{path}: malformed age_edges: {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ContainerError(f"{path}: {exc}") from None
 
@@ -87,17 +65,15 @@ def load_model(path) -> ModelParams:
 
     header, arrays = read_container(path, MODEL_MAGIC)
     try:
-        config = _config_from_header(header["config"])
-    except (KeyError, TypeError, ValueError) as exc:
+        h = header["config"]
+        config = NetworkConfig(**{f.name: h[f.name] for f in fields(NetworkConfig)})
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ContainerError(f"{path}: malformed config: {exc}") from None
     shapes = param_shapes(config)
     if "norm.mean" in arrays:
         shapes.update({"norm.mean": (config.in_channels,), "norm.std": (config.in_channels,)})
     if "svm.w" in arrays:
-        k, d = config.classes, config.feature_dim
-        shapes.update(
-            {"svm.w": (k, d), "svm.b": (k,), "svm.feature_mean": (d,), "svm.feature_std": (d,)}
-        )
+        shapes.update({name: shape(config) for name, (_, shape) in _SVM_ARRAYS.items()})
     for name, shape in shapes.items():
         arr = arrays.get(name)
         if arr is None or arr.shape != shape:
@@ -113,15 +89,9 @@ def load_model(path) -> ModelParams:
     if "svm.w" in arrays:
         try:
             lam = float(header["svm"]["lam"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ContainerError(f"{path}: malformed svm: {exc}") from None
-        svm = SvmModel(
-            weights=arrays["svm.w"],
-            bias=arrays["svm.b"],
-            lam=lam,
-            feature_mean=arrays["svm.feature_mean"],
-            feature_std=arrays["svm.feature_std"],
-        )
+        svm = SvmModel(lam=lam, **{f: arrays[name] for name, (f, _) in _SVM_ARRAYS.items()})
 
     return ModelParams(
         config=config,

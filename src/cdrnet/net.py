@@ -51,6 +51,9 @@ class NetworkConfig:
     alpha: float = 0.01
 
     def __post_init__(self):
+        for name in ("classes", "in_channels", "hours", "days"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "kernels", tuple((int(h), int(w)) for h, w in self.kernels))
         object.__setattr__(self, "filters", tuple(int(f) for f in self.filters))
         object.__setattr__(self, "dense", tuple(int(d) for d in self.dense))

@@ -8,7 +8,7 @@ is fitted on the training partition only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -89,11 +89,7 @@ class EpochStats:
     val_accuracy: float | None
 
     def to_json(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "val_accuracy": self.val_accuracy,
-        }
+        return asdict(self)
 
 
 def split_users(user_ids: list[str], val_fraction: float, seed: int) -> tuple[list[str], list[str]]:

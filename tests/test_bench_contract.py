@@ -7,7 +7,10 @@ unmeasured or malformed results; this file makes it fail here instead.
 import contextlib
 import io
 import json
+import math
 import sys
+import threading
+import time
 from datetime import date
 from pathlib import Path
 
@@ -169,3 +172,31 @@ def test_predictions_and_metrics_have_the_shape_the_bench_reads(tmp_path):
     assert [r[0] for r in rows] == ["a", "b", "c"]
     assert all(len(r) == len(header) and 0 <= int(r[1]) < 4 for r in rows)
     assert 0.0 <= json.loads(metrics.read_text(encoding="utf-8"))["accuracy"] <= 1.0
+
+
+def test_a_traced_pass_reports_a_finite_number_for_every_layer_metric(tmp_path):
+    # run.py --trace 1 ignores per-layer values when it decides `correct`, so
+    # a hooked name removed or no longer called (null), a NaN, or a thread
+    # left running by the in-process CLI would still exit 0
+    import pipeline
+    from workloads import Workload, setup, stages
+
+    workload = Workload(
+        name="tiny", why="a traced pass in a few seconds", users=40, weeks=2,
+        events_per_week=60.0, dirty_fraction=0.02, attribute="gender", epochs=1,
+        svm_epochs=2, accuracy_floor=0.0, dominant="net_training",
+    )
+    threads = threading.active_count()
+    inputs = setup(workload, 7, tmp_path)
+    ctx = pipeline.Context(workload, inputs, tmp_path, 7, stages(workload, inputs, tmp_path, 7))
+    with layertrace.Tracer() as tracer:
+        rep = pipeline.run_rep(ctx, layertrace.traced_runner(tracer), time.monotonic() + 300)
+    assert rep.ok, pipeline.problems_of([rep])
+    values = layertrace.layer_metrics(tracer, ctx, {"f64": 1.0, "f32": 1.0})
+    bad = {
+        name: v for name, v in values.items()
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)
+    }
+    assert not bad
+    json.dumps(values, allow_nan=False)
+    assert threading.active_count() == threads

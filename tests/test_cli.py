@@ -2,10 +2,16 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import re
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdrnet.classify import UserPrediction, write_predictions
 from cdrnet.cli import run
@@ -13,6 +19,7 @@ from cdrnet.container import read_container, write_container
 from cdrnet.featurize import TENSOR_MAGIC, TensorDataset, save_tensor_dataset
 from cdrnet.ingest import load_labels
 from cdrnet.modelfile import MODEL_MAGIC
+from cdrnet.net import NetworkConfig
 
 SMALL_TRAIN = [
     "--epochs", "2", "--filters", "4,4,4,4,4,8", "--dense", "16,8",
@@ -551,6 +558,10 @@ def test_dense_tensor_file_of_the_first_format_exits_two(pipeline, tmp_path, com
     (lambda h, a: h.pop("svm"), "svm"),
     (lambda h, a: a.update({"norm.std": np.ones(3)}), "norm.std"),
     (lambda h, a: h["config"].update(kernels=[[4, 1]] * 4 + [[12, 7], [1, 1]]), "config"),
+    # json writes float("inf") as Infinity, which an int() conversion cannot take
+    (lambda h, a: h["config"].update(classes=math.inf), "config"),
+    (lambda h, a: h["config"].update(dense=[math.inf, 8]), "config"),
+    (lambda h, a: h.update(attribute="age", age_edges=[30, math.inf]), "age_edges"),
 ])
 def test_model_file_with_a_crafted_header_exits_two(pipeline, tmp_path, command, edit, field):
     paths, _ = pipeline
@@ -562,6 +573,62 @@ def test_model_file_with_a_crafted_header_exits_two(pipeline, tmp_path, command,
     line = _error_line(err)
     assert str(bad) in line and field in line
     assert not out.exists()
+
+
+# One header field, as a path of keys, of each file kind.
+MODEL_FIELDS = [("config", f.name) for f in fields(NetworkConfig)] + [
+    ("attribute",), ("class_labels",), ("age_edges",), ("svm", "lam"),
+]
+TENSOR_FIELDS = [("users",), ("weeks",), ("has_norm",)]
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(63, 1400).flatmap(lambda e: st.sampled_from([2**e, -(2**e)])),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.text(max_size=6),
+)
+JSON_VALUES = st.one_of(
+    _SCALARS,
+    st.lists(_SCALARS | st.integers(-2, 40), max_size=3),
+    st.dictionaries(st.text(max_size=3), _SCALARS, max_size=2),
+)
+# a 2-class age space that the gender model's header can carry instead
+AGE_SPACE = {"attribute": "age", "class_labels": ["[0,30)", "[30,inf)"], "age_edges": [30]}
+
+
+# A checksum-valid file with any JSON value in any one header field is either
+# used (exit 0) or refused with exit 2 and one stderr line naming it; an
+# exception escaping run() fails the example.
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_any_header_field_mutation_exits_zero_or_two_with_one_line(pipeline, data):
+    paths, _ = pipeline
+    kind = data.draw(st.sampled_from(["gender model", "age model", "tensors"]), label="kind")
+    if kind == "tensors":
+        src, magic, commands = paths["tensors"], TENSOR_MAGIC, ("predict", "train")
+        field = data.draw(st.sampled_from(TENSOR_FIELDS), label="field")
+    else:
+        src, magic, commands = paths["svm_model"], MODEL_MAGIC, ("predict", "train-svm")
+        field = data.draw(st.sampled_from(MODEL_FIELDS), label="field")
+    value = data.draw(JSON_VALUES, label="value")
+
+    def edit(header, arrays):
+        if kind == "age model":
+            header.update(AGE_SPACE)
+        *outer, last = field
+        for key in outer:
+            header = header[key]
+        header[last] = value
+
+    with tempfile.TemporaryDirectory() as tmp:
+        bad, out = Path(tmp) / "bad.bin", Path(tmp) / "out"
+        _rewrite(src, bad, magic, edit)
+        model, tensors = (paths["svm_model"], bad) if kind == "tensors" else (bad, paths["tensors"])
+        for command in commands:
+            code, _, err = _run(_commands(paths, model, tensors, out)[command])
+            assert code in (0, 2) and "Traceback" not in err, err
+            if code == 2:
+                assert str(bad) in _error_line(err)
 
 
 def test_featurize_rejects_an_overlong_duration(tmp_path):

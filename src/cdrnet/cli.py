@@ -110,8 +110,23 @@ def _dense(text: str) -> tuple[int, ...]:
 
 
 def _read_lines(path) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return fh.readlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError:
+        # the error's position counts from the start of one read chunk:
+        # decode the whole file again to place the first bad byte on its line
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = data[: exc.start]
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise ValueError(
+                f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+            ) from None
+        raise
 
 
 def _load_tensors(path):

@@ -182,9 +182,10 @@ class LabelSpace:
         elif self.attribute == "gender":
             if self.age_edges is not None:
                 raise ValueError("a gender label space holds no age_edges")
-            if len(labels) < 2 or labels != tuple(sorted(set(labels))):
+            strings = all(isinstance(label, str) for label in labels)
+            if not strings or len(labels) < 2 or labels != tuple(sorted(set(labels))):
                 raise ValueError(
-                    f"gender class_labels must be two or more distinct values in sorted order, "
+                    f"gender class_labels must be two or more distinct strings in sorted order, "
                     f"got {labels}"
                 )
         else:

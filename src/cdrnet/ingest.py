@@ -15,16 +15,15 @@ run. The only fatal data condition is a duplicate user_id in the labels
 file. Texts must carry duration 0; coercing instead of rejecting would
 hide upstream schema errors.
 
-parse_cdr_line is the reference grammar. ingest() reads a whole CDR file
-into CdrColumns with vectorized checks and re-parses only the lines those
-refuse with parse_cdr_line, so both accept exactly the same lines.
+ingest() accepts CDR lines by one vectorized pass over the whole file
+(_scan), which yields CdrColumns. parse_cdr_line runs only on the lines
+that pass refuses, to name each one's defect; it accepts none of them.
 """
 
 from __future__ import annotations
 
-import enum
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from datetime import date, datetime
 from typing import Iterable
 
@@ -43,26 +42,6 @@ class ParseError(ValueError):
 
 class IngestError(ValueError):
     """Dataset-level violation that aborts the run (e.g. duplicate label)."""
-
-
-class Direction(enum.Enum):
-    INCOMING = "in"
-    OUTGOING = "out"
-
-
-class Kind(enum.Enum):
-    CALL = "call"
-    TEXT = "text"
-
-
-@dataclass(frozen=True, slots=True)
-class CdrRecord:
-    user_id: str
-    direction: Direction
-    kind: Kind
-    timestamp: datetime
-    duration_s: int
-    correspondent_id: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,24 +66,6 @@ class CdrColumns:
 
     def __len__(self) -> int:
         return len(self.user)
-
-    @classmethod
-    def from_records(cls, records: list[CdrRecord]) -> CdrColumns:
-        user_ids = sorted({r.user_id for r in records})
-        contact_ids = sorted({r.correspondent_id for r in records})
-        users = {u: i for i, u in enumerate(user_ids)}
-        contacts = {c: i for i, c in enumerate(contact_ids)}
-        return cls(
-            user_ids,
-            contact_ids,
-            np.array([users[r.user_id] for r in records], dtype=np.int64),
-            np.array([contacts[r.correspondent_id] for r in records], dtype=np.int64),
-            np.array([r.direction is Direction.INCOMING for r in records], dtype=bool),
-            np.array([r.kind is Kind.CALL for r in records], dtype=bool),
-            np.array([r.timestamp.toordinal() - EPOCH_ORDINAL for r in records], dtype=np.int64),
-            np.array([r.timestamp.hour for r in records], dtype=np.int64),
-            np.array([r.duration_s for r in records], dtype=np.float64),
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,7 +100,8 @@ class IngestReport:
         self.rejections.append(Rejection(stream, line, reason))
 
     def to_json(self) -> dict:
-        return asdict(self)
+        rejections = [dict(stream=r.stream, line=r.line, reason=r.reason) for r in self.rejections]
+        return {**vars(self), "rejections": rejections}
 
 
 _MAX_DURATION_DIGITS = 15  # below 2**53, so float64 holds every value exactly
@@ -147,14 +109,14 @@ _MAX_DURATION_DIGITS = 15  # below 2**53, so float64 holds every value exactly
 _TIMESTAMP = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)", re.ASCII)
 
 
-def _parse_timestamp(text: str) -> datetime:
+def _check_timestamp(text: str) -> None:
     # Exactly "YYYY-MM-DDThh:mm:ss" in ASCII digits. fromisoformat would also
     # take offsets, fractions and ISO week dates of the same length.
     match = _TIMESTAMP.fullmatch(text)
     if match is None:
         raise ParseError(f"unparseable timestamp {text!r}")
     try:
-        return datetime(*map(int, match.groups()))
+        datetime(*map(int, match.groups()))
     except ValueError:
         raise ParseError(f"unparseable timestamp {text!r}") from None
 
@@ -164,8 +126,8 @@ def _is_ascii_number(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
-def parse_cdr_line(line: str) -> CdrRecord:
-    """Parse one CDR data row; raises ParseError with the specific defect."""
+def parse_cdr_line(line: str) -> None:
+    """Raise ParseError naming the first defect of one CDR data row; a valid row passes."""
     fields = line.rstrip("\r\n").split(",")
     if len(fields) != 6:
         raise ParseError(f"expected 6 fields, got {len(fields)}")
@@ -174,39 +136,19 @@ def parse_cdr_line(line: str) -> CdrRecord:
         raise ParseError("empty user_id")
     if not correspondent:
         raise ParseError("empty correspondent_id")
-    try:
-        direction = Direction(direction_s)
-    except ValueError:
-        raise ParseError(f"unknown direction {direction_s!r}") from None
-    try:
-        kind = Kind(kind_s)
-    except ValueError:
-        raise ParseError(f"unknown kind {kind_s!r}") from None
-    timestamp = _parse_timestamp(ts_s)
+    if direction_s not in ("in", "out"):
+        raise ParseError(f"unknown direction {direction_s!r}")
+    if kind_s not in ("call", "text"):
+        raise ParseError(f"unknown kind {kind_s!r}")
+    _check_timestamp(ts_s)
     if not _is_ascii_number(dur_s):
         raise ParseError(f"negative or non-integer duration {dur_s!r}")
     if len(dur_s) > _MAX_DURATION_DIGITS:
         raise ParseError(
             f"duration of {len(dur_s)} digits, at most {_MAX_DURATION_DIGITS} allowed"
         )
-    duration = int(dur_s)
-    if kind is Kind.TEXT and duration != 0:
-        raise ParseError(f"text with nonzero duration {duration}")
-    return CdrRecord(user_id, direction, kind, timestamp, duration, correspondent)
-
-
-def format_cdr_line(record: CdrRecord) -> str:
-    """Canonical line form; parse_cdr_line(format_cdr_line(r)) == r."""
-    return ",".join(
-        (
-            record.user_id,
-            record.direction.value,
-            record.kind.value,
-            record.timestamp.isoformat(timespec="seconds"),
-            str(record.duration_s),
-            record.correspondent_id,
-        )
-    )
+    if kind_s == "text" and int(dur_s) != 0:
+        raise ParseError(f"text with nonzero duration {int(dur_s)}")
 
 
 def parse_labels_line(line: str) -> LabelRecord:
@@ -228,8 +170,8 @@ def parse_labels_line(line: str) -> LabelRecord:
 
 
 _NL, _CR, _COMMA = ord("\n"), ord("\r"), ord(",")
-_MAX_ID_BYTES = 64  # longer ids take the per-line path
-_PAD = _MAX_ID_BYTES  # zero bytes after the text: fixed-offset reads stay in the buffer
+_KEY_BYTES = 64  # id bytes in a sort key; a second pass orders longer ids
+_PAD = _KEY_BYTES  # zero bytes after the text: fixed-offset reads stay in the buffer
 _DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
@@ -246,9 +188,8 @@ def _scan(lines: list[str]) -> tuple[CdrColumns, np.ndarray]:
     """Vectorized parse of CDR data lines into columns of the lines it accepts.
 
     The whole text is one uint8 buffer; each check runs over a whole field
-    column at once. Returns the columns and the per-line accept mask. A
-    refused line may still be valid (an id over _MAX_ID_BYTES); the caller
-    hands every refused line to parse_cdr_line.
+    column at once. Returns the columns and the per-line accept mask, which
+    holds every line that parse_cdr_line passes and no other.
     """
     n = len(lines)
     text = "".join(lines + ["\0" * _PAD])
@@ -256,7 +197,8 @@ def _scan(lines: list[str]) -> tuple[CdrColumns, np.ndarray]:
         size = np.fromiter(map(len, lines), dtype=np.int64, count=n)
     else:
         size = np.fromiter((len(ln.encode("utf-8", "surrogatepass")) for ln in lines), np.int64, n)
-    buf = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+    data = text.encode("utf-8", "surrogatepass")
+    buf = np.frombuffer(data, np.uint8)
     del text
     # line i is buf[starts[i]:ends[i]] once its trailing "\r" and "\n" are cut
     line_end = np.cumsum(size)
@@ -270,8 +212,6 @@ def _scan(lines: list[str]) -> tuple[CdrColumns, np.ndarray]:
     commas = np.flatnonzero(buf == _COMMA)
     per_line = np.bincount(np.searchsorted(line_end, commas, side="right"), minlength=n)
     ok = per_line == 5
-    # NUL bytes would vanish from the fixed-width id keys below
-    ok[np.searchsorted(line_end, np.flatnonzero(buf[: line_end[-1]] == 0), side="right")] = False
 
     rows = np.flatnonzero(ok)
     first = (np.cumsum(per_line) - per_line)[rows]
@@ -300,7 +240,6 @@ def _scan(lines: list[str]) -> tuple[CdrColumns, np.ndarray]:
     is_call = equals(c1 + 1, c2, b"call")
     good = (incoming | equals(c0 + 1, c1, b"out")) & (is_call | equals(c1 + 1, c2, b"text"))
     good &= (user_hi > user_lo) & (contact_hi > contact_lo)
-    good &= (user_hi - user_lo <= _MAX_ID_BYTES) & (contact_hi - contact_lo <= _MAX_ID_BYTES)
 
     good &= (c3 - ts) == 19
     for k, sep in ((4, b"-"), (7, b"-"), (10, b"T"), (13, b":"), (16, b":")):
@@ -328,8 +267,8 @@ def _scan(lines: list[str]) -> tuple[CdrColumns, np.ndarray]:
 
     ok[rows[~good]] = False
     keep = np.flatnonzero(good)
-    user_ids, user = _codes(buf, user_lo[keep], user_hi[keep])
-    contact_ids, contact = _codes(buf, contact_lo[keep], contact_hi[keep])
+    user_ids, user = _codes(data, user_lo[keep], user_hi[keep])
+    contact_ids, contact = _codes(data, contact_lo[keep], contact_hi[keep])
     columns = CdrColumns(
         user_ids,
         contact_ids,
@@ -344,36 +283,40 @@ def _scan(lines: list[str]) -> tuple[CdrColumns, np.ndarray]:
     return columns, ok
 
 
-def _codes(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """Sorted distinct byte strings buf[lo:hi] and each one's index into them."""
+def _codes(data: bytes, lo: np.ndarray, hi: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Sorted distinct strings data[lo:hi] and each one's index into them.
+
+    An id's key is its first _KEY_BYTES bytes, zero padded, then one byte
+    holding its length capped at _KEY_BYTES + 1. Keys order ids as Python
+    does, NUL bytes included ("a" < "a\\0" < "a\\0b"), except longer ids
+    that share their first _KEY_BYTES bytes: a second pass over just those
+    rows sorts them by all their bytes.
+    """
+    buf = np.frombuffer(data, np.uint8)
     size = hi - lo
-    width = int(size.max()) if len(lo) else 1
-    keys = np.zeros((len(lo), width), dtype=np.uint8)
+    width = min(int(size.max()), _KEY_BYTES) if len(lo) else 0
+    keys = np.zeros((len(lo), width + 1), dtype=np.uint8)
     for k in range(width):
         keys[:, k] = buf[lo + k] * (size > k)
-    # zero padding sorts like the shorter string; ids never hold NUL bytes here
-    distinct, codes = np.unique(keys.view(f"S{width}").ravel(), return_inverse=True)
-    ids = [b.decode("utf-8", "surrogatepass") for b in distinct.tolist()]
-    return ids, codes.astype(np.int64)
-
-
-def _concat(a: CdrColumns, b: CdrColumns) -> CdrColumns:
-    """The records of both, with ids re-coded into the union of their id lists."""
-
-    def union(a_ids, a_codes, b_ids, b_codes):
-        ids = sorted(set(a_ids).union(b_ids))
-        index = {s: i for i, s in enumerate(ids)}
-        a_map = np.array([index[s] for s in a_ids], dtype=np.int64)
-        b_map = np.array([index[s] for s in b_ids], dtype=np.int64)
-        return ids, np.concatenate([a_map[a_codes], b_map[b_codes]])
-
-    user_ids, user = union(a.user_ids, a.user, b.user_ids, b.user)
-    contact_ids, contact = union(a.contact_ids, a.contact, b.contact_ids, b.contact)
-    rest = (
-        np.concatenate([getattr(a, name), getattr(b, name)])
-        for name in ("incoming", "is_call", "day", "hour", "duration")
+    keys[:, width] = np.minimum(size, _KEY_BYTES + 1)
+    _, first, codes = np.unique(
+        keys.view(f"S{width + 1}").ravel(), return_index=True, return_inverse=True
     )
-    return CdrColumns(user_ids, contact_ids, user, contact, *rest)
+
+    def text(rows):
+        spans = zip(lo[rows].tolist(), hi[rows].tolist())
+        return [data[a:b].decode("utf-8", "surrogatepass") for a, b in spans]
+
+    ids = text(first)
+    long = np.flatnonzero(size > _KEY_BYTES)
+    if len(long):
+        full = text(long)
+        ordered = sorted(set(ids).union(full))
+        index = {s: i for i, s in enumerate(ordered)}
+        codes = np.array([index[s] for s in ids], dtype=np.int64)[codes]
+        codes[long] = [index[s] for s in full]
+        ids = ordered
+    return ids, codes.astype(np.int64)
 
 
 def ingest(
@@ -382,26 +325,22 @@ def ingest(
 ) -> tuple[CdrColumns, dict[str, LabelRecord], IngestReport]:
     """Parse both streams into CDR columns and a label map.
 
-    CDR lines go through vectorized checks (_scan); each line those refuse
-    is parsed again by parse_cdr_line, which either rejects it with its
-    line number and reason or accepts it. Users without a label are
-    retained: usable for prediction, excluded from training.
+    CDR lines are accepted by vectorized checks (_scan); parse_cdr_line
+    names the defect of each line those refuse, for the report with its
+    line number. Users without a label are retained: usable for
+    prediction, excluded from training.
     """
     report = IngestReport()
     lines = list(cdr_lines)
     skip = 1 if lines and lines[0].rstrip("\r\n") == CDR_HEADER else 0
-    if len(lines) > skip:
-        columns, ok = _scan(lines[skip:])
-    else:
-        columns, ok = CdrColumns.from_records([]), np.zeros(0, dtype=bool)
-    extra: list[CdrRecord] = []
+    columns, ok = _scan(lines[skip:])
     for i in np.flatnonzero(~ok).tolist():
         try:
-            extra.append(parse_cdr_line(lines[skip + i]))
+            parse_cdr_line(lines[skip + i])
         except ParseError as exc:
             report.reject("cdr", skip + i + 1, str(exc))
-    if extra:
-        columns = _concat(columns, CdrColumns.from_records(extra))
+        else:
+            raise AssertionError(f"CDR line {skip + i + 1} is valid, but _scan refused it")
     report.records_accepted = len(columns)
 
     labels: dict[str, LabelRecord] = {}

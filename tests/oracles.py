@@ -2,18 +2,108 @@
 
 Everything here is written the slow, obvious way with plain Python loops
 and set/filter logic, sharing no code with the package internals beyond
-the public record types. Channel order is restated from the documented
-contract rather than imported.
+its ParseError. The oracles own the CDR record types (Direction, Kind,
+CdrRecord) and the reference grammar that parses a line into a record;
+the package itself reads CDR files into columns only. Channel order is
+restated from the documented contract rather than imported.
 """
 
 from __future__ import annotations
 
-from datetime import date
+import enum
+import re
+from dataclasses import dataclass
+from datetime import date, datetime, timedelta
 
 import numpy as np
 
+from cdrnet.ingest import ParseError
+
 OUT_UNIQUE, OUT_CALLS, OUT_TEXTS, OUT_DURATION = 0, 1, 2, 3
 IN_UNIQUE, IN_CALLS, IN_TEXTS, IN_DURATION = 4, 5, 6, 7
+
+
+class Direction(enum.Enum):
+    INCOMING = "in"
+    OUTGOING = "out"
+
+
+class Kind(enum.Enum):
+    CALL = "call"
+    TEXT = "text"
+
+
+@dataclass(frozen=True, slots=True)
+class CdrRecord:
+    user_id: str
+    direction: Direction
+    kind: Kind
+    timestamp: datetime
+    duration_s: int
+    correspondent_id: str
+
+
+_TIMESTAMP = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)", re.ASCII)
+
+
+def _parse_timestamp(text: str) -> datetime:
+    # Exactly "YYYY-MM-DDThh:mm:ss" in ASCII digits. fromisoformat would also
+    # take offsets, fractions and ISO week dates of the same length.
+    match = _TIMESTAMP.fullmatch(text)
+    if match is None:
+        raise ParseError(f"unparseable timestamp {text!r}")
+    try:
+        return datetime(*map(int, match.groups()))
+    except ValueError:
+        raise ParseError(f"unparseable timestamp {text!r}") from None
+
+
+def _is_ascii_number(text: str) -> bool:
+    # str.isdigit alone also takes digits such as "²" and "٣"
+    return text.isascii() and text.isdigit()
+
+
+def parse_cdr_record(line: str) -> CdrRecord:
+    """The reference CDR grammar: one data row as a record, or ParseError with its defect."""
+    fields = line.rstrip("\r\n").split(",")
+    if len(fields) != 6:
+        raise ParseError(f"expected 6 fields, got {len(fields)}")
+    user_id, direction_s, kind_s, ts_s, dur_s, correspondent = fields
+    if not user_id:
+        raise ParseError("empty user_id")
+    if not correspondent:
+        raise ParseError("empty correspondent_id")
+    try:
+        direction = Direction(direction_s)
+    except ValueError:
+        raise ParseError(f"unknown direction {direction_s!r}") from None
+    try:
+        kind = Kind(kind_s)
+    except ValueError:
+        raise ParseError(f"unknown kind {kind_s!r}") from None
+    timestamp = _parse_timestamp(ts_s)
+    if not _is_ascii_number(dur_s):
+        raise ParseError(f"negative or non-integer duration {dur_s!r}")
+    if len(dur_s) > 15:  # past 2**53 a float64 no longer holds every value
+        raise ParseError(f"duration of {len(dur_s)} digits, at most 15 allowed")
+    duration = int(dur_s)
+    if kind is Kind.TEXT and duration != 0:
+        raise ParseError(f"text with nonzero duration {duration}")
+    return CdrRecord(user_id, direction, kind, timestamp, duration, correspondent)
+
+
+def format_cdr_line(record: CdrRecord) -> str:
+    """Canonical line form; parse_cdr_record(format_cdr_line(r)) == r."""
+    return ",".join(
+        (
+            record.user_id,
+            record.direction.value,
+            record.kind.value,
+            record.timestamp.isoformat(timespec="seconds"),
+            str(record.duration_s),
+            record.correspondent_id,
+        )
+    )
 
 
 def brute_week_tensor(records, week_start) -> np.ndarray:
@@ -181,10 +271,6 @@ def brute_pegasos(features, labels, lam: float, epochs: int, seed: int, n_classe
 
 def random_records(rng: np.random.Generator, count: int, week_start):
     """Uniformly random records inside one calendar week (for oracle tests)."""
-    from datetime import datetime, timedelta
-
-    from cdrnet.ingest import CdrRecord, Direction, Kind
-
     records = []
     for _ in range(count):
         kind = Kind.CALL if rng.random() < 0.5 else Kind.TEXT

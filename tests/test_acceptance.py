@@ -26,7 +26,7 @@ from cdrnet.featurize import (
     WeekId,
     featurize_users,
 )
-from cdrnet.ingest import format_cdr_line, ingest
+from cdrnet.ingest import ingest
 from cdrnet.modelfile import load_model, save_model
 from cdrnet.net import (
     NetworkConfig,
@@ -56,6 +56,7 @@ from oracles import (
     brute_dense,
     brute_week_tensor,
     channels_first,
+    format_cdr_line,
     random_records,
 )
 

@@ -177,6 +177,24 @@ def test_featurize_with_no_usable_records_exits_two(tmp_path):
     assert str(cdr) in err
 
 
+def _write_with_a_bad_byte(path, lines, line_no):
+    """The lines, LF-terminated, with byte 0xff put into 1-based line line_no."""
+    data = [ln.encode("utf-8") for ln in lines]
+    data[line_no - 1] = data[line_no - 1].replace(b",", b"\xff,", 1)
+    path.write_bytes(b"\n".join(data) + b"\n")
+
+
+def test_featurize_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    cdr = tmp_path / "cdr.csv"
+    lines = ["user_id,direction,kind,timestamp,duration_s,correspondent_id"]
+    lines += ["u1,out,call,2024-01-01T10:00:00,30,c1"] * 6000
+    _write_with_a_bad_byte(cdr, lines, 5002)  # far past the first read chunk
+    code, out, err = _run(["featurize", "--cdr", cdr, "--out", tmp_path / "t.bin"])
+    assert code == 2 and out == ""
+    assert _error_line(err).startswith(f"error: {cdr}: line 5002: byte 0xff is not UTF-8")
+    assert not (tmp_path / "t.bin").exists()
+
+
 def test_featurize_missing_input_exits_two(tmp_path):
     code, _, err = _run(["featurize", "--cdr", tmp_path / "nope.csv", "--out", tmp_path / "t.bin"])
     assert code == 2
@@ -361,6 +379,18 @@ def _error_line(err):
     return lines[0]
 
 
+def test_evaluate_names_the_line_of_a_byte_that_is_not_utf8(pipeline, tmp_path):
+    paths, _ = pipeline
+    labels = tmp_path / "labels.csv"
+    _write_with_a_bad_byte(labels, paths["labels"].read_text(encoding="utf-8").splitlines(), 3)
+    preds = _predict(paths, tmp_path / "preds.csv")
+    code, out, err = _run(
+        ["evaluate", "--predictions", preds, "--labels", labels, "--attribute", "gender"]
+    )
+    assert code == 2 and out == ""
+    assert _error_line(err).startswith(f"error: {labels}: line 3: byte 0xff is not UTF-8")
+
+
 def _predict(paths, out, head="avg"):
     code, _, err = _run(
         ["predict", "--model", paths["svm_model"], "--tensors", paths["tensors"],
@@ -438,6 +468,7 @@ def test_evaluate_refuses_predictions_of_other_age_buckets(tmp_path):
     lambda h: h.update(class_labels=["f"]),
     lambda h: h.update(class_labels=["m", "f"]),
     lambda h: h.update(attribute="age", class_labels=["[0,30)", "[30,inf)"], age_edges=[28]),
+    lambda h: h.update(class_labels=[False, 9223372036854775808]),
 ])
 def test_model_with_rewritten_label_space_exits_two(pipeline, tmp_path, edit):
     paths, _ = pipeline

@@ -20,9 +20,16 @@ from cdrnet.featurize import (
     load_tensor_dataset,
     save_tensor_dataset,
 )
-from cdrnet.ingest import CdrRecord, Direction, Kind, LabelRecord, format_cdr_line, ingest
+from cdrnet.ingest import LabelRecord, ingest
 
-from oracles import brute_week_tensor, random_records
+from oracles import (
+    CdrRecord,
+    Direction,
+    Kind,
+    brute_week_tensor,
+    format_cdr_line,
+    random_records,
+)
 
 MONDAY = date(2024, 1, 1)
 WEEK = WeekId(MONDAY)

@@ -5,27 +5,33 @@ import pytest
 from cdrnet.ingest import (
     CDR_HEADER,
     LABELS_HEADER,
-    CdrRecord,
-    Direction,
     IngestError,
-    Kind,
     LabelRecord,
     ParseError,
     Rejection,
-    format_cdr_line,
     ingest,
     load_labels,
     parse_cdr_line,
     parse_labels_line,
 )
 
-from oracles import column_rows, record_rows
+from oracles import (
+    CdrRecord,
+    Direction,
+    Kind,
+    column_rows,
+    format_cdr_line,
+    parse_cdr_record,
+    record_rows,
+)
 
 GOOD_LINE = "u1,out,call,2024-01-02T09:30:00,42,c7"
+LONG = "é" * 32  # 64 UTF-8 bytes
 
 
 def test_parse_good_line():
-    rec = parse_cdr_line(GOOD_LINE)
+    assert parse_cdr_line(GOOD_LINE) is None
+    rec = parse_cdr_record(GOOD_LINE)
     assert rec == CdrRecord(
         user_id="u1",
         direction=Direction.OUTGOING,
@@ -37,9 +43,9 @@ def test_parse_good_line():
 
 
 def test_format_parse_round_trip():
-    rec = parse_cdr_line(GOOD_LINE)
+    rec = parse_cdr_record(GOOD_LINE)
     assert format_cdr_line(rec) == GOOD_LINE
-    assert parse_cdr_line(format_cdr_line(rec)) == rec
+    assert parse_cdr_record(format_cdr_line(rec)) == rec
 
 
 @pytest.mark.parametrize(
@@ -66,8 +72,9 @@ def test_bad_cdr_lines_raise(line):
 
 
 def test_text_duration_zero_accepted():
-    rec = parse_cdr_line("u1,in,text,2024-01-02T09:30:00,0,c7")
-    assert rec.kind is Kind.TEXT and rec.duration_s == 0
+    columns, _, report = ingest(["u1,in,text,2024-01-02T09:30:00,0,c7"])
+    assert report.records_accepted == 1
+    assert not columns.is_call[0] and columns.duration[0] == 0
 
 
 def test_parse_labels_line():
@@ -94,7 +101,7 @@ def test_ingest_codes_users_in_sorted_order():
     assert columns.user_ids == ["u1", "u2"]
     assert columns.contact_ids == ["c1", "c2"]
     assert sorted(zip(columns.user.tolist(), columns.hour.tolist())) == [(0, 1), (0, 23), (1, 8)]
-    assert column_rows(columns) == record_rows([parse_cdr_line(ln) for ln in lines[1:]])
+    assert column_rows(columns) == record_rows([parse_cdr_record(ln) for ln in lines[1:]])
     assert report.records_accepted == 3
     assert report.records_rejected == 0
     assert labels == {}
@@ -197,18 +204,27 @@ def test_non_ascii_age_rejected():
         "u1,out,call,2024-01-02T09:30:00,42,c7\r\n",                # CRLF ending
         "u1\r,out,call,2024-01-02T09:30:00,42,c7",                  # CR inside a field
         "ü1,in,text,2024-01-02T09:30:00,0,ç7",                      # non-ASCII ids
-        "u" * 100 + ",out,call,2024-01-02T09:30:00,42,c7",          # id past the vector width
+        "u" * 100 + ",out,call,2024-01-02T09:30:00,42,c7",          # id past the 64 key bytes
         "u\x001,out,call,2024-01-02T09:30:00,42,c\x007",            # NUL bytes in ids
         "u1\nx,out,call,2024-01-02T09:30:00,42,c7",                 # newline inside a list item
         "u1,out,call,2000-02-29T23:59:59,0,c7",                     # leap day
         "u1,out,call,0001-01-01T00:00:00,0,c7",                     # first representable day
+        # long ids that share their first 64 bytes but differ in tail and length
+        pytest.param(
+            (LONG + "azz,out,call,2024-01-02T09:30:00,42," + LONG + "b",
+             LONG + "b,in,text,2024-01-02T09:30:00,0," + LONG + "azz"),
+            id="long-ids-sharing-64-bytes",
+        ),
     ],
 )
 def test_columns_agree_with_the_reference_parser(line):
-    lines = [CDR_HEADER, GOOD_LINE, line]
+    lines = [CDR_HEADER, GOOD_LINE, *((line,) if isinstance(line, str) else line)]
     columns, _, report = ingest(lines)
     assert report.records_rejected == 0
-    assert column_rows(columns) == record_rows([parse_cdr_line(ln) for ln in lines[1:]])
+    records = [parse_cdr_record(ln) for ln in lines[1:]]
+    assert column_rows(columns) == record_rows(records)
+    assert columns.user_ids == sorted({r.user_id for r in records})
+    assert columns.contact_ids == sorted({r.correspondent_id for r in records})
 
 
 @pytest.mark.parametrize(

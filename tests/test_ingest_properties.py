@@ -1,11 +1,12 @@
-"""Properties of the columnar CDR path against the per-line reference parser.
+"""Properties of the columnar CDR path against the reference grammar.
 
-ingest() parses a CDR file with vectorized column checks and sends only the
-lines they refuse through parse_cdr_line. These properties draw synth-like
-files with single-field defects and check that the accepted count and the
-(line, reason) list equal a line-by-line parse_cdr_line pass, that every
-user-week tensor equals the brute-force recount, and that CRLF endings
-change nothing.
+ingest() accepts CDR lines by vectorized column checks alone and asks
+parse_cdr_line only why each refused line fails. These properties draw
+synth-like files with single-field defects, and ids past 64 UTF-8 bytes or
+holding NUL bytes. They check that the accepted records, the sorted id
+lists and the (line, reason) list equal a line-by-line pass of the
+oracles' reference grammar, that every user-week tensor equals the
+brute-force recount, and that CRLF endings change nothing.
 """
 
 from datetime import date, datetime, timedelta
@@ -15,29 +16,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdrnet.featurize import featurize_users
-from cdrnet.ingest import (
-    CDR_HEADER,
+from cdrnet.ingest import CDR_HEADER, LabelRecord, ParseError, ingest, parse_labels_line
+
+from oracles import (
     CdrRecord,
     Direction,
     Kind,
-    LabelRecord,
-    ParseError,
+    brute_week_tensor,
+    column_rows,
     format_cdr_line,
-    ingest,
-    parse_cdr_line,
-    parse_labels_line,
+    parse_cdr_record,
+    record_rows,
 )
-
-from oracles import brute_week_tensor, column_rows, record_rows
 
 FIRST_DAY = datetime(2023, 12, 18)  # a Monday; the span crosses a year end
 
-# ids never hold the separators of the format
-ID_TEXT = st.text(
-    st.characters(blacklist_characters=",\r\n", blacklist_categories=("Cs",)),
-    min_size=1,
-    max_size=8,
+# ids never hold the separators of the format; a short one may hold NUL
+# bytes, and a long one passes 64 UTF-8 bytes even in ASCII
+ID_CHARS = st.characters(blacklist_characters=",\r\n", blacklist_categories=("Cs",))
+ID_TEXT = st.one_of(
+    st.text(ID_CHARS, min_size=1, max_size=8),
+    st.text(ID_CHARS, min_size=65, max_size=80),
 )
+
+# Ids keyed by their first 64 bytes: LONG + "azz" must sort before LONG +
+# "b", NUL-bearing ids sort as Python does, and "x" + "é" * 40 cuts a
+# character at byte 64.
+LONG = "é" * 32
+USERS = ["u1", "u2", "u10", "ü3", "u\x00", "u\x00\x00", "u\x00b",
+         LONG + "azz", LONG + "b", "x" + "é" * 40]
+CONTACTS = ["c1", "c2", "c3", "c10", "ç4", "c\x00", LONG, LONG + "b", LONG + "azz"]
+# a clean line for each of them, so that every drawn file sorts them all
+ID_LINES = [f"{u},in,text,2024-01-01T00:00:00,0,{c}" for u, c in zip(USERS, CONTACTS * 2)]
 
 RECORD = st.builds(
     lambda user, incoming, call, offset_s, duration, contact: CdrRecord(
@@ -48,16 +58,16 @@ RECORD = st.builds(
         duration if call else 0,
         contact,
     ),
-    st.sampled_from(["u1", "u2", "u10", "ü3"]),
+    st.sampled_from(USERS),
     st.booleans(),
     st.booleans(),
     st.integers(0, 5 * 7 * 86400 - 1),
     st.integers(0, 10**6),
-    st.sampled_from(["c1", "c2", "c3", "c10", "ç4"]),
+    st.sampled_from(CONTACTS),
 )
 
 # A replacement for one field, drawn around each of the eight reasons
-# parse_cdr_line gives (field count, empty user, empty correspondent,
+# the CDR grammar gives (field count, empty user, empty correspondent,
 # direction, kind, timestamp, duration, text with duration).
 FIELD_DEFECT = st.one_of(
     st.tuples(st.just("extra"), st.sampled_from(["", "x", "1"])),
@@ -111,11 +121,11 @@ FILE = st.lists(st.tuples(RECORD, st.one_of(st.none(), FIELD_DEFECT)), min_size=
 
 
 def _reference(lines):
-    """Accepted records and (line, reason) rejections, one parse_cdr_line call per line."""
+    """Accepted records and (line, reason) rejections, one reference parse per line."""
     records, rejections = [], []
     for line_no, line in enumerate(lines[1:], start=2):
         try:
-            records.append(parse_cdr_line(line))
+            records.append(parse_cdr_record(line))
         except ParseError as exc:
             rejections.append((line_no, str(exc)))
     return records, rejections
@@ -136,7 +146,7 @@ def _check_tensors(columns, records):
 @settings(max_examples=60, deadline=None)
 @given(FILE)
 def test_columnar_ingest_matches_the_reference_parser(drawn):
-    lines = [CDR_HEADER] + [
+    lines = [CDR_HEADER, *ID_LINES] + [
         format_cdr_line(rec) if defect is None else _apply(format_cdr_line(rec), defect)
         for rec, defect in drawn
     ]
@@ -146,6 +156,8 @@ def test_columnar_ingest_matches_the_reference_parser(drawn):
     assert [(r.line, r.reason) for r in report.rejections] == rejections
     assert all(r.stream == "cdr" for r in report.rejections)
     assert column_rows(columns) == record_rows(records)
+    assert columns.user_ids == sorted({r.user_id for r in records})
+    assert columns.contact_ids == sorted({r.correspondent_id for r in records})
     if records:
         _check_tensors(columns, records)
 
@@ -180,10 +192,11 @@ def test_cdr_line_round_trip(user, direction, kind, timestamp, duration, contact
         user, direction, kind, timestamp.replace(microsecond=0),
         duration if kind is Kind.CALL else 0, contact,
     )
-    assert parse_cdr_line(format_cdr_line(rec)) == rec
+    assert parse_cdr_record(format_cdr_line(rec)) == rec
     columns, _, report = ingest([format_cdr_line(rec)])
     assert report.records_rejected == 0
     assert column_rows(columns) == record_rows([rec])
+    assert (columns.user_ids, columns.contact_ids) == ([user], [contact])
 
 
 @settings(max_examples=100, deadline=None)

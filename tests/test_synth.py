@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from cdrnet.featurize import LabelSpace
-from cdrnet.ingest import CDR_HEADER, LABELS_HEADER, ingest, parse_cdr_line
+from cdrnet.ingest import CDR_HEADER, LABELS_HEADER, ingest
 from cdrnet.synth import (
     BLOCK_MASS,
     GENDERS,
@@ -20,6 +20,8 @@ from cdrnet.synth import (
     write_lines,
 )
 
+from oracles import parse_cdr_record
+
 N_BUCKETS = 4  # the default age edges (28, 38, 48)
 
 
@@ -28,7 +30,7 @@ def _groups(cdr_lines):
     assert cdr_lines[0] == CDR_HEADER
     groups = {}
     for line in cdr_lines[1:]:
-        rec = parse_cdr_line(line)
+        rec = parse_cdr_record(line)
         groups.setdefault(rec.user_id, []).append(rec)
     return groups
 

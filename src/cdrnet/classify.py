@@ -21,7 +21,7 @@ from itertools import groupby
 import numpy as np
 
 from .featurize import STD_FLOOR, TensorDataset, apply_normalizer
-from .ingest import LabelRecord
+from .ingest import LabelRecord, read_lines
 from .net import COMPUTE_DTYPE, ModelParams, forward_batch
 
 # Rows per forward call at inference, equal to the default training batch.
@@ -364,10 +364,9 @@ def read_predictions(path) -> list[UserPrediction]:
 
     The header fixes K; every row must carry K scores and a predicted class
     in [0, K), and no user may appear on two rows, or a ValueError names
-    the file and line.
+    the file and line; so does a byte that is not UTF-8.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    lines = [ln.rstrip("\n") for ln in read_lines(path)]
     header = lines[0].split(",") if lines else []
     k = len(header) - 2
     if k < 1 or header != ["user_id", "predicted_class", *(f"p_{i}" for i in range(k))]:

@@ -30,7 +30,7 @@ from .classify import (
 from .container import ContainerError
 from .featurize import DEFAULT_AGE_EDGES, LabelSpace, featurize_users, fit_normalizer
 from .featurize import load_tensor_dataset, save_tensor_dataset
-from .ingest import IngestError, ParseError, ingest, load_labels
+from .ingest import IngestError, ParseError, ingest, load_labels, read_lines
 from .modelfile import load_model, save_model
 from .net import DEFAULT_DENSE, DEFAULT_FILTERS, NetworkConfig, downsized_config, init_params
 from .synth import SynthConfig, generate, write_lines
@@ -53,6 +53,27 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = _number(int, text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+def _synth_int(field: str):
+    """A positive int that SynthConfig accepts as its `field`."""
+
+    def parse(text: str) -> int:
+        value = _positive_int(text)
+        try:
+            SynthConfig(users=1, **{field: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return parse
 
 
 def _positive_float(text: str) -> float:
@@ -109,26 +130,6 @@ def _dense(text: str) -> tuple[int, ...]:
     return _checked_ints(text, lambda v: NetworkConfig(classes=2, dense=v).dense)
 
 
-def _read_lines(path) -> list[str]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.readlines()
-    except UnicodeDecodeError:
-        # the error's position counts from the start of one read chunk:
-        # decode the whole file again to place the first bad byte on its line
-        with open(path, "rb") as fh:
-            data = fh.read()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            head = data[: exc.start]
-            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-            raise ValueError(
-                f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
-            ) from None
-        raise
-
-
 def _load_tensors(path):
     """A tensor file with at least one tensor; an empty one is a ValueError."""
     ds = load_tensor_dataset(path)
@@ -156,7 +157,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_featurize(args) -> int:
-    groups, _, report = ingest(_read_lines(args.cdr))
+    groups, _, report = ingest(read_lines(args.cdr))
     print(json.dumps(report.to_json(), sort_keys=True))
     if report.records_accepted == 0:
         print(f"error: {args.cdr}: no usable records", file=sys.stderr)
@@ -170,7 +171,7 @@ def _cmd_featurize(args) -> int:
 
 def _cmd_train(args) -> int:
     ds = _load_tensors(args.tensors)
-    labels, report = load_labels(_read_lines(args.labels))
+    labels, report = load_labels(read_lines(args.labels))
     if not labels:
         print(f"error: {args.labels}: no usable labels", file=sys.stderr)
         return 2
@@ -207,7 +208,7 @@ def _cmd_train(args) -> int:
 def _cmd_train_svm(args) -> int:
     params = load_model(args.model)
     ds = _load_tensors(args.tensors)
-    labels, _ = load_labels(_read_lines(args.labels))
+    labels, _ = load_labels(read_lines(args.labels))
     try:
         svm = train_svm_head(
             params,
@@ -238,7 +239,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     preds = read_predictions(args.predictions)
-    labels, _ = load_labels(_read_lines(args.labels))
+    labels, _ = load_labels(read_lines(args.labels))
     space = LabelSpace.fit(args.attribute, labels.values(), args.age_edges)
     if preds and len(preds[0].scores) != space.n_classes:
         raise ValueError(
@@ -295,13 +296,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cdr", required=True, help="output CDR csv path")
     p.add_argument("--labels", required=True, help="output labels csv path")
     p.add_argument("--users", type=_positive_int, required=True)
-    p.add_argument("--weeks", type=_positive_int, default=8)
+    p.add_argument("--weeks", type=_synth_int("weeks_per_user"), default=8)
     p.add_argument("--signal", type=_unit_interval, default=1.0, help="class signal strength")
     p.add_argument("--age-edges", type=_age_edges, default=DEFAULT_AGE_EDGES)
     p.add_argument("--gender-ratio", type=_open_unit_interval, default=0.5)
-    p.add_argument("--contact-pool", type=_positive_int, default=20)
+    p.add_argument("--contact-pool", type=_synth_int("contact_pool"), default=20)
     p.add_argument("--event-rate", type=_positive_float, default=60.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("featurize", help="turn a CDR csv into week tensors")
@@ -324,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filters", type=_filters, default=DEFAULT_FILTERS)
     p.add_argument("--dense", type=_dense, default=DEFAULT_DENSE)
     p.add_argument("--alpha", type=_fraction, default=0.01, help="leaky ReLU slope")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--history", help="optional path for per-epoch stats (json)")
     p.set_defaults(func=_cmd_train)
 
@@ -336,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=_positive_float, default=1e-4)
     p.add_argument("--epochs", type=_positive_int, default=50)
     p.add_argument("--val-fraction", type=_fraction, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.set_defaults(func=_cmd_train_svm)
 
     p = sub.add_parser("predict", help="predict each user in a tensor file")
@@ -355,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("gradcheck", help="finite-difference audit of the backward pass")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.set_defaults(func=_cmd_gradcheck)
 
     return parser

@@ -364,3 +364,28 @@ def load_labels(label_lines: Iterable[str]) -> tuple[dict[str, LabelRecord], Ing
     """Parse a labels stream alone (train/evaluate paths need no CDR data)."""
     _, labels, report = ingest([], label_lines)
     return labels, report
+
+
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, line ends kept.
+
+    A byte that is not UTF-8 is a ValueError that names the file and the
+    line it sits on.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError:
+        # the error's position counts from the start of one read chunk:
+        # decode the whole file again to place the first bad byte on its line
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = data[: exc.start]
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise ValueError(
+                f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+            ) from None
+        raise

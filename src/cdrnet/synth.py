@@ -15,13 +15,33 @@ exponential with the archetype mean, rounded to whole seconds.
 
 Generation is deterministic: every user draws from an rng stream spawned
 from the master seed, so output is byte-identical for a given config and
-independent of any parallel scheduling.
+independent of any parallel scheduling. The stream contract: user u reads
+default_rng(SeedSequence(seed).spawn(users)[u]) in this order.
+
+1. random() for the gender; integers(n_buckets) for the age bucket;
+   integers(lo, hi) for the age, which reads nothing when hi - lo == 1.
+2. poisson(event_rate, weeks_per_user) for the weekly event counts. A
+   user with no events draws nothing more.
+3. For the user's n events, in week order: choice(168, n, p) for the
+   (hour, weekday) cells; integers(0, 60, n) for the minutes, then the
+   seconds; random(n) for call-or-text, then for out-or-in;
+   exponential(mean duration, n) for the call durations; random(n) for
+   the contact-reuse coins.
+4. One contact draw per event, in event order: integers(len(seen)) to
+   pick an earlier contact when the event's coin says reuse and there is
+   one, else integers(contact_pool). These come from uint32s drawn in bulk
+   and decoded as Generator.integers decodes its next uint32s (Lemire's
+   method), so they match one integers() call per event word for word.
+   integers(1) reads no word, as when seen holds one contact.
+
+tests/oracles.brute_generate makes these draws one event at a time, as
+generate once did, and must give the same lines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta
+from datetime import date
 
 import numpy as np
 
@@ -34,6 +54,8 @@ NEUTRAL_CALL_RATIO = 0.5
 NEUTRAL_OUT_RATIO = 0.5
 NEUTRAL_DURATION_S = 150.0
 NEUTRAL_REUSE = 0.5
+# "direction,kind" of a line by 2 * is_out + is_call
+_DIRECTION_KIND = ("in,text", "in,call", "out,text", "out,call")
 
 
 @dataclass(frozen=True)
@@ -60,6 +82,13 @@ class SynthConfig:
             raise ValueError("event_rate must be positive")
         if self.start_monday.weekday() != 0:
             raise ValueError(f"{self.start_monday} is not a Monday")
+        if self.start_monday.toordinal() + 7 * self.weeks_per_user - 1 > date.max.toordinal():
+            raise ValueError(
+                f"weeks_per_user {self.weeks_per_user} from {self.start_monday} "
+                f"ends after {date.max}"
+            )
+        if self.contact_pool > 1 << 32:  # the widest range generate's contact draw decodes
+            raise ValueError(f"contact_pool {self.contact_pool} exceeds 2**32")
 
 
 @dataclass(frozen=True)
@@ -107,18 +136,57 @@ def _blend(s: float, value: float, neutral: float) -> float:
     return s * value + (1.0 - s) * neutral
 
 
+def _words(rng: np.random.Generator, chunk: int):
+    """The uint32s that rng's next bounded-integer draws read, in order, drawn chunk at a time."""
+    while True:
+        yield from rng.integers(0, 1 << 32, size=chunk, dtype=np.uint64).tolist()
+
+
+def _bounded(words, n: int) -> int:
+    """The value rng.integers(n) returns for 1 <= n <= 2**32, decoded from rng's words.
+
+    numpy's Lemire method: m = word * n, redrawn while the low 32 bits of m
+    fall below (2**32 - n) % n, and the result is m >> 32. For n == 1 it
+    reads no word and returns 0.
+    """
+    if n == 1:
+        return 0
+    m = next(words) * n
+    if m & 0xFFFFFFFF < n:  # n bounds the threshold, so most draws skip computing it
+        threshold = ((1 << 32) - n) % n
+        while m & 0xFFFFFFFF < threshold:
+            m = next(words) * n
+    return m >> 32
+
+
 def generate(config: SynthConfig) -> tuple[list[str], list[str]]:
     """Produce (CDR lines, label lines), headers included, parse-clean.
 
     Every user samples a gender by the configured ratio and an age bucket
     uniformly, then emits Poisson(event_rate) events per week whose (hour,
-    day) cells follow s * class_intensity + (1 - s) * uniform.
+    day) cells follow s * class_intensity + (1 - s) * uniform. Lines are
+    built column by column; only the contact draw runs event by event.
     """
     edges = LabelSpace.fit("age", (), config.age_edges).age_edges
     archetypes = make_archetypes(len(edges) + 1, config.seed)
     n_cells = N_HOURS * N_DAYS
     uniform = np.full(n_cells, 1.0 / n_cells)
     s = config.signal
+    habits = {}
+    for key, arch in archetypes.items():
+        cells_p = s * arch.intensity.reshape(-1) + (1.0 - s) * uniform
+        habits[key] = (
+            cells_p / cells_p.sum(),
+            _blend(s, arch.call_ratio, NEUTRAL_CALL_RATIO),
+            _blend(s, arch.out_ratio, NEUTRAL_OUT_RATIO),
+            _blend(s, arch.mean_duration_s, NEUTRAL_DURATION_S),
+            _blend(s, arch.contact_reuse, NEUTRAL_REUSE),
+        )
+    # stamp heads "YYYY-MM-DDTHH:" by hours since start_monday 00:00, made
+    # only for hours that hold an event; stamp tails "MM:SS" by minute * 60 + second
+    hour_stamps: dict[int, str] = {}
+    first_day = config.start_monday.toordinal()
+    clock = [f"{m:02d}:{sec:02d}" for m in range(60) for sec in range(60)]
 
     cdr_lines = [CDR_HEADER]
     label_lines = [LABELS_HEADER]
@@ -133,14 +201,7 @@ def generate(config: SynthConfig) -> tuple[list[str], list[str]]:
         hi = edges[bucket] if bucket < len(edges) else edges[-1] + 30
         age = int(rng.integers(lo, hi))
         label_lines.append(f"{uid},{gender},{age}")
-
-        arch = archetypes[(gender, bucket)]
-        cells_p = s * arch.intensity.reshape(-1) + (1.0 - s) * uniform
-        cells_p = cells_p / cells_p.sum()
-        call_ratio = _blend(s, arch.call_ratio, NEUTRAL_CALL_RATIO)
-        out_ratio = _blend(s, arch.out_ratio, NEUTRAL_OUT_RATIO)
-        mean_dur = _blend(s, arch.mean_duration_s, NEUTRAL_DURATION_S)
-        reuse = _blend(s, arch.contact_reuse, NEUTRAL_REUSE)
+        cells_p, call_ratio, out_ratio, mean_dur, reuse = habits[(gender, bucket)]
 
         counts = rng.poisson(config.event_rate, size=config.weeks_per_user)
         total = int(counts.sum())
@@ -154,29 +215,35 @@ def generate(config: SynthConfig) -> tuple[list[str], list[str]]:
         durations = np.rint(rng.exponential(mean_dur, size=total)).astype(np.int64)
         reuse_draw = rng.random(total)
 
+        words = _words(rng, total + 16)  # a little slack for Lemire redraws
+        prefix = f"c{u:06d}n"
+        names: dict[int, str] = {}
         seen: list[str] = []
-        seen_set: set[str] = set()
-        i = 0
-        for w in range(config.weeks_per_user):
-            monday = config.start_monday + timedelta(weeks=w)
-            for _ in range(int(counts[w])):
-                hour, day = divmod(int(cells[i]), N_DAYS)
-                ts = datetime(
-                    monday.year, monday.month, monday.day, hour, int(minutes[i]), int(seconds[i])
-                ) + timedelta(days=day)
-                if reuse_draw[i] < reuse and seen:
-                    contact = seen[int(rng.integers(len(seen)))]
-                else:
-                    contact = f"c{u:06d}n{int(rng.integers(config.contact_pool)):03d}"
-                    if contact not in seen_set:
-                        seen_set.add(contact)
-                        seen.append(contact)
-                kind = "call" if is_call[i] else "text"
-                duration = int(durations[i]) if is_call[i] else 0
-                direction = "out" if is_out[i] else "in"
-                stamp = ts.isoformat(timespec="seconds")
-                cdr_lines.append(f"{uid},{direction},{kind},{stamp},{duration},{contact}")
-                i += 1
+        contacts = []
+        for reuse_it in (reuse_draw < reuse).tolist():
+            if reuse_it and seen:
+                contacts.append(seen[_bounded(words, len(seen))])
+            else:
+                k = _bounded(words, config.contact_pool)
+                name = names.get(k)
+                if name is None:
+                    name = names[k] = f"{prefix}{k:03d}"
+                    seen.append(name)
+                contacts.append(name)
+
+        hour, day = np.divmod(cells, N_DAYS)
+        weeks = np.repeat(np.arange(config.weeks_per_user), counts)
+        hours = ((weeks * N_DAYS + day) * N_HOURS + hour).tolist()
+        for h in set(hours).difference(hour_stamps):
+            d, hh = divmod(h, N_HOURS)
+            hour_stamps[h] = f"{date.fromordinal(first_day + d).isoformat()}T{hh:02d}:"
+        kinds = (2 * is_out + is_call).tolist()
+        ticks = (minutes * 60 + seconds).tolist()
+        durations = np.where(is_call, durations, 0).tolist()
+        cdr_lines += [
+            f"{uid},{_DIRECTION_KIND[k]},{hour_stamps[h]}{clock[t]},{d},{c}"
+            for k, h, t, d, c in zip(kinds, hours, ticks, durations, contacts)
+        ]
     return cdr_lines, label_lines
 
 

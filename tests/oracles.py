@@ -2,7 +2,10 @@
 
 Everything here is written the slow, obvious way with plain Python loops
 and set/filter logic, sharing no code with the package internals beyond
-its ParseError. The oracles own the CDR record types (Direction, Kind,
+its ParseError, except brute_generate: it is the event-by-event synth loop
+that cdrnet.synth.generate replaced, and it takes the archetypes, label
+space and headers from the package so that it redoes only the per-user
+draws and the line formatting. The oracles own the CDR record types (Direction, Kind,
 CdrRecord) and the reference grammar that parses a line into a record;
 the package itself reads CDR files into columns only. Channel order is
 restated from the documented contract rather than imported.
@@ -17,7 +20,18 @@ from datetime import date, datetime, timedelta
 
 import numpy as np
 
-from cdrnet.ingest import ParseError
+from cdrnet.featurize import N_DAYS, N_HOURS, LabelSpace
+from cdrnet.ingest import CDR_HEADER, LABELS_HEADER, ParseError
+from cdrnet.synth import (
+    GENDERS,
+    NEUTRAL_CALL_RATIO,
+    NEUTRAL_DURATION_S,
+    NEUTRAL_OUT_RATIO,
+    NEUTRAL_REUSE,
+    SynthConfig,
+    _blend,
+    make_archetypes,
+)
 
 OUT_UNIQUE, OUT_CALLS, OUT_TEXTS, OUT_DURATION = 0, 1, 2, 3
 IN_UNIQUE, IN_CALLS, IN_TEXTS, IN_DURATION = 4, 5, 6, 7
@@ -291,3 +305,71 @@ def random_records(rng: np.random.Generator, count: int, week_start):
             )
         )
     return records
+
+
+def brute_generate(config: SynthConfig) -> tuple[list[str], list[str]]:
+    """Reference for synth.generate: one datetime, rng call and f-string per event."""
+    edges = LabelSpace.fit("age", (), config.age_edges).age_edges
+    archetypes = make_archetypes(len(edges) + 1, config.seed)
+    n_cells = N_HOURS * N_DAYS
+    uniform = np.full(n_cells, 1.0 / n_cells)
+    s = config.signal
+
+    cdr_lines = [CDR_HEADER]
+    label_lines = [LABELS_HEADER]
+    streams = np.random.SeedSequence(config.seed).spawn(config.users)
+
+    for u in range(config.users):
+        rng = np.random.default_rng(streams[u])
+        uid = f"u{u:06d}"
+        gender = GENDERS[0] if rng.random() < config.gender_ratio else GENDERS[1]
+        bucket = int(rng.integers(len(edges) + 1))
+        lo = 0 if bucket == 0 else edges[bucket - 1]
+        hi = edges[bucket] if bucket < len(edges) else edges[-1] + 30
+        age = int(rng.integers(lo, hi))
+        label_lines.append(f"{uid},{gender},{age}")
+
+        arch = archetypes[(gender, bucket)]
+        cells_p = s * arch.intensity.reshape(-1) + (1.0 - s) * uniform
+        cells_p = cells_p / cells_p.sum()
+        call_ratio = _blend(s, arch.call_ratio, NEUTRAL_CALL_RATIO)
+        out_ratio = _blend(s, arch.out_ratio, NEUTRAL_OUT_RATIO)
+        mean_dur = _blend(s, arch.mean_duration_s, NEUTRAL_DURATION_S)
+        reuse = _blend(s, arch.contact_reuse, NEUTRAL_REUSE)
+
+        counts = rng.poisson(config.event_rate, size=config.weeks_per_user)
+        total = int(counts.sum())
+        if total == 0:
+            continue
+        cells = rng.choice(n_cells, size=total, p=cells_p)
+        minutes = rng.integers(0, 60, size=total)
+        seconds = rng.integers(0, 60, size=total)
+        is_call = rng.random(total) < call_ratio
+        is_out = rng.random(total) < out_ratio
+        durations = np.rint(rng.exponential(mean_dur, size=total)).astype(np.int64)
+        reuse_draw = rng.random(total)
+
+        seen: list[str] = []
+        seen_set: set[str] = set()
+        i = 0
+        for w in range(config.weeks_per_user):
+            monday = config.start_monday + timedelta(weeks=w)
+            for _ in range(int(counts[w])):
+                hour, day = divmod(int(cells[i]), N_DAYS)
+                ts = datetime(
+                    monday.year, monday.month, monday.day, hour, int(minutes[i]), int(seconds[i])
+                ) + timedelta(days=day)
+                if reuse_draw[i] < reuse and seen:
+                    contact = seen[int(rng.integers(len(seen)))]
+                else:
+                    contact = f"c{u:06d}n{int(rng.integers(config.contact_pool)):03d}"
+                    if contact not in seen_set:
+                        seen_set.add(contact)
+                        seen.append(contact)
+                kind = "call" if is_call[i] else "text"
+                duration = int(durations[i]) if is_call[i] else 0
+                direction = "out" if is_out[i] else "in"
+                stamp = ts.isoformat(timespec="seconds")
+                cdr_lines.append(f"{uid},{direction},{kind},{stamp},{duration},{contact}")
+                i += 1
+    return cdr_lines, label_lines

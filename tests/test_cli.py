@@ -115,6 +115,12 @@ def test_missing_required_flag_is_usage_error(tmp_path):
     ("synth", "--gender-ratio", "1"),
     ("synth", "--event-rate", "0"),
     ("synth", "--age-edges", "0,10"),
+    ("synth", "--weeks", "500000"),  # past 9999-12-31
+    ("synth", "--contact-pool", str(2**32 + 1)),
+    ("synth", "--seed", "-1"),
+    ("train", "--seed", "-1"),
+    ("train-svm", "--seed", "-1"),
+    ("gradcheck", "--seed", "-1"),
     ("evaluate", "--age-edges", "30,30"),
     ("featurize", "--include-empty-weeks", None),  # removed flag, no value
 ])
@@ -128,6 +134,7 @@ def test_bad_argument_value_is_usage_error(tmp_path, command, flag, value):
         "evaluate": ["--predictions", tmp_path / "p.csv", "--labels", tmp_path / "l.csv",
                      "--attribute", "age"],
         "featurize": ["--cdr", tmp_path / "c.csv", "--out", tmp_path / "t.bin"],
+        "gradcheck": [],
     }[command]
     code, _, err = _run([command, *files, flag, *([] if value is None else [value])])
     assert code == 1
@@ -389,6 +396,17 @@ def test_evaluate_names_the_line_of_a_byte_that_is_not_utf8(pipeline, tmp_path):
     )
     assert code == 2 and out == ""
     assert _error_line(err).startswith(f"error: {labels}: line 3: byte 0xff is not UTF-8")
+
+
+def test_evaluate_names_the_line_of_a_predictions_byte_that_is_not_utf8(pipeline, tmp_path):
+    paths, _ = pipeline
+    preds = _predict(paths, tmp_path / "preds.csv")
+    _write_with_a_bad_byte(preds, preds.read_text(encoding="utf-8").splitlines(), 3)
+    code, out, err = _run(
+        ["evaluate", "--predictions", preds, "--labels", paths["labels"], "--attribute", "gender"]
+    )
+    assert code == 2 and out == ""
+    assert _error_line(err).startswith(f"error: {preds}: line 3: byte 0xff is not UTF-8")
 
 
 def _predict(paths, out, head="avg"):

@@ -1,8 +1,10 @@
 import itertools
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from cdrnet.featurize import LabelSpace
@@ -15,12 +17,14 @@ from cdrnet.synth import (
     NEUTRAL_OUT_RATIO,
     Archetype,
     SynthConfig,
+    _bounded,
+    _words,
     generate,
     make_archetypes,
     write_lines,
 )
 
-from oracles import parse_cdr_record
+from oracles import brute_generate, parse_cdr_record
 
 N_BUCKETS = 4  # the default age edges (28, 38, 48)
 
@@ -33,6 +37,55 @@ def _groups(cdr_lines):
         rec = parse_cdr_record(line)
         groups.setdefault(rec.user_id, []).append(rec)
     return groups
+
+
+AGE_EDGES = st.one_of(
+    st.sampled_from([(28, 38, 48), (28, 29), (1, 2, 3), (1,)]),
+    st.lists(st.integers(1, 90), min_size=1, max_size=5, unique=True).map(sorted).map(tuple),
+)
+MONDAYS = st.one_of(
+    # weeks holding 2024-02-29, 1999-12-31 and the first day of year 1
+    st.sampled_from([date(2024, 2, 26), date(1999, 12, 27), date(1, 1, 1)]),
+    st.integers(-3000, 3000).map(lambda w: date(2024, 1, 1) + timedelta(weeks=w)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    users=st.integers(1, 15),
+    weeks_per_user=st.integers(1, 4),
+    signal=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    # 3 * 2**30 makes Lemire redraw about a quarter of the contact draws
+    contact_pool=st.one_of(st.sampled_from([1, 2, 3 * 2**30, 2**32]), st.integers(1, 40)),
+    # 0.01 leaves most users without events
+    event_rate=st.one_of(st.sampled_from([0.01, 0.3]), st.floats(0.5, 60.0)),
+    gender_ratio=st.floats(0.01, 0.99),
+    age_edges=AGE_EDGES,
+    seed=st.integers(0, 2**64),
+    start_monday=MONDAYS,
+)
+def test_generate_matches_the_event_by_event_reference(**kwargs):
+    config = SynthConfig(**kwargs)
+    assert generate(config) == brute_generate(config)
+
+
+@pytest.mark.parametrize("taken", [0, 1])
+def test_bounded_decodes_words_as_integers_does(taken):
+    """Same seed, two generators: integers(n) one call at a time, and _bounded over bulk words.
+
+    taken=1 starts both after one uint32, which leaves the other half of a
+    64-bit output cached in the bit generator.
+    """
+    for n in [*range(1, 65), 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32]:
+        one_by_one, bulk = np.random.default_rng(n), np.random.default_rng(n)
+        for rng in (one_by_one, bulk):
+            for _ in range(taken):
+                rng.integers(0, 2**32, dtype=np.uint64)
+        expected = [int(one_by_one.integers(n)) for _ in range(300)]
+        words = _words(bulk, 64)
+        assert [_bounded(words, n) for _ in range(300)] == expected, n
+        # both generators end at the same point of the stream
+        assert next(words) == int(one_by_one.integers(0, 2**32, dtype=np.uint64)), n
 
 
 def test_generate_is_deterministic():
@@ -267,11 +320,19 @@ def test_full_signal_matches_archetype_habits():
         {"users": 3, "gender_ratio": 1.0},
         {"users": 3, "event_rate": 0.0},
         {"users": 3, "start_monday": date(2024, 1, 2)},
+        {"users": 3, "contact_pool": 2**32 + 1},
+        {"users": 3, "weeks_per_user": 416168},  # the last week would end after 9999-12-31
+        {"users": 3, "start_monday": date(9999, 12, 27)},
     ],
 )
 def test_bad_config_rejected(kwargs):
     with pytest.raises(ValueError):
         SynthConfig(**kwargs)
+
+
+def test_the_last_whole_week_before_date_max_is_accepted():
+    assert SynthConfig(users=1, weeks_per_user=416167).weeks_per_user == 416167
+    assert SynthConfig(users=1, start_monday=date(9999, 12, 20), weeks_per_user=1)
 
 
 def test_write_lines_round_trip(tmp_path):

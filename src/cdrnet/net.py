@@ -5,12 +5,12 @@ hours), one closing convolution over the whole day (1x7), each with leaky
 ReLU, then two leaky-ReLU dense layers and an affine class map feeding a
 softmax. NetworkConfig accepts only that form.
 
-Conv activations are channels first, (C, H, N*W), batch times day
-innermost, so hour tap i reads the view a[:, i:i+Hp, :] as one (C, Hp*N*W)
-matrix without a copy, and its share of the output, dW and dX is one
-matmul; the closing kernel is one matmul on the (N, C*W) flatten.
-backward walks forward_batch's layer list in reverse, reusing each layer's
-input and leaky-ReLU slope from the trace.
+Conv activations are hour-major, (H, C, N*W), batch times day innermost:
+hours y..y+kh-1 are one contiguous (kh*C, N*W) block, and the blocks of all
+output hours are one overlapping view, an unrolled input without the copy
+(Chellapilla et al. 2006), so an hour conv is GEMMs with K = kh*C_in. The
+closing kernel is one matmul on the (N, C*W) flatten. backward walks the
+layers in reverse, reusing each one's input and leaky-ReLU slope.
 
 The net computes in its input's floating dtype and casts parameters per
 call: float32 (COMPUTE_DTYPE) for train, train-svm and predict, whose
@@ -124,10 +124,8 @@ class ModelParams:
 
 
 def init_params(config: NetworkConfig, seed: int) -> ModelParams:
-    """He-style init adjusted for the leaky slope: Var = 2/((1+alpha^2) fan_in).
-
-    Weights are zero-mean Gaussians, biases zero; bit-identical for a seed.
-    """
+    """He-style init adjusted for the leaky slope, Var = 2/((1+alpha^2) fan_in): zero-mean
+    Gaussian weights and zero biases, bit-identical for a seed."""
     rng = np.random.default_rng(seed)
     tensors: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(config).items():
@@ -143,71 +141,75 @@ def _float_array(x) -> np.ndarray:
 
 
 def _day_rows(x: np.ndarray, days: int) -> np.ndarray:
-    """The (N, C*days) flatten of a one-hour (C, 1, N*days) activation."""
-    c, _, m = x.shape
+    """The (N, C*days) flatten of a one-hour (1, C, N*days) activation."""
+    _, c, m = x.shape
     return x.reshape(c, m // days, days).transpose(1, 0, 2).reshape(m // days, c * days)
 
 
-def _hour_taps(weights: np.ndarray, dtype) -> np.ndarray:
-    """An hour kernel (C_out, C_in, kh, 1) as kh contiguous (C_out, C_in) tap matrices."""
-    return np.ascontiguousarray(weights[:, :, :, 0].transpose(2, 0, 1), dtype=dtype)
+def _windows(a: np.ndarray, kh: int) -> np.ndarray:
+    """Read-only (H-kh+1, kh*C, M) view of an (H, C, M) array; window y is hours y..y+kh-1."""
+    a = np.ascontiguousarray(a)
+    h, c, m = a.shape
+    return np.lib.stride_tricks.as_strided(a, (h - kh + 1, kh * c, m), a.strides, writeable=False)
+
+
+def _stacked(weights: np.ndarray, dtype) -> np.ndarray:
+    """An hour kernel (C_out, C_in, kh, 1) as one tap-major (C_out, kh*C_in) matrix."""
+    w = np.ascontiguousarray(weights[:, :, :, 0].transpose(0, 2, 1), dtype=dtype)
+    return w.reshape(len(w), -1)
 
 
 def conv2d_valid(x, weights, bias) -> np.ndarray:
-    """Valid cross-correlation of a channels-first (C, H, N*W) batch, in x's dtype.
+    """Valid cross-correlation of an hour-major (H, C, N*W) batch, in x's dtype.
 
     weights (C_out, C_in, kh, kw) is an hour kernel (kw == 1) or a closing
     kernel over one-hour rows of kw days (kh == H == 1). The output is
-    (C_out, H-kh+1, N*(W-kw+1)) with
-    out[o, y, n*Wp+d] = b[o] + sum x[c, y+i, n*W+d+j] * w[o, c, i, j].
+    (H-kh+1, C_out, N*(W-kw+1)) with
+    out[y, o, n*Wp+d] = b[o] + sum x[y+i, c, n*W+d+j] * w[o, c, i, j].
     """
     x = _float_array(x)
     c_out, c_in, kh, kw = weights.shape
-    if x.ndim != 3 or x.shape[0] != c_in:
-        raise ValueError(f"expected a ({c_in}, H, N*W) input, got shape {x.shape}")
-    c, h, m = x.shape
+    if x.ndim != 3 or x.shape[1] != c_in:
+        raise ValueError(f"expected an (H, {c_in}, N*W) input, got shape {x.shape}")
+    h, _, m = x.shape
     b = bias.astype(x.dtype, copy=False)
     if kw > 1:
         if kh != 1 or h != 1 or m % kw:
             raise ValueError(f"a {kh}x{kw} kernel needs one-hour rows of {kw} days, not {x.shape}")
         out = _day_rows(x, kw) @ weights.reshape(c_out, -1).T.astype(x.dtype) + b
-        return out.T[:, None, :]  # (C_out, 1, N), a view of the (N, C_out) product
-    hp = h - kh + 1
-    if hp < 1:
+        return out.T[None]  # (1, C_out, N), a view of the (N, C_out) product
+    if kh > h:
         raise ValueError(f"a {kh}x1 kernel is taller than the {h}-hour input")
-    taps, x2 = _hour_taps(weights, x.dtype), x.reshape(c, h * m)
-    out = taps[0] @ x2[:, : hp * m]
-    for i in range(1, kh):
-        out += taps[i] @ x2[:, i * m : (i + hp) * m]
+    out = np.matmul(_stacked(weights, x.dtype), _windows(x, kh))
     out += b[:, None]
-    return out.reshape(c_out, hp, m)
+    return out
 
 
 def _conv_grads(x: np.ndarray, weights: np.ndarray, dz: np.ndarray, need_dx: bool = True):
-    """(dW, dX) of conv2d_valid(x, weights, .) for its output gradient dz; dX only if need_dx."""
+    """(dW, dX) of conv2d_valid(x, weights, .) for its output gradient dz; dX only if need_dx.
+
+    An hour kernel's dW sums dz[y] times window y's transpose over hours y. dX is
+    chosen by shape: one GEMM, stacked weight transposed times dz[0], when kh == H;
+    else the flipped stacked weight times the windows of dz padded by kh-1 zero hours.
+    """
     c_out, c_in, kh, kw = weights.shape
-    c, h, m = x.shape
-    dz2, dx = dz.reshape(c_out, -1), None
     if kw > 1:
-        rows = _day_rows(x, kw)
-        dw = (dz2 @ rows).reshape(weights.shape)
-        if need_dx:
-            drows = dz2.T @ weights.reshape(c_out, -1).astype(dz.dtype)
-            dx = drows.reshape(-1, c, kw).transpose(1, 0, 2).reshape(c, 1, m)
-        return dw, dx
-    hp, x2 = dz.shape[1], x.reshape(c, h * m)
-    dw = np.empty((c_out, c_in, kh, 1), dtype=dz.dtype)
-    for i in range(kh):
-        dw[:, :, i, 0] = dz2 @ x2[:, i * m : (i + hp) * m].T
-    if need_dx:
-        taps = _hour_taps(weights, dz.dtype)
-        dx = np.empty((c, h * m), dtype=dz.dtype)
-        np.matmul(taps[0].T, dz2, out=dx[:, : hp * m])
-        dx[:, hp * m :] = 0
-        for i in range(1, kh):
-            dx[:, i * m : (i + hp) * m] += taps[i].T @ dz2
-        dx = dx.reshape(c, h, m)
-    return dw, dx
+        dw = (dz[0] @ _day_rows(x, kw)).reshape(weights.shape)
+        if not need_dx:
+            return dw, None
+        drows = dz[0].T @ weights.reshape(c_out, -1).astype(dz.dtype)
+        return dw, drows.reshape(-1, c_in, kw).transpose(1, 0, 2).reshape(x.shape)
+    hp = dz.shape[0]
+    dw = np.matmul(dz, _windows(x, kh).transpose(0, 2, 1)).sum(axis=0)
+    dw = dw.reshape(c_out, kh, c_in).transpose(0, 2, 1)[..., None]
+    if not need_dx:
+        return dw, None
+    if hp == 1:
+        return dw, (_stacked(weights, dz.dtype).T @ dz[0]).reshape(x.shape)
+    padded = np.zeros((hp + 2 * (kh - 1), *dz.shape[1:]), dtype=dz.dtype)
+    padded[kh - 1 : kh - 1 + hp] = dz
+    flipped = _stacked(weights.transpose(1, 0, 2, 3)[:, :, ::-1], dz.dtype)
+    return dw, np.matmul(flipped, _windows(padded, kh))
 
 
 def dense_affine(x, weights, bias) -> np.ndarray:
@@ -230,6 +232,12 @@ def _layer_names(config: NetworkConfig) -> list[str]:
     return [f"conv{i}" for i in range(1, len(config.kernels) + 1)] + ["dense7", "dense8", "head"]
 
 
+def _leaky_slope(z: np.ndarray, alpha: float) -> np.ndarray:
+    """where(z >= 0, 1, alpha) in z's dtype, bit for bit for alpha in [0, 1), in two passes."""
+    slope = (z >= 0).astype(z.dtype)
+    return np.maximum(slope, alpha, out=slope)
+
+
 @dataclass
 class ForwardTrace:
     """Per-call cache for backward: each layer's input and leaky-ReLU slope
@@ -243,31 +251,23 @@ class ForwardTrace:
 def forward_batch(params: ModelParams, x) -> tuple[np.ndarray, np.ndarray, ForwardTrace]:
     """Full forward for an (N, C, H, W) batch, in the batch's floating dtype.
 
-    Returns (probs (N,K), features (N, dense8), trace); the features are the
-    last hidden activation, used for softmax averaging and as the SVM
-    feature space.
+    Returns (probs (N,K), features (N, dense8), trace); the features, the last
+    hidden activation, feed softmax averaging and the SVM head.
     """
     cfg = params.config
     x, expected = _float_array(x), (cfg.in_channels, cfg.hours, cfg.days)
     if x.ndim != 4 or x.shape[1:] != expected:
         raise ValueError(f"input shape {x.shape} does not match (N, {expected})")
-    last_conv = f"conv{len(cfg.kernels)}"
-    slopes = np.array([cfg.alpha, 1.0], dtype=x.dtype)
     layers = []
-    a = np.ascontiguousarray(x.transpose(1, 2, 0, 3)).reshape(cfg.in_channels, cfg.hours, -1)
+    a = np.ascontiguousarray(x.transpose(2, 1, 0, 3)).reshape(cfg.hours, cfg.in_channels, -1)
     for name in _layer_names(cfg):
         w, b = params.tensors[f"{name}.w"], params.tensors[f"{name}.b"]
-        if w.ndim == 4:
-            z = conv2d_valid(a, w, b)
-            if name == last_conv:
-                z = z.reshape(len(b), len(x)).T  # the 1x1 extent flattens to (N, C)
-        else:
-            z = dense_affine(a, w, b)
-        # a table lookup beats np.where with scalar arms; the indices are 0
-        # or 1, so mode="wrap" only skips the bounds check
-        slope = None if name == "head" else slopes.take((z >= 0).view(np.uint8), mode="wrap")
+        z = conv2d_valid(a, w, b) if w.ndim == 4 else dense_affine(a, w, b)
+        if name == f"conv{len(cfg.kernels)}":  # the 1x1 extent flattens to (N, C)
+            z = z[0].T
+        slope = None if name == "head" else _leaky_slope(z, cfg.alpha)
         layers.append((a, slope))
-        a = z if slope is None else z * slope
+        a = z if slope is None else np.multiply(z, slope, out=z)  # z is a fresh array
     probs = softmax(a)
     return probs, layers[-1][0], ForwardTrace(layers, a, probs)
 
@@ -283,16 +283,15 @@ def backward(params: ModelParams, trace: ForwardTrace, dlogits) -> dict[str, np.
     if da.shape != trace.logits.shape:
         raise ValueError("upstream gradient does not match the forward trace")
     names = _layer_names(params.config)
-    last_conv = len(params.config.kernels) - 1
     g: dict[str, np.ndarray] = {}
     for k in reversed(range(len(names))):
         (x_in, slope), w = trace.layers[k], params.tensors[f"{names[k]}.w"]
-        dz = da if slope is None else da * slope
+        dz = da if slope is None else np.multiply(da, slope, out=da)  # fresh past the head
         if w.ndim == 4:
-            if k == last_conv:
-                dz = dz.T.reshape(len(w), 1, -1)  # back to the conv layout (C, 1, N)
+            if dz.ndim == 2:  # the last conv, fed to dense7 as (N, C)
+                dz = dz.T[None]  # back to the conv layout (1, C, N)
             g[f"{names[k]}.w"], da = _conv_grads(x_in, w, dz, need_dx=k > 0)
-            g[f"{names[k]}.b"] = dz.sum(axis=(1, 2))
+            g[f"{names[k]}.b"] = dz.sum(axis=(0, 2))
         else:
             g[f"{names[k]}.w"] = dz.T @ x_in
             g[f"{names[k]}.b"] = dz.sum(axis=0)

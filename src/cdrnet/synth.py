@@ -22,11 +22,11 @@ default_rng(SeedSequence(seed).spawn(users)[u]) in this order.
    integers(lo, hi) for the age, which reads nothing when hi - lo == 1.
 2. poisson(event_rate, weeks_per_user) for the weekly event counts. A
    user with no events draws nothing more.
-3. For the user's n events, in week order: choice(168, n, p) for the
-   (hour, weekday) cells; integers(0, 60, n) for the minutes, then the
-   seconds; random(n) for call-or-text, then for out-or-in;
-   exponential(mean duration, n) for the call durations; random(n) for
-   the contact-reuse coins.
+3. For the user's n events, in week order: random(n) for the (hour,
+   weekday) cells, looked up in the class's cell CDF as choice(168, n, p)
+   does; integers(0, 60, n) for the minutes, then the seconds; random(n)
+   for call-or-text, then for out-or-in; exponential(mean duration, n)
+   for the call durations; random(n) for the contact-reuse coins.
 4. One contact draw per event, in event order: integers(len(seen)) to
    pick an earlier contact when the event's coin says reuse and there is
    one, else integers(contact_pool). These come from uint32s drawn in bulk
@@ -169,14 +169,15 @@ def generate(config: SynthConfig) -> tuple[list[str], list[str]]:
     """
     edges = LabelSpace.fit("age", (), config.age_edges).age_edges
     archetypes = make_archetypes(len(edges) + 1, config.seed)
-    n_cells = N_HOURS * N_DAYS
-    uniform = np.full(n_cells, 1.0 / n_cells)
+    uniform = np.full(N_HOURS * N_DAYS, 1.0 / (N_HOURS * N_DAYS))
     s = config.signal
     habits = {}
     for key, arch in archetypes.items():
         cells_p = s * arch.intensity.reshape(-1) + (1.0 - s) * uniform
+        cdf = (cells_p / cells_p.sum()).cumsum()  # as choice(168, n, p) builds it per call
+        cdf /= cdf[-1]
         habits[key] = (
-            cells_p / cells_p.sum(),
+            cdf,
             _blend(s, arch.call_ratio, NEUTRAL_CALL_RATIO),
             _blend(s, arch.out_ratio, NEUTRAL_OUT_RATIO),
             _blend(s, arch.mean_duration_s, NEUTRAL_DURATION_S),
@@ -201,13 +202,13 @@ def generate(config: SynthConfig) -> tuple[list[str], list[str]]:
         hi = edges[bucket] if bucket < len(edges) else edges[-1] + 30
         age = int(rng.integers(lo, hi))
         label_lines.append(f"{uid},{gender},{age}")
-        cells_p, call_ratio, out_ratio, mean_dur, reuse = habits[(gender, bucket)]
+        cells_cdf, call_ratio, out_ratio, mean_dur, reuse = habits[(gender, bucket)]
 
         counts = rng.poisson(config.event_rate, size=config.weeks_per_user)
         total = int(counts.sum())
         if total == 0:
             continue
-        cells = rng.choice(n_cells, size=total, p=cells_p)
+        cells = cells_cdf.searchsorted(rng.random(total), side="right")
         minutes = rng.integers(0, 60, size=total)
         seconds = rng.integers(0, 60, size=total)
         is_call = rng.random(total) < call_ratio

@@ -174,16 +174,16 @@ def column_rows(columns) -> list[tuple]:
     )
 
 
-def channels_first(x: np.ndarray) -> np.ndarray:
-    """An (N, C, H, W) batch in the net's conv layout (C, H, N*W)."""
+def hour_major(x: np.ndarray) -> np.ndarray:
+    """An (N, C, H, W) batch in the net's conv layout (H, C, N*W)."""
     n, c, h, w = x.shape
-    return x.transpose(1, 2, 0, 3).reshape(c, h, n * w)
+    return x.transpose(2, 1, 0, 3).reshape(h, c, n * w)
 
 
 def batch_first(y: np.ndarray, n: int) -> np.ndarray:
-    """A (C, H, N*W) conv activation of n samples as an (N, C, H, W) batch."""
-    c, h, m = y.shape
-    return y.reshape(c, h, n, m // n).transpose(2, 0, 1, 3)
+    """An (H, C, N*W) conv activation of n samples as an (N, C, H, W) batch."""
+    h, c, m = y.shape
+    return y.reshape(h, c, n, m // n).transpose(2, 1, 0, 3)
 
 
 def brute_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -55,8 +55,8 @@ from oracles import (
     brute_conv,
     brute_dense,
     brute_week_tensor,
-    channels_first,
     format_cdr_line,
+    hour_major,
     random_records,
 )
 
@@ -177,7 +177,7 @@ def test_acceptance_4_kernel_oracles():
         x = rng.normal(size=(n, c_in, h, w))
         weight = rng.normal(size=(c_out, c_in, kh, kw))
         bias = rng.normal(size=c_out)
-        out = batch_first(conv2d_valid(channels_first(x), weight, bias), n)
+        out = batch_first(conv2d_valid(hour_major(x), weight, bias), n)
         diff = np.abs(out - brute_conv(x, weight, bias)).max()
         worst_conv = max(worst_conv, float(diff))
 

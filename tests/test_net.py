@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cdrnet.net import (
     NetworkConfig,
     _conv_grads,
+    _leaky_slope,
     backward,
     conv2d_valid,
     dense_affine,
@@ -20,7 +21,7 @@ from cdrnet.net import (
 )
 from cdrnet.training import loss_gradient
 
-from oracles import batch_first, brute_conv, brute_conv_grads, brute_dense, channels_first
+from oracles import batch_first, brute_conv, brute_conv_grads, brute_dense, hour_major
 
 
 def test_default_config_shape_chain():
@@ -70,7 +71,7 @@ def test_param_shapes_default_config():
 
 def _conv(x, w, b):
     """conv2d_valid on an (N, C, H, W) batch, answered in the same layout."""
-    return batch_first(conv2d_valid(channels_first(x), w, b), len(x))
+    return batch_first(conv2d_valid(hour_major(x), w, b), len(x))
 
 
 def test_conv_matches_oracle_fixed_case():
@@ -95,7 +96,7 @@ def test_conv_identity_kernel():
     n=st.integers(1, 3),
     c_in=st.integers(1, 3),
     c_out=st.integers(1, 3),
-    kh=st.integers(2, 3),
+    kh=st.integers(2, 12),
     kw=st.integers(2, 3),
     extra_h=st.integers(0, 3),
     extra_w=st.integers(0, 3),
@@ -113,14 +114,14 @@ def test_conv_grads_match_direct_sum(n, c_in, c_out, kh, kw, extra_h, extra_w, c
     x = rng.normal(size=(n, c_in, kh + extra_h, kw + extra_w))
     w = rng.normal(size=(c_out, c_in, kh, kw))
     dz = rng.normal(size=(n, c_out, extra_h + 1, extra_w + 1))
-    dw, dx = _conv_grads(channels_first(x), w, channels_first(dz))
+    dw, dx = _conv_grads(hour_major(x), w, hour_major(dz))
     dw_ref, dx_ref = brute_conv_grads(x, w, dz)
     np.testing.assert_allclose(dw, dw_ref, rtol=0, atol=1e-10)
     np.testing.assert_allclose(batch_first(dx, n), dx_ref, rtol=0, atol=1e-10)
 
 
 def test_conv_shape_errors():
-    x = channels_first(np.zeros((1, 2, 3, 3)))
+    x = hour_major(np.zeros((1, 2, 3, 3)))
     with pytest.raises(ValueError):
         conv2d_valid(x, np.zeros((1, 3, 2, 1)), np.zeros(1))  # channel mismatch
     with pytest.raises(ValueError):
@@ -130,7 +131,7 @@ def test_conv_shape_errors():
     with pytest.raises(ValueError):
         conv2d_valid(x, np.zeros((1, 2, 2, 3)), np.zeros(1))  # a 2-D kernel
     with pytest.raises(ValueError):
-        conv2d_valid(x[:, :1], np.zeros((1, 2, 1, 2)), np.zeros(1))  # 3 columns, 2-day rows
+        conv2d_valid(x[:1], np.zeros((1, 2, 1, 2)), np.zeros(1))  # 3 columns, 2-day rows
     with pytest.raises(ValueError):
         conv2d_valid(np.zeros(5), np.zeros((1, 1, 1, 1)), np.zeros(1))
 
@@ -205,6 +206,18 @@ def test_forward_batch_outputs():
 
 def _leaky(z, alpha):
     return np.where(z >= 0, z, alpha * z)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.0])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaky_slope_is_where_bit_for_bit(dtype, alpha):
+    info = np.finfo(dtype)
+    special = [-0.0, 0.0, np.nan, np.inf, -np.inf, -info.smallest_subnormal, -info.tiny / 2]
+    z = np.concatenate([special, np.random.default_rng(0).normal(size=200)]).astype(dtype)
+    want = np.where(z >= 0, 1, alpha).astype(dtype)
+    got = _leaky_slope(z, alpha)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got.view(f"u{got.itemsize}"), want.view(f"u{want.itemsize}"))
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,7 @@ from .classify import (
 from .container import ContainerError
 from .featurize import DEFAULT_AGE_EDGES, LabelSpace, featurize_users, fit_normalizer
 from .featurize import load_tensor_dataset, save_tensor_dataset
-from .ingest import IngestError, ParseError, ingest, load_labels, read_lines
+from .ingest import IngestError, ParseError, ingest, load_labels, read_lines, read_utf8
 from .modelfile import load_model, save_model
 from .net import DEFAULT_DENSE, DEFAULT_FILTERS, NetworkConfig, downsized_config, init_params
 from .synth import SynthConfig, generate, write_lines
@@ -157,13 +157,13 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_featurize(args) -> int:
-    groups, _, report = ingest(read_lines(args.cdr))
+    groups, _, report = ingest(read_utf8(args.cdr))
     print(json.dumps(report.to_json(), sort_keys=True))
     if report.records_accepted == 0:
         print(f"error: {args.cdr}: no usable records", file=sys.stderr)
         return 2
     ds = featurize_users(groups)
-    ds.norm_stats = fit_normalizer(ds.tensors)
+    ds.norm_stats = fit_normalizer(ds)
     save_tensor_dataset(args.out, ds)
     print(f"wrote {len(ds)} user-week tensors for {len(set(ds.user_ids))} users")
     return 0

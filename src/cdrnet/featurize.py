@@ -1,7 +1,8 @@
 """Weekly 8-channel activity tensors counted from CDR columns.
 
 Each active (user, week) becomes an (8, 24, 7) array of raw counts over
-hour-of-day x weekday cells, Monday first. Channel order:
+hour-of-day x weekday cells, Monday first, held as its non-zero cells
+(the CSR layout below). Channel order:
 
     0 out_unique_contacts   4 in_unique_contacts
     1 out_calls             5 in_calls
@@ -26,8 +27,12 @@ their values in counts at the same positions:
 
 The tensors are mostly zeros (9.4% of cells are non-zero on a reference
 synthetic set), so the file is an eighth of the dense float64 size or less.
-Loading checks the arrays and scatters them into a dense (N, 8, 24, 7)
-float64 array. Dense "CDRTENSOR/1" files are refused; featurize rebuilds them.
+featurize counts the CSR arrays straight from sorted cell keys and fits
+the normalizer over the non-zeros alone, so it never holds the dense
+tensors. Loading checks the arrays and keeps them; TensorDataset.tensors
+builds the dense (N, 8, 24, 7) float64 view on first use, for the readers
+that still want it. Dense "CDRTENSOR/1" files are refused; featurize
+rebuilds them.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date
+from itertools import groupby
 
 import numpy as np
 
@@ -84,13 +90,15 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[np.diff(values, prepend=-1) != 0]
 
 
-def _count_tensors(row, n_rows: int, columns: CdrColumns, weekday) -> np.ndarray:
-    """Raw (n_rows, 8, 24, 7) counts; record i lands in tensor row[i] at weekday[i].
+def _count_tensors(row, n_rows: int, columns: CdrColumns, weekday):
+    """CSR (offsets, cells, counts) of the raw tensors; record i lands in row[i] at weekday[i].
 
     calls/texts count events, duration sums call seconds, unique contacts
     is the number of distinct correspondents with any event in the cell.
-    Every count is one weighted bincount over flat (row, channel, hour, day)
-    indices.
+    Every count is a weighted sum over flat (row, channel, hour, day) keys:
+    the keys are sorted, the weights of each distinct key are summed, and
+    zero sums (a zero-second call's duration) are dropped, so the dense
+    tensors are never built.
     """
     # flat index of the record's cell in its direction's unique-contacts channel
     cell = (row * N_CHANNELS + _IN_BASE * columns.incoming) * N_CELLS
@@ -104,8 +112,33 @@ def _count_tensors(row, n_rows: int, columns: CdrColumns, weekday) -> np.ndarray
     weights = np.concatenate(
         [np.ones(len(events)), columns.duration[columns.is_call], np.ones(len(unique))]
     )
-    counts = np.bincount(index, weights, minlength=n_rows * N_CHANNELS * N_CELLS)
-    return counts.reshape(n_rows, N_CHANNELS, N_HOURS, N_DAYS)
+    del cell, events, calls, unique
+    order = np.argsort(index, kind="stable")
+    index, weights = index[order], weights[order]
+    first = np.flatnonzero(np.diff(index, prepend=-1))
+    keys, counts = index[first], np.add.reduceat(weights, first)
+    nonzero = counts != 0
+    keys, counts = keys[nonzero], counts[nonzero]
+    offsets = np.searchsorted(keys, np.arange(n_rows + 1) * TENSOR_CELLS)
+    return offsets, (keys % TENSOR_CELLS).astype(np.uint16), counts
+
+
+def _sparse(tensors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR (offsets, cells, counts) of dense (N, 8, 24, 7) tensors."""
+    arr = np.asarray(tensors, dtype=np.float64)
+    if arr.ndim != 4 or arr.shape[1:] != (N_CHANNELS, N_HOURS, N_DAYS):
+        raise ValueError(f"expected (N, 8, 24, 7) week tensors, got shape {arr.shape}")
+    flat = arr.reshape(-1)
+    nonzero = np.flatnonzero(flat)
+    offsets = np.searchsorted(nonzero, np.arange(len(arr) + 1) * TENSOR_CELLS)
+    return offsets, (nonzero % TENSOR_CELLS).astype(np.uint16), flat[nonzero]
+
+
+def _flat_index(offsets: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Index of each CSR cell into the flattened dense (N, 8, 24, 7) tensors."""
+    index = np.repeat(np.arange(len(offsets) - 1) * TENSOR_CELLS, np.diff(offsets))
+    index += cells
+    return index
 
 
 @dataclass(frozen=True)
@@ -117,18 +150,28 @@ class NormStats:
 
 
 def fit_normalizer(tensors) -> NormStats:
-    """Fit per-channel log1p statistics over an (N,8,24,7) array."""
-    arr = np.asarray(tensors, dtype=np.float64)
-    if arr.ndim != 4 or arr.shape[0] == 0:
+    """Fit per-channel log1p statistics over a TensorDataset or an (N,8,24,7) array.
+
+    Only the non-zero cells are visited. Each channel has N·168 cells, and
+    a zero cell adds log1p(0) = 0 to its channel's sum and mean² to its
+    squared deviations.
+    """
+    if isinstance(tensors, TensorDataset):
+        rows, cells, counts = len(tensors), tensors.cells, tensors.counts
+    else:
+        offsets, cells, counts = _sparse(tensors)
+        rows = len(offsets) - 1
+    if rows == 0:
         raise ValueError("fit_normalizer needs a non-empty list of week tensors")
-    logs = np.log1p(arr)
-    mean = logs.mean(axis=(0, 2, 3))
-    # logs.std(axis=(0, 2, 3)) step for step, with the deviations in place of
-    # the logs instead of in a second full-size array
-    logs -= mean[:, None, None]
-    np.multiply(logs, logs, out=logs)
-    std = np.sqrt(logs.sum(axis=(0, 2, 3)) / (logs.size // N_CHANNELS))
-    return NormStats(mean, np.maximum(std, STD_FLOOR))
+    channel = cells // N_CELLS
+    logs = np.log1p(counts)
+    size = rows * N_CELLS
+    mean, squares = np.zeros(N_CHANNELS), np.zeros(N_CHANNELS)
+    for c in range(N_CHANNELS):
+        values = logs[channel == c]
+        mean[c] = values.sum() / size
+        squares[c] = np.square(values - mean[c]).sum() + (size - len(values)) * mean[c] ** 2
+    return NormStats(mean, np.maximum(np.sqrt(squares / size), STD_FLOOR))
 
 
 def apply_normalizer(tensor, stats: NormStats) -> np.ndarray:
@@ -218,14 +261,45 @@ class LabelSpace:
             ) from None
 
 
-@dataclass
 class TensorDataset:
-    """Parallel (user_id, week, raw tensor) rows plus an optional NormStats sidecar."""
+    """Parallel (user_id, week, raw tensor) rows plus an optional NormStats sidecar.
 
-    user_ids: list[str]
-    weeks: list[WeekId]
-    tensors: np.ndarray  # (N, 8, 24, 7) raw values
-    norm_stats: NormStats | None = None
+    The tensors are held as the CSR arrays of a tensor file (module
+    docstring). tensors is their dense float64 (N, 8, 24, 7) view, built
+    read-only on first use. Dense tensors given in place of the arrays are
+    reduced to them.
+    """
+
+    def __init__(
+        self,
+        user_ids: list[str],
+        weeks: list[WeekId],
+        tensors=None,
+        norm_stats: NormStats | None = None,
+        *,
+        offsets: np.ndarray | None = None,
+        cells: np.ndarray | None = None,
+        counts: np.ndarray | None = None,
+    ):
+        if tensors is not None:
+            offsets, cells, counts = _sparse(tensors)
+        self.user_ids = user_ids
+        self.weeks = weeks
+        self.offsets = offsets  # (N+1,) int64
+        self.cells = cells      # uint16
+        self.counts = counts    # float64
+        self.norm_stats = norm_stats
+        self._dense = None
+
+    @property
+    def tensors(self) -> np.ndarray:
+        """The dense float64 (N, 8, 24, 7) raw tensors."""
+        if self._dense is None:
+            dense = np.zeros((len(self.offsets) - 1, N_CHANNELS, N_HOURS, N_DAYS))
+            dense.reshape(-1)[_flat_index(self.offsets, self.cells)] = self.counts
+            dense.flags.writeable = False
+            self._dense = dense
+        return self._dense
 
     def __len__(self) -> int:
         return len(self.user_ids)
@@ -237,11 +311,20 @@ class TensorDataset:
         return sorted((i for i, u in enumerate(ids) if u in chosen), key=ids.__getitem__)
 
     def by_user(self) -> dict[str, np.ndarray]:
-        """Stacked week tensors per user, users in sorted order."""
-        index: dict[str, list[int]] = {}
-        for i, uid in enumerate(self.user_ids):
-            index.setdefault(uid, []).append(i)
-        return {uid: self.tensors[rows] for uid, rows in sorted(index.items())}
+        """Stacked week tensors per user, users in sorted order.
+
+        Each user's stack is a slice of one array: of tensors itself when the
+        rows are already sorted by user, as featurize writes them, so that no
+        row is copied; otherwise of one sorted copy.
+        """
+        rows = self.rows_of(self.user_ids)
+        stacked = self.tensors if rows == list(range(len(rows))) else self.tensors[rows]
+        out, start = {}, 0
+        for uid, group in groupby(self.user_ids[i] for i in rows):
+            stop = start + sum(1 for _ in group)
+            out[uid] = stacked[start:stop]
+            start = stop
+        return out
 
 
 def featurize_users(columns: CdrColumns) -> TensorDataset:
@@ -258,31 +341,26 @@ def featurize_users(columns: CdrColumns) -> TensorDataset:
     key = columns.user * n_weeks + (week - first)
     row_keys = _distinct(key)
     row = np.searchsorted(row_keys, key)
-    tensors = _count_tensors(row, len(row_keys), columns, weekday)
+    offsets, cells, counts = _count_tensors(row, len(row_keys), columns, weekday)
     user_of, week_of = np.divmod(row_keys, n_weeks)
     mondays = {
         w: WeekId(date.fromordinal(EPOCH_ORDINAL + (w + first) * N_DAYS - 3))
         for w in set(week_of.tolist())
     }
     user_ids = [columns.user_ids[u] for u in user_of.tolist()]
-    return TensorDataset(user_ids, [mondays[w] for w in week_of.tolist()], tensors)
+    weeks = [mondays[w] for w in week_of.tolist()]
+    return TensorDataset(user_ids, weeks, offsets=offsets, cells=cells, counts=counts)
 
 
 def save_tensor_dataset(path, ds: TensorDataset) -> None:
-    """Write a tensor file, keeping only the non-zero cells of each tensor."""
-    flat = ds.tensors.reshape(len(ds), TENSOR_CELLS)
-    nonzero = np.flatnonzero(flat)
+    """Write a tensor file from the dataset's CSR arrays."""
     header = {
         "count": len(ds),
         "users": ds.user_ids,
         "weeks": [wk.start_date.isoformat() for wk in ds.weeks],
         "has_norm": ds.norm_stats is not None,
     }
-    arrays = {
-        "offsets": np.searchsorted(nonzero, np.arange(len(ds) + 1) * TENSOR_CELLS),
-        "cells": (nonzero % TENSOR_CELLS).astype(np.uint16),
-        "counts": flat.reshape(-1)[nonzero].astype(np.float64, copy=False),
-    }
+    arrays = {"offsets": ds.offsets, "cells": ds.cells, "counts": ds.counts}
     if ds.norm_stats is not None:
         arrays["norm.mean"] = ds.norm_stats.mean
         arrays["norm.std"] = ds.norm_stats.std
@@ -292,8 +370,8 @@ def save_tensor_dataset(path, ds: TensorDataset) -> None:
 _SPARSE_DTYPES = {"offsets": np.int64, "cells": np.uint16, "counts": np.float64}
 
 
-def _sparse_index(path, arrays: dict[str, np.ndarray]) -> tuple[int, np.ndarray, np.ndarray]:
-    """(rows, flat index into the dense tensors, counts) of a file's sparse arrays.
+def _check_sparse(path, arrays: dict[str, np.ndarray]) -> int:
+    """The number of tensors in a file's sparse arrays.
 
     Arrays that do not form the layout in the module docstring are a
     ContainerError naming the array.
@@ -320,11 +398,10 @@ def _sparse_index(path, arrays: dict[str, np.ndarray]) -> tuple[int, np.ndarray,
     # counts are finite and non-negative; a NaN minimum fails the test too
     if len(counts) and not (0.0 <= counts.min() and counts.max() < np.inf):
         raise ContainerError(f"{path}: counts hold a NaN, infinite or negative count")
-    index = np.repeat(np.arange(len(sizes)) * TENSOR_CELLS, sizes)
-    index += cells
+    index = _flat_index(offsets, cells)
     if (index[1:] <= index[:-1]).any():
         raise ContainerError(f"{path}: cells of a tensor are not in increasing order")
-    return len(sizes), index, counts
+    return len(sizes)
 
 
 def load_tensor_dataset(path) -> TensorDataset:
@@ -335,15 +412,13 @@ def load_tensor_dataset(path) -> TensorDataset:
         raise FormatVersionError(
             f"{path}: not a {TENSOR_MAGIC} tensor file; re-run featurize to rebuild it"
         ) from None
-    rows, index, counts = _sparse_index(path, arrays)
+    rows = _check_sparse(path, arrays)
     for name in ("users", "weeks"):
         value = header.get(name)
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
             raise ContainerError(f"{path}: {name} is not a list of strings")
         if len(value) != rows:
             raise ContainerError(f"{path}: {len(value)} {name} for {rows} tensors in offsets")
-    tensors = np.zeros((rows, N_CHANNELS, N_HOURS, N_DAYS))
-    tensors.reshape(-1)[index] = counts
     try:
         weeks = [WeekId(date.fromisoformat(s)) for s in header["weeks"]]
     except ValueError as exc:
@@ -355,4 +430,5 @@ def load_tensor_dataset(path) -> TensorDataset:
             if shape != (N_CHANNELS,):
                 raise ContainerError(f"{path}: {name} of shape {shape}, expected ({N_CHANNELS},)")
         stats = NormStats(arrays["norm.mean"], arrays["norm.std"])
-    return TensorDataset(header["users"], weeks, tensors, stats)
+    sparse = {name: arrays[name] for name in _SPARSE_DTYPES}
+    return TensorDataset(header["users"], weeks, norm_stats=stats, **sparse)

@@ -15,13 +15,18 @@ run. The only fatal data condition is a duplicate user_id in the labels
 file. Texts must carry duration 0; coercing instead of rejecting would
 hide upstream schema errors.
 
-ingest() accepts CDR lines by one vectorized pass over the whole file
-(_scan), which yields CdrColumns. parse_cdr_line runs only on the lines
-that pass refuses, to name each one's defect; it accepts none of them.
+featurize reads a CDR file as bytes (read_utf8), which are checked for
+UTF-8 but never decoded as a whole. ingest() splits them into lines as a
+file opened in text mode would, then accepts lines by vectorized checks
+(_scan) run over fixed-size blocks of lines, so that the scan's per-line
+temporaries do not grow with the file; ids are coded once over the whole
+text, and the result is CdrColumns. parse_cdr_line runs only on the lines
+the scan refuses, to name each one's defect; it accepts none of them.
 """
 
 from __future__ import annotations
 
+import codecs
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime
@@ -171,7 +176,9 @@ def parse_labels_line(line: str) -> LabelRecord:
 
 _NL, _CR, _COMMA = ord("\n"), ord("\r"), ord(",")
 _KEY_BYTES = 64  # id bytes in a sort key; a second pass orders longer ids
-_PAD = _KEY_BYTES  # zero bytes after the text: fixed-offset reads stay in the buffer
+_PAD = _KEY_BYTES  # zero bytes after a scan block: fixed-offset reads stay in the buffer
+_BLOCK_LINES = 16384  # lines per scan block
+_BYTE_BLOCK = 1 << 20  # bytes per pass when searching line ends or checking UTF-8
 _DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
@@ -184,36 +191,99 @@ def _days_from_civil(year, month, day):
     return era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
 
 
-def _scan(lines: list[str]) -> tuple[CdrColumns, np.ndarray]:
-    """Vectorized parse of CDR data lines into columns of the lines it accepts.
+def _line_bounds(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends) of the lines of a text, split where universal newlines split them.
 
-    The whole text is one uint8 buffer; each check runs over a whole field
-    column at once. Returns the columns and the per-line accept mask, which
-    holds every line that parse_cdr_line passes and no other.
+    A line ends at "\\n", "\\r\\n" or a lone "\\r", as in a file opened in text
+    mode. Line i is data[starts[i]:ends[i]] without its line end and runs up
+    to starts[i + 1] with it, so starts holds one entry more than there are
+    lines. Line ends are searched _BYTE_BLOCK bytes at a time.
+    """
+    buf = np.frombuffer(data, np.uint8)
+    found = [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, len(buf), _BYTE_BLOCK):
+        part = buf[lo : lo + _BYTE_BLOCK]
+        found.append(lo + np.flatnonzero((part == _NL) | (part == _CR)))
+    term = np.concatenate(found)
+    is_cr = buf[term] == _CR
+    pair = np.flatnonzero(is_cr[:-1] & ~is_cr[1:] & (np.diff(term) == 1))  # "\r\n"
+    ends = np.delete(term, pair + 1)  # a line's text stops at its first line-end byte
+    starts = np.concatenate(([0], np.delete(term, pair) + 1))
+    if starts[-1] < len(buf):  # a last line without a line end
+        starts = np.append(starts, len(buf))
+        ends = np.append(ends, len(buf))
+    return starts, ends
+
+
+def _encode(lines: list[str]) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """The lines' UTF-8 bytes and their (starts, ends) as _line_bounds gives them.
+
+    Each item is one line; its text stops before the "\\r" and "\\n"
+    characters that end it.
     """
     n = len(lines)
-    text = "".join(lines + ["\0" * _PAD])
+    text = "".join(lines)
     if text.isascii():
         size = np.fromiter(map(len, lines), dtype=np.int64, count=n)
     else:
         size = np.fromiter((len(ln.encode("utf-8", "surrogatepass")) for ln in lines), np.int64, n)
     data = text.encode("utf-8", "surrogatepass")
-    buf = np.frombuffer(data, np.uint8)
     del text
-    # line i is buf[starts[i]:ends[i]] once its trailing "\r" and "\n" are cut
-    line_end = np.cumsum(size)
-    starts = line_end - size
-    ends = line_end.copy()
+    buf = np.frombuffer(data, np.uint8)
+    starts = np.concatenate(([0], np.cumsum(size)))
+    ends = starts[1:].copy()
     tail = np.arange(n)
     while len(tail):
-        end = ends[tail]
-        tail = tail[(end > starts[tail]) & ((buf[end - 1] == _NL) | (buf[end - 1] == _CR))]
+        tail = tail[ends[tail] > starts[tail]]
+        last = buf[ends[tail] - 1]
+        tail = tail[(last == _NL) | (last == _CR)]
         ends[tail] -= 1
-    commas = np.flatnonzero(buf == _COMMA)
-    per_line = np.bincount(np.searchsorted(line_end, commas, side="right"), minlength=n)
-    ok = per_line == 5
+    return data, starts, ends
 
-    rows = np.flatnonzero(ok)
+
+def _scan(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[CdrColumns, np.ndarray]:
+    """Vectorized parse of CDR data lines into columns of the lines it accepts.
+
+    Line i is data[starts[i]:ends[i]] and runs up to starts[i + 1] with its
+    line end. The checks run over blocks of _BLOCK_LINES lines, so that their
+    per-line temporaries do not grow with the file; the ids are then coded
+    once, over their spans in the whole text. Returns the columns and the
+    per-line accept mask, which holds every line that parse_cdr_line passes
+    and no other.
+    """
+    n = len(ends)
+    ok = np.zeros(n, dtype=bool)
+    blocks = []
+    # one block even for no lines, so that every column gets its dtype
+    for first in range(0, max(n, 1), _BLOCK_LINES):
+        last = min(first + _BLOCK_LINES, n)
+        lo, hi = int(starts[first]), int(starts[last])
+        buf = np.zeros(hi - lo + _PAD, dtype=np.uint8)
+        buf[: hi - lo] = np.frombuffer(data, np.uint8, hi - lo, lo)
+        rows, *columns = _scan_block(buf, starts[first : last + 1] - lo, ends[first:last] - lo)
+        ok[first + rows] = True
+        for span in columns[:4]:
+            span += lo
+        blocks.append(columns)
+    user_lo, user_hi, contact_lo, contact_hi, *rest = map(np.concatenate, zip(*blocks))
+    del blocks
+    user_ids, user = _codes(data, user_lo, user_hi)
+    contact_ids, contact = _codes(data, contact_lo, contact_hi)
+    return CdrColumns(user_ids, contact_ids, user, contact, *rest), ok
+
+
+def _scan_block(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """(accepted rows, user span, contact span, incoming, is_call, day, hour, duration).
+
+    buf holds the block's lines and then _PAD zero bytes, so that reads at
+    fixed offsets stay inside it. Each check runs over a whole field column
+    of the block at once.
+    """
+    n = len(ends)
+    commas = np.flatnonzero(buf == _COMMA)
+    per_line = np.bincount(np.searchsorted(starts[1:], commas, side="right"), minlength=n)
+
+    rows = np.flatnonzero(per_line == 5)
     first = (np.cumsum(per_line) - per_line)[rows]
     c0, c1, c2, c3, c4 = (commas[first + k] for k in range(5))
     user_lo, user_hi = starts[rows], c0
@@ -265,22 +335,19 @@ def _scan(lines: list[str]) -> tuple[CdrColumns, np.ndarray]:
         duration = np.where(inside, duration * 10 + digit, duration)
     good &= is_call | (duration == 0)
 
-    ok[rows[~good]] = False
     keep = np.flatnonzero(good)
-    user_ids, user = _codes(data, user_lo[keep], user_hi[keep])
-    contact_ids, contact = _codes(data, contact_lo[keep], contact_hi[keep])
-    columns = CdrColumns(
-        user_ids,
-        contact_ids,
-        user,
-        contact,
+    return (
+        rows[keep],
+        user_lo[keep],
+        user_hi[keep],
+        contact_lo[keep],
+        contact_hi[keep],
         incoming[keep],
         is_call[keep],
         _days_from_civil(year[keep], month[keep], day[keep]),
         hour[keep],
         duration[keep].astype(np.float64),
     )
-    return columns, ok
 
 
 def _codes(data: bytes, lo: np.ndarray, hi: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -297,7 +364,8 @@ def _codes(data: bytes, lo: np.ndarray, hi: np.ndarray) -> tuple[list[str], np.n
     width = min(int(size.max()), _KEY_BYTES) if len(lo) else 0
     keys = np.zeros((len(lo), width + 1), dtype=np.uint8)
     for k in range(width):
-        keys[:, k] = buf[lo + k] * (size > k)
+        # an id may end the text: past its end, read its last byte and zero it
+        keys[:, k] = buf[np.minimum(lo + k, hi - 1)] * (size > k)
     keys[:, width] = np.minimum(size, _KEY_BYTES + 1)
     _, first, codes = np.unique(
         keys.view(f"S{width + 1}").ravel(), return_index=True, return_inverse=True
@@ -320,27 +388,34 @@ def _codes(data: bytes, lo: np.ndarray, hi: np.ndarray) -> tuple[list[str], np.n
 
 
 def ingest(
-    cdr_lines: Iterable[str],
+    cdr: bytes | Iterable[str],
     label_lines: Iterable[str] | None = None,
 ) -> tuple[CdrColumns, dict[str, LabelRecord], IngestReport]:
     """Parse both streams into CDR columns and a label map.
 
-    CDR lines are accepted by vectorized checks (_scan); parse_cdr_line
-    names the defect of each line those refuse, for the report with its
-    line number. Users without a label are retained: usable for
-    prediction, excluded from training.
+    cdr is the UTF-8 text of a CDR file as bytes (see read_utf8), whose
+    lines end as in a file opened in text mode: at "\\n", "\\r\\n" or a lone
+    "\\r". It may also be the file's lines, each item one line with or
+    without its line end; they are encoded into one text once. CDR lines
+    are accepted by vectorized checks (_scan); parse_cdr_line names the
+    defect of each line those refuse, for the report with its line number.
+    Users without a label are retained: usable for prediction, excluded
+    from training.
     """
     report = IngestReport()
-    lines = list(cdr_lines)
-    skip = 1 if lines and lines[0].rstrip("\r\n") == CDR_HEADER else 0
-    columns, ok = _scan(lines[skip:])
-    for i in np.flatnonzero(~ok).tolist():
+    if isinstance(cdr, bytes):
+        data, (starts, ends) = cdr, _line_bounds(cdr)
+    else:
+        data, starts, ends = _encode(list(cdr))
+    skip = 1 if len(ends) and data[starts[0] : ends[0]] == CDR_HEADER.encode() else 0
+    columns, ok = _scan(data, starts[skip:], ends[skip:])
+    for i in (skip + np.flatnonzero(~ok)).tolist():
         try:
-            parse_cdr_line(lines[skip + i])
+            parse_cdr_line(data[starts[i] : ends[i]].decode("utf-8", "surrogatepass"))
         except ParseError as exc:
-            report.reject("cdr", skip + i + 1, str(exc))
+            report.reject("cdr", i + 1, str(exc))
         else:
-            raise AssertionError(f"CDR line {skip + i + 1} is valid, but _scan refused it")
+            raise AssertionError(f"CDR line {i + 1} is valid, but _scan refused it")
     report.records_accepted = len(columns)
 
     labels: dict[str, LabelRecord] = {}
@@ -366,6 +441,21 @@ def load_labels(label_lines: Iterable[str]) -> tuple[dict[str, LabelRecord], Ing
     return labels, report
 
 
+def _check_utf8(path, data: bytes) -> None:
+    """Raise a ValueError naming the line and value of data's first byte that is not UTF-8.
+
+    Lines end as in a file opened in text mode. Valid data passes.
+    """
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ValueError(
+            f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        ) from None
+
+
 def read_lines(path) -> list[str]:
     """The lines of a UTF-8 text file, line ends kept.
 
@@ -379,13 +469,26 @@ def read_lines(path) -> list[str]:
         # the error's position counts from the start of one read chunk:
         # decode the whole file again to place the first bad byte on its line
         with open(path, "rb") as fh:
-            data = fh.read()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            head = data[: exc.start]
-            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-            raise ValueError(
-                f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
-            ) from None
+            _check_utf8(path, fh.read())
         raise
+
+
+def read_utf8(path) -> bytes:
+    """The bytes of a UTF-8 text file, checked but not decoded.
+
+    Text that is not ASCII is decoded _BYTE_BLOCK bytes at a time, and each
+    decoded block is dropped. A byte that is not UTF-8 is a ValueError that
+    names the file and the line it sits on.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        decoder = codecs.getincrementaldecoder("utf-8")()
+        view = memoryview(data)
+        try:
+            for lo in range(0, len(data), _BYTE_BLOCK):
+                decoder.decode(view[lo : lo + _BYTE_BLOCK], final=lo + _BYTE_BLOCK >= len(data))
+        except UnicodeDecodeError:
+            _check_utf8(path, data)
+            raise
+    return data

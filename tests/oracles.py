@@ -14,13 +14,14 @@ restated from the documented contract rather than imported.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 
 import numpy as np
 
-from cdrnet.featurize import N_DAYS, N_HOURS, LabelSpace
+from cdrnet.featurize import N_DAYS, N_HOURS, STD_FLOOR, LabelSpace
 from cdrnet.ingest import CDR_HEADER, LABELS_HEADER, ParseError
 from cdrnet.synth import (
     GENDERS,
@@ -140,6 +141,23 @@ def brute_week_tensor(records, week_start) -> np.ndarray:
                 t[base + OUT_TEXTS, hour, day] = len(texts)
                 t[base + OUT_DURATION, hour, day] = sum(r.duration_s for r in calls)
     return t
+
+
+def brute_normalizer(tensors) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel mean and floored std of log1p over every cell of (N, 8, 24, 7) tensors.
+
+    Both sums run over every cell, zeros included, and are exactly rounded
+    (math.fsum).
+    """
+    logs = np.log1p(np.asarray(tensors, dtype=np.float64))
+    mean, std = [], []
+    for c in range(logs.shape[1]):
+        values = logs[:, c].ravel().tolist()
+        m = math.fsum(values) / len(values)
+        variance = math.fsum((v - m) ** 2 for v in values) / len(values)
+        mean.append(m)
+        std.append(max(math.sqrt(variance), STD_FLOOR))
+    return np.array(mean), np.array(std)
 
 
 def record_rows(records) -> list[tuple]:

@@ -17,7 +17,7 @@ from cdrnet.classify import UserPrediction, write_predictions
 from cdrnet.cli import run
 from cdrnet.container import read_container, write_container
 from cdrnet.featurize import TENSOR_MAGIC, TensorDataset, save_tensor_dataset
-from cdrnet.ingest import load_labels
+from cdrnet.ingest import CDR_HEADER, load_labels, read_lines
 from cdrnet.modelfile import MODEL_MAGIC
 from cdrnet.net import NetworkConfig
 
@@ -199,6 +199,33 @@ def test_featurize_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
     code, out, err = _run(["featurize", "--cdr", cdr, "--out", tmp_path / "t.bin"])
     assert code == 2 and out == ""
     assert _error_line(err).startswith(f"error: {cdr}: line 5002: byte 0xff is not UTF-8")
+    assert not (tmp_path / "t.bin").exists()
+
+
+_GOOD = b"u1,out,call,2024-01-01T10:00:00,30,c1"
+
+
+@pytest.mark.parametrize(
+    "data, line_no",
+    [
+        # a lone "\r" ends line 2, so the byte after it sits on line 3
+        (b"%s\n%s\r\xff%s\n" % (CDR_HEADER.encode(), _GOOD, _GOOD), 3),
+        (b"%s\r%s\r\n%s\r\xe9\n" % (CDR_HEADER.encode(), _GOOD, _GOOD), 4),
+        # inside a line that the scan would refuse
+        (b"%s\n%s\n%s\xff\n" % (CDR_HEADER.encode(), _GOOD, _GOOD.replace(b"out", b"up")), 3),
+    ],
+)
+def test_featurize_places_a_byte_that_is_not_utf8_as_read_lines_does(tmp_path, data, line_no):
+    cdr = tmp_path / "cdr.csv"
+    cdr.write_bytes(data)
+    code, out, err = _run(["featurize", "--cdr", cdr, "--out", tmp_path / "t.bin"])
+    assert code == 2 and out == ""
+    line = _error_line(err)
+    assert re.fullmatch(rf"error: {re.escape(str(cdr))}: line {line_no}: byte 0x[0-9a-f]{{2}} "
+                        r"is not UTF-8 \(.+\)", line), line
+    with pytest.raises(ValueError) as exc:
+        read_lines(cdr)
+    assert line == f"error: {exc.value}"
     assert not (tmp_path / "t.bin").exists()
 
 

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import tracemalloc
 from bisect import bisect_right
 from datetime import date, datetime
 
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdrnet.cli import run
 from cdrnet.container import read_container
 from cdrnet.featurize import (
     CHANNELS,
@@ -21,11 +25,13 @@ from cdrnet.featurize import (
     save_tensor_dataset,
 )
 from cdrnet.ingest import LabelRecord, ingest
+from cdrnet.synth import SynthConfig, generate, write_lines
 
 from oracles import (
     CdrRecord,
     Direction,
     Kind,
+    brute_normalizer,
     brute_week_tensor,
     format_cdr_line,
     random_records,
@@ -120,6 +126,29 @@ def test_directions_do_not_mix():
     t = _week_tensor(records)
     assert t[0, 12, 2] == 1 and t[4, 12, 2] == 1
     assert t[3, 12, 2] == 5 and t[7, 12, 2] == 7
+
+
+def test_zero_second_call_is_counted_but_stores_no_duration_cell():
+    records = [
+        _rec(Direction.OUTGOING, Kind.CALL, day=3, hour=10, duration=0, contact="a"),
+        _rec(Direction.INCOMING, Kind.CALL, day=0, hour=1, duration=0, contact="b"),
+        _rec(Direction.INCOMING, Kind.CALL, day=0, hour=1, duration=20, contact="b", minute=9),
+        _rec(Direction.OUTGOING, Kind.TEXT, day=6, hour=23, contact="c"),
+    ]
+    ds = featurize_users(_columns(records))
+    flat = np.ravel_multi_index
+    cell = {
+        "out_calls": flat((1, 10, 3), (8, 24, 7)),
+        "out_duration": flat((3, 10, 3), (8, 24, 7)),
+        "in_duration": flat((7, 1, 0), (8, 24, 7)),
+    }
+    cells = ds.cells.tolist()
+    assert ds.offsets.tolist() == [0, len(cells)] and len(cells) == len(ds.counts)
+    assert all(a < b for a, b in zip(cells, cells[1:]))
+    assert cell["out_calls"] in cells and cell["out_duration"] not in cells
+    assert ds.counts[cells.index(cell["in_duration"])] == 20
+    assert len(cells) == np.count_nonzero(brute_week_tensor(records, MONDAY))
+    np.testing.assert_array_equal(ds.tensors[0], brute_week_tensor(records, MONDAY))
 
 
 def test_tensor_matches_brute_force_oracle():
@@ -267,6 +296,19 @@ def test_by_user_stacks_rows():
     assert list(stacked) == ["u1", "u2"]
     assert stacked["u1"].shape == (2, 8, 24, 7)
     assert stacked["u2"].shape == (1, 8, 24, 7)
+    # featurize writes rows sorted by user, so the stacks copy no row
+    assert all(np.shares_memory(t, ds.tensors) for t in stacked.values())
+
+
+def test_by_user_keeps_each_users_rows_in_file_order():
+    rng = np.random.default_rng(5)
+    tensors = rng.poisson(1.0, size=(5, 8, 24, 7)).astype(np.float64)
+    ids = ["b", "a", "b", "c", "a"]
+    ds = TensorDataset(ids, [WEEK] * 5, tensors)
+    stacked = ds.by_user()
+    assert list(stacked) == ["a", "b", "c"]
+    for uid, t in stacked.items():
+        np.testing.assert_array_equal(t, tensors[[i for i, u in enumerate(ids) if u == uid]])
 
 
 def test_tensor_dataset_round_trip(tmp_path):
@@ -338,14 +380,27 @@ def test_sparse_tensor_file_round_trips_any_counts(tmp_path_factory, rows, densi
     scale=st.sampled_from([0.0, 0.1, 3.0, 1e4]),
     density=st.sampled_from([0.05, 1.0]),
     seed=st.integers(0, 2**32 - 1),
+    zero_rows=st.integers(0, 3),
+    empty_channel=st.one_of(st.none(), st.integers(0, 7)),
 )
-def test_fit_normalizer_equals_numpy_mean_and_std(rows, scale, density, seed):
+def test_fit_normalizer_equals_numpy_mean_and_std(
+    rows, scale, density, seed, zero_rows, empty_channel
+):
+    # numpy's mean and std, summed exactly: the fit sums only the non-zero
+    # cells, in another order than numpy's dense reduction, so it is held to
+    # exactly rounded sums at 1e-12 rather than to numpy bit for bit
     rng = np.random.default_rng(seed)
     x = rng.exponential(scale, size=(rows, 8, 24, 7)) * (rng.random((rows, 8, 24, 7)) < density)
-    logs = np.log1p(x)
-    stats = fit_normalizer(x)
-    assert np.array_equal(stats.mean, logs.mean(axis=(0, 2, 3)))
-    assert np.array_equal(stats.std, np.maximum(logs.std(axis=(0, 2, 3)), 1e-6))
+    x = np.concatenate([x, np.zeros((zero_rows, 8, 24, 7))])
+    if empty_channel is not None:
+        x[:, empty_channel] = 0.0
+    mean, std = brute_normalizer(x)
+    for given_as in (x, TensorDataset(["u"] * len(x), [WEEK] * len(x), x)):
+        stats = fit_normalizer(given_as)
+        np.testing.assert_allclose(stats.mean, mean, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(stats.std, std, rtol=1e-12, atol=0)
+    if empty_channel is not None:
+        assert stats.mean[empty_channel] == 0.0 and stats.std[empty_channel] == 1e-6
 
 
 def test_channel_sums_conserve_counts_and_durations():
@@ -375,3 +430,22 @@ def test_unique_contacts_bounded_by_cell_events():
     t = _week_tensor(records)
     assert (t[0] <= t[1] + t[2]).all()
     assert (t[4] <= t[5] + t[6]).all()
+
+
+def test_featurize_peaks_below_the_dense_tensor_size(tmp_path):
+    # 2,000 one-week users at 15 events, the shape of the bench's many-users
+    # workload; the dense float64 tensors alone would take N·1344·8 bytes
+    cdr_lines, _ = generate(SynthConfig(users=2000, weeks_per_user=1, event_rate=15.0, seed=7))
+    cdr, out = tmp_path / "cdr.csv", tmp_path / "t.bin"
+    write_lines(cdr, cdr_lines)
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = run(["featurize", "--cdr", str(cdr), "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    dense = len(load_tensor_dataset(out)) * 8 * 24 * 7 * 8
+    assert dense > 20e6
+    assert peak < dense, f"featurize peaked at {peak / 1e6:.1f} MB"

@@ -6,17 +6,34 @@ synth-like files with single-field defects, and ids past 64 UTF-8 bytes or
 holding NUL bytes. They check that the accepted records, the sorted id
 lists and the (line, reason) list equal a line-by-line pass of the
 oracles' reference grammar, that every user-week tensor equals the
-brute-force recount, and that CRLF endings change nothing.
+brute-force recount, and that CRLF endings change nothing. The bytes of a
+file, with any mix of line ends and any scan block size, must ingest as
+the lines that read_lines gives.
 """
 
+import contextlib
+import io
+import sys
+import tempfile
 from datetime import date, datetime, timedelta
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdrnet.cli import run
 from cdrnet.featurize import featurize_users
-from cdrnet.ingest import CDR_HEADER, LabelRecord, ParseError, ingest, parse_labels_line
+from cdrnet.ingest import (
+    CDR_HEADER,
+    LabelRecord,
+    ParseError,
+    ingest,
+    parse_labels_line,
+    read_lines,
+    read_utf8,
+)
 
 from oracles import (
     CdrRecord,
@@ -176,6 +193,55 @@ def test_crlf_line_endings_change_nothing(drawn):
         lf, crlf = featurize_users(lf_columns), featurize_users(crlf_columns)
         assert (crlf.user_ids, crlf.weeks) == (lf.user_ids, lf.weeks)
         np.testing.assert_array_equal(crlf.tensors, lf.tensors)
+
+
+LINE_END = st.sampled_from(["\n", "\r\n", "\r"])
+# a data line: empty, clean, or with one field defect
+DATA_LINE = st.one_of(
+    st.just(""),
+    st.tuples(RECORD, st.one_of(st.none(), FIELD_DEFECT)).map(
+        lambda d: format_cdr_line(d[0]) if d[1] is None else _apply(format_cdr_line(d[0]), d[1])
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    drawn=st.lists(st.tuples(DATA_LINE, LINE_END), max_size=40),
+    header=st.booleans(),
+    last_end=st.sampled_from(["", "\n", "\r\n", "\r"]),
+    block=st.integers(1, 7),
+)
+def test_file_bytes_ingest_as_their_lines_do(drawn, header, last_end, block):
+    # a line ending in "\r" and then an empty line ending in "\n" make one "\r\n"
+    lines = [(CDR_HEADER, "\r\n")] * header + [(ln, "\n") for ln in ID_LINES] + drawn
+    text = "".join(ln + end for ln, end in lines[:-1]) + lines[-1][0] + last_end
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "cdr.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected, _, expected_report = ingest(read_lines(path))
+        # the package's name "ingest" is the function; patch the module
+        with mock.patch.object(sys.modules["cdrnet.ingest"], "_BLOCK_LINES", block):
+            columns, _, report = ingest(read_utf8(path))
+    assert report.to_json() == expected_report.to_json()
+    assert column_rows(columns) == column_rows(expected)
+    assert (columns.user_ids, columns.contact_ids) == (expected.user_ids, expected.contact_ids)
+
+
+def test_the_bench_rejections_are_reported_from_file_bytes(tmp_path):
+    # perfbench/checks.py holds featurize's report to the lines it injected
+    bench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import checks
+    import workloads
+
+    inputs = workloads.setup(workloads.WORKLOADS["ref-250"], 7, tmp_path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["featurize", "--cdr", str(inputs.cdr), "--out", str(tmp_path / "t.bin")]) == 0
+    assert len(inputs.expected_rejections) > 1
+    assert checks.rejections(out.getvalue(), inputs.expected_rejections) == []
 
 
 @settings(max_examples=100, deadline=None)

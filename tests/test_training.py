@@ -222,7 +222,9 @@ def test_class_count_mismatch_rejected():
 
 def test_non_finite_input_raises_numeric_error():
     ds, labels = _toy_dataset(n_users=8, weeks=1)
-    ds.tensors[0, 0, 0, 0] = np.inf
+    tensors = ds.tensors.copy()  # the dataset's dense view is read-only
+    tensors[0, 0, 0, 0] = np.inf
+    ds = TensorDataset(ds.user_ids, ds.weeks, tensors)
     cfg = TrainConfig(epochs=1, batch_size=4, seed=0, val_fraction=0.0)
     with np.errstate(invalid="ignore"), pytest.raises(NumericError):
         train(ds, labels, GENDER, cfg, NetworkConfig(classes=2, **SMALL_NET))

@@ -114,7 +114,9 @@ def _count_tensors(row, n_rows: int, columns: CdrColumns, weekday):
     )
     del cell, events, calls, unique
     order = np.argsort(index, kind="stable")
-    index, weights = index[order], weights[order]
+    index = index[order]
+    weights = weights[order]
+    del order
     first = np.flatnonzero(np.diff(index, prepend=-1))
     keys, counts = index[first], np.add.reduceat(weights, first)
     nonzero = counts != 0

@@ -16,7 +16,7 @@ file. Texts must carry duration 0; coercing instead of rejecting would
 hide upstream schema errors.
 
 featurize reads a CDR file as bytes (read_utf8), which are checked for
-UTF-8 but never decoded as a whole. ingest() splits them into lines as a
+UTF-8 without keeping a decoded copy. ingest() splits them into lines as a
 file opened in text mode would, then accepts lines by vectorized checks
 (_scan) run over fixed-size blocks of lines, so that the scan's per-line
 temporaries do not grow with the file; ids are coded once over the whole
@@ -26,7 +26,6 @@ the scan refuses, to name each one's defect; it accepts none of them.
 
 from __future__ import annotations
 
-import codecs
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime
@@ -178,7 +177,6 @@ _NL, _CR, _COMMA = ord("\n"), ord("\r"), ord(",")
 _KEY_BYTES = 64  # id bytes in a sort key; a second pass orders longer ids
 _PAD = _KEY_BYTES  # zero bytes after a scan block: fixed-offset reads stay in the buffer
 _BLOCK_LINES = 16384  # lines per scan block
-_BYTE_BLOCK = 1 << 20  # bytes per pass when searching line ends or checking UTF-8
 _DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
@@ -197,14 +195,13 @@ def _line_bounds(data: bytes) -> tuple[np.ndarray, np.ndarray]:
     A line ends at "\\n", "\\r\\n" or a lone "\\r", as in a file opened in text
     mode. Line i is data[starts[i]:ends[i]] without its line end and runs up
     to starts[i + 1] with it, so starts holds one entry more than there are
-    lines. Line ends are searched _BYTE_BLOCK bytes at a time.
+    lines.
     """
     buf = np.frombuffer(data, np.uint8)
-    found = [np.zeros(0, dtype=np.int64)]
-    for lo in range(0, len(buf), _BYTE_BLOCK):
-        part = buf[lo : lo + _BYTE_BLOCK]
-        found.append(lo + np.flatnonzero((part == _NL) | (part == _CR)))
-    term = np.concatenate(found)
+    is_end = buf == _NL
+    is_end |= buf == _CR
+    term = np.flatnonzero(is_end)
+    del is_end
     is_cr = buf[term] == _CR
     pair = np.flatnonzero(is_cr[:-1] & ~is_cr[1:] & (np.diff(term) == 1))  # "\r\n"
     ends = np.delete(term, pair + 1)  # a line's text stops at its first line-end byte
@@ -474,21 +471,13 @@ def read_lines(path) -> list[str]:
 
 
 def read_utf8(path) -> bytes:
-    """The bytes of a UTF-8 text file, checked but not decoded.
+    """The bytes of a UTF-8 text file, checked but not kept decoded.
 
-    Text that is not ASCII is decoded _BYTE_BLOCK bytes at a time, and each
-    decoded block is dropped. A byte that is not UTF-8 is a ValueError that
-    names the file and the line it sits on.
+    A byte that is not UTF-8 is a ValueError that names the file and the
+    line it sits on.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.isascii():
-        decoder = codecs.getincrementaldecoder("utf-8")()
-        view = memoryview(data)
-        try:
-            for lo in range(0, len(data), _BYTE_BLOCK):
-                decoder.decode(view[lo : lo + _BYTE_BLOCK], final=lo + _BYTE_BLOCK >= len(data))
-        except UnicodeDecodeError:
-            _check_utf8(path, data)
-            raise
+        _check_utf8(path, data)
     return data

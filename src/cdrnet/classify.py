@@ -20,7 +20,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .featurize import STD_FLOOR, TensorDataset, apply_normalizer
+from .featurize import N_CHANNELS, N_DAYS, N_HOURS, STD_FLOOR, TensorDataset, apply_normalizer
 from .ingest import LabelRecord, read_lines
 from .net import COMPUTE_DTYPE, ModelParams, forward_batch
 
@@ -52,12 +52,14 @@ def _user_means(model: ModelParams, dataset: TensorDataset, users=None):
     """(user_id, mean softmax, mean dense8, weeks) per user, sorted by user id.
 
     Rows are stably sorted by user id and run through forward_batch in
-    zero-padded chunks of exactly CHUNK_ROWS rows. Every row then meets the
-    same GEMM shapes whatever other rows share its chunk, so a user's means
-    do not depend on the other users in the file. The net runs in
-    COMPUTE_DTYPE on normalized chunks; its outputs are widened to float64
-    and each user's rows are averaged in file order. users, when given,
-    selects the users to run.
+    chunks of exactly CHUNK_ROWS rows, padded with all-zero weeks. Every row
+    then meets the same GEMM shapes whatever other rows share its chunk, so
+    a user's means do not depend on the other users in the file. Each chunk
+    is filled from the dataset's sparse rows by apply_normalizer. The net
+    runs in COMPUTE_DTYPE on normalized chunks, or in float64 on raw counts
+    for a model without norm stats; its outputs are widened to float64 and
+    each user's rows are averaged in file order. users, when given, selects
+    the users to run.
     """
     ids = dataset.user_ids
     rows = dataset.rows_of(ids if users is None else users)
@@ -65,15 +67,12 @@ def _user_means(model: ModelParams, dataset: TensorDataset, users=None):
         raise ValueError("need at least one week tensor")
     probs = np.empty((len(rows), model.config.classes))
     feats = np.empty((len(rows), model.config.feature_dim))
-    chunk = np.zeros((CHUNK_ROWS, *dataset.tensors.shape[1:]))
+    # raw counts stay float64, as the net's float64 path expects them
+    dtype = np.float64 if model.norm_stats is None else COMPUTE_DTYPE
+    chunk = np.empty((CHUNK_ROWS, N_CHANNELS, N_HOURS, N_DAYS), dtype)
     for start in range(0, len(rows), CHUNK_ROWS):
         part = rows[start : start + CHUNK_ROWS]
-        chunk[: len(part)] = dataset.tensors[part]
-        chunk[len(part) :] = 0.0
-        x = chunk
-        if model.norm_stats is not None:
-            x = apply_normalizer(chunk, model.norm_stats).astype(COMPUTE_DTYPE)
-        p, f, _ = forward_batch(model, x)
+        p, f, _ = forward_batch(model, apply_normalizer(dataset, part, model.norm_stats, chunk))
         probs[start : start + len(part)] = p[: len(part)]
         feats[start : start + len(part)] = f[: len(part)]
     out = []

@@ -29,10 +29,12 @@ The tensors are mostly zeros (9.4% of cells are non-zero on a reference
 synthetic set), so the file is an eighth of the dense float64 size or less.
 featurize counts the CSR arrays straight from sorted cell keys and fits
 the normalizer over the non-zeros alone, so it never holds the dense
-tensors. Loading checks the arrays and keeps them; TensorDataset.tensors
-builds the dense (N, 8, 24, 7) float64 view on first use, for the readers
-that still want it. Dense "CDRTENSOR/1" files are refused; featurize
-rebuilds them.
+tensors. Loading checks the arrays and keeps them. train, train-svm and
+predict read them through apply_normalizer, which fills one batch of
+normalized tensors at a time, so no stage of the pipeline builds the dense
+tensors. TensorDataset.tensors builds the dense (N, 8, 24, 7) float64 view
+on first use, for the benchmark and the tests. Dense "CDRTENSOR/1" files
+are refused; featurize rebuilds them.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date
+from functools import cached_property
 from itertools import groupby
 
 import numpy as np
@@ -136,11 +139,21 @@ def _sparse(tensors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return offsets, (nonzero % TENSOR_CELLS).astype(np.uint16), flat[nonzero]
 
 
-def _flat_index(offsets: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Index of each CSR cell into the flattened dense (N, 8, 24, 7) tensors."""
-    index = np.repeat(np.arange(len(offsets) - 1) * TENSOR_CELLS, np.diff(offsets))
+def _flat_index(sizes: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Index of CSR cells into flattened dense (len(sizes), 8, 24, 7) tensors; row i has sizes[i]."""
+    index = np.repeat(np.arange(len(sizes)) * TENSOR_CELLS, sizes)
     index += cells
     return index
+
+
+def _row_positions(offsets: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in cells and counts of the rows' non-zeros, row after row, and each row's count."""
+    rows = np.asarray(rows, dtype=np.intp)
+    starts, sizes = offsets[rows], offsets[rows + 1] - offsets[rows]
+    # output position k of row i is its start plus k less the row's first output position
+    at = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+    at += np.arange(len(at))
+    return at, sizes
 
 
 @dataclass(frozen=True)
@@ -151,23 +164,27 @@ class NormStats:
     std: np.ndarray   # (8,), floored at STD_FLOOR
 
 
-def fit_normalizer(tensors) -> NormStats:
+def fit_normalizer(tensors, rows=None) -> NormStats:
     """Fit per-channel log1p statistics over a TensorDataset or an (N,8,24,7) array.
 
-    Only the non-zero cells are visited. Each channel has N·168 cells, and
-    a zero cell adds log1p(0) = 0 to its channel's sum and mean² to its
-    squared deviations.
+    rows, when given, selects the tensors to fit over, in that order and
+    repeats counted. Only the non-zero cells are visited, row after row. Each
+    channel has N·168 cells, and a zero cell adds log1p(0) = 0 to its
+    channel's sum and mean² to its squared deviations.
     """
     if isinstance(tensors, TensorDataset):
-        rows, cells, counts = len(tensors), tensors.cells, tensors.counts
+        offsets, cells, counts = tensors.offsets, tensors.cells, tensors.counts
     else:
         offsets, cells, counts = _sparse(tensors)
-        rows = len(offsets) - 1
-    if rows == 0:
+    n_rows = len(offsets) - 1
+    if rows is not None:
+        at, _ = _row_positions(offsets, rows)
+        n_rows, cells, counts = len(rows), cells[at], counts[at]
+    if n_rows == 0:
         raise ValueError("fit_normalizer needs a non-empty list of week tensors")
     channel = cells // N_CELLS
     logs = np.log1p(counts)
-    size = rows * N_CELLS
+    size = n_rows * N_CELLS
     mean, squares = np.zeros(N_CHANNELS), np.zeros(N_CHANNELS)
     for c in range(N_CHANNELS):
         values = logs[channel == c]
@@ -176,13 +193,33 @@ def fit_normalizer(tensors) -> NormStats:
     return NormStats(mean, np.maximum(np.sqrt(squares / size), STD_FLOOR))
 
 
-def apply_normalizer(tensor, stats: NormStats) -> np.ndarray:
-    """(log1p(cell) - mean_c) / std_c; works on (8,24,7) or batched (N,8,24,7)."""
-    t = np.log1p(np.asarray(tensor, dtype=np.float64))
-    # in place, so that a caller's cast to float32 adds no third full-size array
-    t -= stats.mean[:, None, None]
-    t /= stats.std[:, None, None]
-    return t
+def apply_normalizer(dataset, rows, stats: NormStats | None, out: np.ndarray) -> np.ndarray:
+    """Fill out with the normalized tensors of the dataset's rows, in order; returns out.
+
+    out is a C-contiguous (M, 8, 24, 7) float array with M >= len(rows). Each
+    cell first gets its channel's normalized zero, (0 - mean_c) / std_c, which
+    the M - len(rows) rows past the end keep; then each row's non-zero cells
+    get (log1p(count) - mean_c) / std_c. Both are computed in float64 and cast
+    to out's dtype on store, so out holds the dense (log1p(x) - mean) / std
+    cast to its dtype. With stats None the raw counts are stored over zeros.
+    """
+    if not out.flags.c_contiguous or out.shape[1:] != (N_CHANNELS, N_HOURS, N_DAYS):
+        raise ValueError(f"expected a C-contiguous (M, 8, 24, 7) output, got shape {out.shape}")
+    if len(out) < len(rows):
+        raise ValueError(f"{len(rows)} rows do not fit an output of {len(out)}")
+    at, sizes = _row_positions(dataset.offsets, rows)
+    cells = dataset.cells[at]
+    if stats is None:
+        out[...] = 0.0
+        values = dataset.counts[at]
+    else:
+        out[...] = ((0.0 - stats.mean) / stats.std)[:, None, None]
+        channel = cells // N_CELLS
+        values = dataset.logs[at]
+        values -= stats.mean[channel]
+        values /= stats.std[channel]
+    out.reshape(-1)[_flat_index(sizes, cells)] = values
+    return out
 
 
 DEFAULT_AGE_EDGES = (28, 38, 48)
@@ -267,9 +304,10 @@ class TensorDataset:
     """Parallel (user_id, week, raw tensor) rows plus an optional NormStats sidecar.
 
     The tensors are held as the CSR arrays of a tensor file (module
-    docstring). tensors is their dense float64 (N, 8, 24, 7) view, built
-    read-only on first use. Dense tensors given in place of the arrays are
-    reduced to them.
+    docstring); apply_normalizer fills batches from them. tensors is their
+    dense float64 (N, 8, 24, 7) view, built read-only on first use; no CLI
+    stage reads it. Dense tensors given in place of the arrays are reduced
+    to them.
     """
 
     def __init__(
@@ -298,10 +336,15 @@ class TensorDataset:
         """The dense float64 (N, 8, 24, 7) raw tensors."""
         if self._dense is None:
             dense = np.zeros((len(self.offsets) - 1, N_CHANNELS, N_HOURS, N_DAYS))
-            dense.reshape(-1)[_flat_index(self.offsets, self.cells)] = self.counts
+            dense.reshape(-1)[_flat_index(np.diff(self.offsets), self.cells)] = self.counts
             dense.flags.writeable = False
             self._dense = dense
         return self._dense
+
+    @cached_property
+    def logs(self) -> np.ndarray:
+        """log1p of counts, computed on first use."""
+        return np.log1p(self.counts)
 
     def __len__(self) -> int:
         return len(self.user_ids)
@@ -400,7 +443,7 @@ def _check_sparse(path, arrays: dict[str, np.ndarray]) -> int:
     # counts are finite and non-negative; a NaN minimum fails the test too
     if len(counts) and not (0.0 <= counts.min() and counts.max() < np.inf):
         raise ContainerError(f"{path}: counts hold a NaN, infinite or negative count")
-    index = _flat_index(offsets, cells)
+    index = _flat_index(sizes, cells)
     if (index[1:] <= index[:-1]).any():
         raise ContainerError(f"{path}: cells of a tensor are not in increasing order")
     return len(sizes)

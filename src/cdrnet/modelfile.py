@@ -14,7 +14,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .container import ContainerError, read_container, write_container
-from .featurize import LabelSpace, NormStats
+from .featurize import STD_FLOOR, LabelSpace, NormStats
 from .net import ModelParams, NetworkConfig, param_shapes
 
 MODEL_MAGIC = "CDRNET/1"
@@ -60,7 +60,11 @@ def _label_space_from_header(path, h: dict, classes: int) -> LabelSpace | None:
 
 
 def load_model(path) -> ModelParams:
-    """Read a model file back; validates magic, checksum, tensor shapes and the label space."""
+    """Read a model file back.
+
+    Validates magic, checksum, tensor shapes, the label space and the norm
+    stats.
+    """
     from .classify import SvmModel
 
     header, arrays = read_container(path, MODEL_MAGIC)
@@ -83,7 +87,12 @@ def load_model(path) -> ModelParams:
     label_space = _label_space_from_header(path, header, config.classes)
     norm_stats = None
     if "norm.mean" in arrays:
-        norm_stats = NormStats(mean=arrays["norm.mean"], std=arrays["norm.std"])
+        mean, std = arrays["norm.mean"], arrays["norm.std"]
+        if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std >= STD_FLOOR).all()):
+            raise ContainerError(
+                f"{path}: norm stats must be finite with std at least {STD_FLOOR:g}"
+            )
+        norm_stats = NormStats(mean=mean, std=std)
 
     svm = None
     if "svm.w" in arrays:

@@ -12,7 +12,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .featurize import LabelSpace, TensorDataset, apply_normalizer, fit_normalizer
+from .classify import CHUNK_ROWS
+from .featurize import N_CHANNELS, N_DAYS, N_HOURS, LabelSpace, TensorDataset
+from .featurize import apply_normalizer, fit_normalizer
 from .ingest import LabelRecord
 from .net import COMPUTE_DTYPE, ModelParams, NetworkConfig, backward, forward_batch, init_params
 
@@ -118,8 +120,10 @@ def train(
 
     Users map to classes through label_space, which the model then carries.
     Unlabeled users are skipped. The normalizer is refitted on the training
-    partition (any stats shipped with the dataset are ignored). The net runs
-    in COMPUTE_DTYPE on float64 parameters, which the SGD updates in place.
+    partition (any stats shipped with the dataset are ignored). Each batch,
+    and each CHUNK_ROWS chunk of the validation rows, is filled from the
+    dataset's sparse rows into one reused buffer. The net runs in
+    COMPUTE_DTYPE on float64 parameters, which the SGD updates in place.
     Raises NumericError when the loss, a gradient or a parameter stops
     being finite.
     """
@@ -138,18 +142,14 @@ def train(
     train_users, val_users = split_users(users, config.val_fraction, config.seed)
 
     def rows(users: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Raw week tensors and class labels of the users, rows sorted by user."""
+        """Dataset rows and class labels of the users' weeks, rows sorted by user."""
         index = dataset.rows_of(users)
         y = np.array([assign[dataset.user_ids[i]] for i in index], dtype=np.intp)
-        return dataset.tensors[index], y
+        return np.array(index, dtype=np.intp), y
 
-    x_train, y_train = rows(train_users)
-    stats = fit_normalizer(x_train)
-    x_train = apply_normalizer(x_train, stats).astype(COMPUTE_DTYPE)
-    x_val = y_val = None
-    if val_users:
-        x_val, y_val = rows(val_users)
-        x_val = apply_normalizer(x_val, stats).astype(COMPUTE_DTYPE)
+    train_rows, y_train = rows(train_users)
+    val_rows, y_val = rows(val_users)
+    stats = fit_normalizer(dataset, train_rows)
 
     params = init_params(net_config, config.seed)
     params.norm_stats = stats
@@ -157,7 +157,11 @@ def train(
 
     velocity = {name: np.zeros_like(t) for name, t in params.tensors.items()}
     rng = np.random.default_rng(config.seed + 1)
-    n = len(x_train)
+    n = len(train_rows)
+    # one buffer of normalized weeks for every training batch and validation chunk
+    buffer = np.empty(
+        (max(min(config.batch_size, n), CHUNK_ROWS), N_CHANNELS, N_HOURS, N_DAYS), COMPUTE_DTYPE
+    )
     history: list[EpochStats] = []
 
     for epoch in range(1, config.epochs + 1):
@@ -166,7 +170,8 @@ def train(
         grads: dict[str, np.ndarray] = {}
         for step, start in enumerate(range(0, n, config.batch_size), start=1):
             idx = perm[start : start + config.batch_size]
-            probs, _, trace = forward_batch(params, x_train[idx])
+            x = apply_normalizer(dataset, train_rows[idx], stats, buffer[: len(idx)])
+            probs, _, trace = forward_batch(params, x)
             loss = cross_entropy(probs, y_train[idx])
             if not np.isfinite(loss):
                 # a non-finite update makes the next loss non-finite; name it
@@ -189,9 +194,14 @@ def train(
             raise NumericError(f"non-finite {bad} at epoch {epoch}, step {step}")
 
         val_acc = None
-        if x_val is not None:
-            probs, _, _ = forward_batch(params, x_val)
-            val_acc = float((probs.argmax(axis=1) == y_val).mean())
+        if len(val_rows):
+            hits = 0
+            for start in range(0, len(val_rows), CHUNK_ROWS):
+                part = val_rows[start : start + CHUNK_ROWS]
+                x = apply_normalizer(dataset, part, stats, buffer[: len(part)])
+                probs, _, _ = forward_batch(params, x)
+                hits += int((probs.argmax(axis=1) == y_val[start : start + CHUNK_ROWS]).sum())
+            val_acc = hits / len(val_rows)
         history.append(EpochStats(epoch=epoch, train_loss=total / seen, val_accuracy=val_acc))
 
     return params, history

@@ -160,6 +160,19 @@ def brute_normalizer(tensors) -> tuple[np.ndarray, np.ndarray]:
     return np.array(mean), np.array(std)
 
 
+def dense_apply_normalizer(tensors, stats) -> np.ndarray:
+    """(log1p(x) - mean_c) / std_c over dense (N, 8, 24, 7) tensors, in float64.
+
+    The dense normalizer the package used before it filled batches from the
+    sparse arrays: log1p of every cell, the channel mean subtracted, then
+    the channel std divided out, each over the whole array.
+    """
+    t = np.log1p(np.asarray(tensors, dtype=np.float64))
+    t -= stats.mean[:, None, None]
+    t /= stats.std[:, None, None]
+    return t
+
+
 def record_rows(records) -> list[tuple]:
     """What a CDR column set should hold for these records, one sorted tuple each:
     (user, incoming, is_call, days since 1970-01-01, hour, duration, contact)."""

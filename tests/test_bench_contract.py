@@ -19,6 +19,7 @@ import pytest
 
 import cdrnet.classify
 import cdrnet.net
+import cdrnet.training
 from cdrnet.cli import run
 from cdrnet.featurize import (
     LabelSpace,
@@ -65,6 +66,26 @@ def test_classify_calls_the_net_through_its_module_names(monkeypatch):
     ds = TensorDataset(["a", "b", "a"], [WeekId(date(2024, 1, 1))] * 3, weeks)
     assert [p.user_id for p in cdrnet.classify.predict_dataset(model, ds)] == ["a", "b"]
     assert calls["forward_batch"] > 0 and calls["apply_normalizer"] > 0
+
+
+def test_train_normalizes_through_its_module_names(monkeypatch):
+    # the bench hooks cdrnet.training.fit_normalizer and .apply_normalizer
+    calls = {"fit_normalizer": 0, "apply_normalizer": 0}
+    for name in calls:
+        fn = getattr(cdrnet.training, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cdrnet.training, name, counted)
+    weeks = np.random.default_rng(3).poisson(1.0, size=(6, 8, 24, 7)).astype(np.float64)
+    labels = {u: LabelRecord(u, g, 30) for u, g in (("a", "f"), ("b", "m"), ("c", "f"))}
+    ds = TensorDataset(["a", "b", "c", "a", "b", "c"], [WeekId(date(2024, 1, 1))] * 6, weeks)
+    config = cdrnet.training.TrainConfig(epochs=1, batch_size=2, val_fraction=0.34)
+    net = NetworkConfig(classes=2, filters=(2, 2, 2, 2, 2, 4), dense=(8, 4))
+    cdrnet.training.train(ds, labels, LabelSpace.fit("gender", labels.values()), config, net)
+    assert calls["fit_normalizer"] == 1 and calls["apply_normalizer"] > 1
 
 
 def test_forward_calls_each_conv_through_its_module_name_in_layer_order(monkeypatch):

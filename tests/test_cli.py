@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from cdrnet.classify import UserPrediction, write_predictions
 from cdrnet.cli import run
 from cdrnet.container import read_container, write_container
-from cdrnet.featurize import TENSOR_MAGIC, TensorDataset, save_tensor_dataset
+from cdrnet.featurize import TENSOR_MAGIC, TensorDataset, load_tensor_dataset, save_tensor_dataset
 from cdrnet.ingest import CDR_HEADER, load_labels, read_lines
 from cdrnet.modelfile import MODEL_MAGIC
 from cdrnet.net import NetworkConfig
@@ -649,6 +650,79 @@ def test_model_file_with_a_crafted_header_exits_two(pipeline, tmp_path, command,
     line = _error_line(err)
     assert str(bad) in line and field in line
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "train-svm"])
+@pytest.mark.parametrize("std", [0.0, -1.0, math.nan])
+def test_model_with_unusable_norm_stats_exits_two(pipeline, tmp_path, command, std):
+    # checksum-valid stats that fit_normalizer never writes; with them the
+    # net would score every user nan
+    paths, _ = pipeline
+    bad = tmp_path / "bad.bin"
+    _rewrite(paths["svm_model"], bad, MODEL_MAGIC, lambda h, a: np.put(a["norm.std"], 2, std))
+    out = tmp_path / "out"
+    code, _, err = _run(_commands(paths, bad, paths["tensors"], out)[command])
+    assert code == 2
+    line = _error_line(err)
+    assert str(bad) in line and "norm" in line
+    assert not out.exists()
+
+
+def test_train_and_classify_never_build_the_dense_tensors(pipeline, tmp_path, monkeypatch):
+    def dense(self):
+        raise AssertionError("a stage built the dense tensors")
+
+    monkeypatch.setattr(TensorDataset, "tensors", property(dense))
+    paths, _ = pipeline
+    commands = _commands(paths, paths["svm_model"], paths["tensors"], tmp_path / "out")
+    commands["predict-svm"] = [*commands["predict"], "--head", "svm"]
+    for command in ("train", "train-svm", "predict", "predict-svm"):
+        code, _, err = _run(commands[command])
+        assert code == 0, (command, err)
+
+
+@pytest.fixture(scope="module")
+def many_users(tmp_path_factory):
+    """Tensors, labels and a one-epoch model of 2,000 one-week users at 15 events.
+
+    The shape of the bench's many-users workload.
+    """
+    root = tmp_path_factory.mktemp("many")
+    paths = {name: root / f"{name}" for name in ("cdr", "labels", "tensors", "model")}
+    for argv in (
+        ["synth", "--cdr", paths["cdr"], "--labels", paths["labels"], "--users", 2000,
+         "--weeks", 1, "--event-rate", 15, "--seed", 7],
+        ["featurize", "--cdr", paths["cdr"], "--out", paths["tensors"]],
+        ["train", "--tensors", paths["tensors"], "--labels", paths["labels"],
+         "--out", paths["model"], "--attribute", "gender", "--epochs", 1, "--seed", 7],
+    ):
+        code, _, err = _run(argv)
+        assert code == 0, err
+    return paths
+
+
+@pytest.mark.parametrize("command", ["train", "train-svm", "predict"])
+def test_stages_peak_below_the_dense_tensor_size(many_users, tmp_path, command):
+    # the dense float64 tensors alone would take N·1344·8 bytes
+    paths = many_users
+    tensors, labels, out = paths["tensors"], paths["labels"], tmp_path / "out"
+    argv = {
+        "train": ["train", "--tensors", tensors, "--labels", labels, "--out", out,
+                  "--attribute", "gender", "--epochs", 1, "--seed", 7],
+        "train-svm": ["train-svm", "--model", paths["model"], "--tensors", tensors,
+                      "--labels", labels, "--out", out, "--epochs", 2],
+        "predict": ["predict", "--model", paths["model"], "--tensors", tensors, "--out", out],
+    }[command]
+    tracemalloc.start()
+    try:
+        code, _, err = _run(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    dense = len(load_tensor_dataset(tensors)) * 8 * 24 * 7 * 8
+    assert dense > 20e6
+    assert peak < dense, f"{command} peaked at {peak / 1e6:.1f} MB"
 
 
 # One header field, as a path of keys, of each file kind.

@@ -33,6 +33,7 @@ from oracles import (
     Kind,
     brute_normalizer,
     brute_week_tensor,
+    dense_apply_normalizer,
     format_cdr_line,
     random_records,
 )
@@ -165,11 +166,17 @@ def test_empty_record_list_gives_zero_tensor():
     assert (ds.user_ids, ds.weeks, ds.tensors.shape) == ([], [], (0, 8, 24, 7))
 
 
+def _normalized(tensors, stats, dtype=np.float64) -> np.ndarray:
+    """apply_normalizer over every row of dense tensors."""
+    ds = TensorDataset(["u"] * len(tensors), [WEEK] * len(tensors), tensors)
+    return apply_normalizer(ds, range(len(ds)), stats, np.empty(tensors.shape, dtype))
+
+
 def test_normalizer_zscores_training_set():
     rng = np.random.default_rng(0)
     tensors = rng.poisson(3.0, size=(20, 8, 24, 7)).astype(np.float64)
     stats = fit_normalizer(tensors)
-    normed = apply_normalizer(tensors, stats)
+    normed = _normalized(tensors, stats)
     np.testing.assert_allclose(normed.mean(axis=(0, 2, 3)), np.zeros(8), atol=1e-12)
     np.testing.assert_allclose(normed.std(axis=(0, 2, 3)), np.ones(8), atol=1e-9)
 
@@ -178,7 +185,7 @@ def test_normalizer_uses_log1p():
     tensors = np.zeros((2, 8, 24, 7))
     tensors[0, 0, 0, 0] = np.e - 1.0  # log1p == 1
     stats = fit_normalizer(tensors)
-    normed = apply_normalizer(tensors, stats)
+    normed = _normalized(tensors, stats)
     cell = np.log1p(np.e - 1.0)
     assert normed[0, 0, 0, 0] == pytest.approx((cell - stats.mean[0]) / stats.std[0])
 
@@ -187,15 +194,77 @@ def test_constant_channel_std_floored():
     tensors = np.zeros((3, 8, 24, 7))
     stats = fit_normalizer(tensors)
     assert (stats.std >= 1e-6).all()
-    normed = apply_normalizer(tensors, stats)
+    normed = _normalized(tensors, stats)
     assert np.isfinite(normed).all()
 
 
 def test_apply_normalizer_single_tensor():
-    tensors = np.ones((4, 8, 24, 7))
+    tensors = np.random.default_rng(1).poisson(1.0, size=(4, 8, 24, 7)).astype(np.float64)
     stats = fit_normalizer(tensors)
-    single = apply_normalizer(tensors[0], stats)
-    assert single.shape == (8, 24, 7)
+    ds = TensorDataset(["u"] * 4, [WEEK] * 4, tensors)
+    single = apply_normalizer(ds, [2], stats, np.empty((1, 8, 24, 7)))
+    assert single.shape == (1, 8, 24, 7)
+    assert np.array_equal(single[0], dense_apply_normalizer(tensors[2], stats))
+
+
+def _random_dataset(rows, density, seed):
+    """A dataset of exponential counts at the given density, with its dense tensors."""
+    rng = np.random.default_rng(seed)
+    tensors = rng.exponential(20.0, size=(rows, 8, 24, 7))
+    tensors[rng.random(tensors.shape) >= density] = 0.0
+    return TensorDataset([f"u{i}" for i in range(rows)], [WEEK] * rows, tensors), tensors
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 6),
+    density=st.sampled_from([0.0, 0.02, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    extra=st.integers(0, 3),
+    raw=st.booleans(),
+)
+def test_apply_normalizer_equals_the_dense_oracle(data, n, density, seed, dtype, extra, raw):
+    # any rows, in any order and with repeats, into an output longer than them
+    ds, dense = _random_dataset(n, density, seed)
+    rows = data.draw(st.lists(st.integers(0, n - 1), max_size=8))
+    stats = None if raw else fit_normalizer(ds)
+    out = np.full((len(rows) + extra, 8, 24, 7), np.nan, dtype)
+    assert apply_normalizer(ds, rows, stats, out) is out
+    picked = np.concatenate([dense[rows], np.zeros((extra, 8, 24, 7))])
+    expected = picked if raw else dense_apply_normalizer(picked, stats)
+    assert np.array_equal(out, expected.astype(dtype))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 6),
+    density=st.sampled_from([0.0, 0.02, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_normalizer_over_rows_equals_the_dense_fit(data, n, density, seed):
+    ds, dense = _random_dataset(n, density, seed)
+    rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
+    stats = fit_normalizer(ds, rows)
+    mean, std = brute_normalizer(dense[rows])
+    np.testing.assert_allclose(stats.mean, mean, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(stats.std, std, rtol=1e-12, atol=0)
+    # the dense fit visits the same non-zeros in the same order, so it agrees bit for bit
+    dense_fit = fit_normalizer(dense[rows])
+    assert np.array_equal(stats.mean, dense_fit.mean)
+    assert np.array_equal(stats.std, dense_fit.std)
+
+
+@pytest.mark.parametrize("shape", [(4, 8, 24, 7), (4, 8, 24, 6), (8, 8, 24, 7)])
+def test_apply_normalizer_refuses_an_output_it_cannot_fill(shape):
+    ds, _ = _random_dataset(4, 0.3, 0)
+    out = np.empty(shape)
+    if shape[0] == 8:
+        out = out[::2]  # not contiguous
+    with pytest.raises(ValueError):
+        apply_normalizer(ds, [0, 1, 2, 3, 0], None, out)
 
 
 def test_age_bucket_boundaries():

@@ -2,114 +2,3 @@
 user-level prediction heads (softmax averaging and linear-SVM-on-features),
 with a synthetic data generator for end-to-end checks.
 """
-
-from .classify import (
-    Metrics,
-    SvmModel,
-    UserPrediction,
-    evaluate,
-    predict_dataset,
-    train_linear_svm,
-    train_svm_head,
-)
-from .container import ChecksumError, ContainerError, FormatVersionError, TruncatedFileError
-from .featurize import (
-    CHANNELS,
-    DEFAULT_AGE_EDGES,
-    LabelSpace,
-    NormStats,
-    TensorDataset,
-    WeekId,
-    apply_normalizer,
-    featurize_users,
-    fit_normalizer,
-    load_tensor_dataset,
-    save_tensor_dataset,
-)
-from .ingest import (
-    CdrColumns,
-    IngestError,
-    IngestReport,
-    LabelRecord,
-    ParseError,
-    ingest,
-    load_labels,
-)
-from .modelfile import load_model, save_model
-from .net import (
-    ModelParams,
-    NetworkConfig,
-    backward,
-    conv2d_valid,
-    dense_affine,
-    downsized_config,
-    forward_batch,
-    init_params,
-    softmax,
-)
-from .synth import Archetype, SynthConfig, generate, make_archetypes
-from .training import (
-    GRAD_TOL,
-    NumericError,
-    TrainConfig,
-    cross_entropy,
-    grad_check,
-    sgd_step,
-    train,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Archetype",
-    "CHANNELS",
-    "CdrColumns",
-    "ChecksumError",
-    "ContainerError",
-    "DEFAULT_AGE_EDGES",
-    "FormatVersionError",
-    "GRAD_TOL",
-    "IngestError",
-    "IngestReport",
-    "LabelRecord",
-    "LabelSpace",
-    "Metrics",
-    "ModelParams",
-    "NetworkConfig",
-    "NormStats",
-    "NumericError",
-    "ParseError",
-    "SvmModel",
-    "SynthConfig",
-    "TensorDataset",
-    "TrainConfig",
-    "TruncatedFileError",
-    "UserPrediction",
-    "WeekId",
-    "apply_normalizer",
-    "backward",
-    "conv2d_valid",
-    "cross_entropy",
-    "dense_affine",
-    "downsized_config",
-    "evaluate",
-    "featurize_users",
-    "fit_normalizer",
-    "forward_batch",
-    "generate",
-    "grad_check",
-    "ingest",
-    "init_params",
-    "load_labels",
-    "load_model",
-    "load_tensor_dataset",
-    "make_archetypes",
-    "predict_dataset",
-    "save_model",
-    "save_tensor_dataset",
-    "sgd_step",
-    "softmax",
-    "train",
-    "train_linear_svm",
-    "train_svm_head",
-]

@@ -55,11 +55,10 @@ def _user_means(model: ModelParams, dataset: TensorDataset, users=None):
     chunks of exactly CHUNK_ROWS rows, padded with all-zero weeks. Every row
     then meets the same GEMM shapes whatever other rows share its chunk, so
     a user's means do not depend on the other users in the file. Each chunk
-    is filled from the dataset's sparse rows by apply_normalizer. The net
-    runs in COMPUTE_DTYPE on normalized chunks, or in float64 on raw counts
-    for a model without norm stats; its outputs are widened to float64 and
-    each user's rows are averaged in file order. users, when given, selects
-    the users to run.
+    is filled from the dataset's sparse rows by apply_normalizer with the
+    model's norm stats, which it must carry. The net runs in COMPUTE_DTYPE;
+    its outputs are widened to float64 and each user's rows are averaged in
+    file order. users, when given, selects the users to run.
     """
     ids = dataset.user_ids
     rows = dataset.rows_of(ids if users is None else users)
@@ -67,9 +66,7 @@ def _user_means(model: ModelParams, dataset: TensorDataset, users=None):
         raise ValueError("need at least one week tensor")
     probs = np.empty((len(rows), model.config.classes))
     feats = np.empty((len(rows), model.config.feature_dim))
-    # raw counts stay float64, as the net's float64 path expects them
-    dtype = np.float64 if model.norm_stats is None else COMPUTE_DTYPE
-    chunk = np.empty((CHUNK_ROWS, N_CHANNELS, N_HOURS, N_DAYS), dtype)
+    chunk = np.empty((CHUNK_ROWS, N_CHANNELS, N_HOURS, N_DAYS), COMPUTE_DTYPE)
     for start in range(0, len(rows), CHUNK_ROWS):
         part = rows[start : start + CHUNK_ROWS]
         p, f, _ = forward_batch(model, apply_normalizer(dataset, part, model.norm_stats, chunk))
@@ -260,8 +257,6 @@ def train_svm_head(
     from .training import split_users
 
     space = model.label_space
-    if space is None:
-        raise ValueError("model carries no label space")
     users = sorted({u for u in dataset.user_ids if u in labels})
     if not users:
         raise ValueError("no labeled users in the dataset")

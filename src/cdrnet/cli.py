@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -78,8 +79,15 @@ def _synth_int(field: str):
 
 def _positive_float(text: str) -> float:
     value = _number(float, text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    value = _number(float, text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be non-negative and finite, got {value}")
     return value
 
 
@@ -136,6 +144,14 @@ def _load_tensors(path):
     if len(ds) == 0:
         raise ValueError(f"{path}: empty tensor file")
     return ds
+
+
+def _load_trained_model(path):
+    """A model file with the norm stats and label space that train writes; else a ValueError."""
+    params = load_model(path)
+    if params.norm_stats is None or params.label_space is None:
+        raise ValueError(f"{path}: model lacks the norm stats or label space train writes")
+    return params
 
 
 def _cmd_synth(args) -> int:
@@ -206,7 +222,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_train_svm(args) -> int:
-    params = load_model(args.model)
+    params = _load_trained_model(args.model)
     ds = _load_tensors(args.tensors)
     labels, _ = load_labels(read_lines(args.labels))
     try:
@@ -229,7 +245,7 @@ def _cmd_train_svm(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    params = load_model(args.model)
+    params = _load_trained_model(args.model)
     ds = _load_tensors(args.tensors)
     preds = predict_dataset(params, ds, head=args.head)
     write_predictions(args.out, preds)
@@ -318,9 +334,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--age-edges", type=_age_edges, default=DEFAULT_AGE_EDGES)
     p.add_argument("--epochs", type=_positive_int, default=30)
     p.add_argument("--lr", type=_positive_float, default=0.01)
-    p.add_argument("--momentum", type=float, default=0.9)
+    p.add_argument("--momentum", type=_fraction, default=0.9)
     p.add_argument("--batch", type=_positive_int, default=32)
-    p.add_argument("--weight-decay", type=float, default=0.0)
+    p.add_argument("--weight-decay", type=_non_negative_float, default=0.0)
     p.add_argument("--val-fraction", type=_fraction, default=0.1)
     p.add_argument("--filters", type=_filters, default=DEFAULT_FILTERS)
     p.add_argument("--dense", type=_dense, default=DEFAULT_DENSE)

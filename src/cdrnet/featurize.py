@@ -32,9 +32,7 @@ the normalizer over the non-zeros alone, so it never holds the dense
 tensors. Loading checks the arrays and keeps them. train, train-svm and
 predict read them through apply_normalizer, which fills one batch of
 normalized tensors at a time, so no stage of the pipeline builds the dense
-tensors. TensorDataset.tensors builds the dense (N, 8, 24, 7) float64 view
-on first use, for the benchmark and the tests. Dense "CDRTENSOR/1" files
-are refused; featurize rebuilds them.
+tensors. Dense "CDRTENSOR/1" files are refused; featurize rebuilds them.
 """
 
 from __future__ import annotations
@@ -128,17 +126,6 @@ def _count_tensors(row, n_rows: int, columns: CdrColumns, weekday):
     return offsets, (keys % TENSOR_CELLS).astype(np.uint16), counts
 
 
-def _sparse(tensors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR (offsets, cells, counts) of dense (N, 8, 24, 7) tensors."""
-    arr = np.asarray(tensors, dtype=np.float64)
-    if arr.ndim != 4 or arr.shape[1:] != (N_CHANNELS, N_HOURS, N_DAYS):
-        raise ValueError(f"expected (N, 8, 24, 7) week tensors, got shape {arr.shape}")
-    flat = arr.reshape(-1)
-    nonzero = np.flatnonzero(flat)
-    offsets = np.searchsorted(nonzero, np.arange(len(arr) + 1) * TENSOR_CELLS)
-    return offsets, (nonzero % TENSOR_CELLS).astype(np.uint16), flat[nonzero]
-
-
 def _flat_index(sizes: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Index of CSR cells into flattened dense (len(sizes), 8, 24, 7) tensors; row i has sizes[i]."""
     index = np.repeat(np.arange(len(sizes)) * TENSOR_CELLS, sizes)
@@ -164,18 +151,15 @@ class NormStats:
     std: np.ndarray   # (8,), floored at STD_FLOOR
 
 
-def fit_normalizer(tensors, rows=None) -> NormStats:
-    """Fit per-channel log1p statistics over a TensorDataset or an (N,8,24,7) array.
+def fit_normalizer(dataset: TensorDataset, rows=None) -> NormStats:
+    """Fit per-channel log1p statistics over a TensorDataset's tensors.
 
     rows, when given, selects the tensors to fit over, in that order and
     repeats counted. Only the non-zero cells are visited, row after row. Each
     channel has N·168 cells, and a zero cell adds log1p(0) = 0 to its
     channel's sum and mean² to its squared deviations.
     """
-    if isinstance(tensors, TensorDataset):
-        offsets, cells, counts = tensors.offsets, tensors.cells, tensors.counts
-    else:
-        offsets, cells, counts = _sparse(tensors)
+    offsets, cells, counts = dataset.offsets, dataset.cells, dataset.counts
     n_rows = len(offsets) - 1
     if rows is not None:
         at, _ = _row_positions(offsets, rows)
@@ -193,7 +177,7 @@ def fit_normalizer(tensors, rows=None) -> NormStats:
     return NormStats(mean, np.maximum(np.sqrt(squares / size), STD_FLOOR))
 
 
-def apply_normalizer(dataset, rows, stats: NormStats | None, out: np.ndarray) -> np.ndarray:
+def apply_normalizer(dataset, rows, stats: NormStats, out: np.ndarray) -> np.ndarray:
     """Fill out with the normalized tensors of the dataset's rows, in order; returns out.
 
     out is a C-contiguous (M, 8, 24, 7) float array with M >= len(rows). Each
@@ -201,7 +185,7 @@ def apply_normalizer(dataset, rows, stats: NormStats | None, out: np.ndarray) ->
     the M - len(rows) rows past the end keep; then each row's non-zero cells
     get (log1p(count) - mean_c) / std_c. Both are computed in float64 and cast
     to out's dtype on store, so out holds the dense (log1p(x) - mean) / std
-    cast to its dtype. With stats None the raw counts are stored over zeros.
+    cast to its dtype.
     """
     if not out.flags.c_contiguous or out.shape[1:] != (N_CHANNELS, N_HOURS, N_DAYS):
         raise ValueError(f"expected a C-contiguous (M, 8, 24, 7) output, got shape {out.shape}")
@@ -209,15 +193,11 @@ def apply_normalizer(dataset, rows, stats: NormStats | None, out: np.ndarray) ->
         raise ValueError(f"{len(rows)} rows do not fit an output of {len(out)}")
     at, sizes = _row_positions(dataset.offsets, rows)
     cells = dataset.cells[at]
-    if stats is None:
-        out[...] = 0.0
-        values = dataset.counts[at]
-    else:
-        out[...] = ((0.0 - stats.mean) / stats.std)[:, None, None]
-        channel = cells // N_CELLS
-        values = dataset.logs[at]
-        values -= stats.mean[channel]
-        values /= stats.std[channel]
+    out[...] = ((0.0 - stats.mean) / stats.std)[:, None, None]
+    channel = cells // N_CELLS
+    values = dataset.logs[at]
+    values -= stats.mean[channel]
+    values /= stats.std[channel]
     out.reshape(-1)[_flat_index(sizes, cells)] = values
     return out
 
@@ -304,25 +284,20 @@ class TensorDataset:
     """Parallel (user_id, week, raw tensor) rows plus an optional NormStats sidecar.
 
     The tensors are held as the CSR arrays of a tensor file (module
-    docstring); apply_normalizer fills batches from them. tensors is their
-    dense float64 (N, 8, 24, 7) view, built read-only on first use; no CLI
-    stage reads it. Dense tensors given in place of the arrays are reduced
-    to them.
+    docstring); apply_normalizer fills batches from them. tensors, their
+    dense float64 (N, 8, 24, 7) view, and by_user, which slices it, remain
+    for the benchmark alone; no CLI stage reads them.
     """
 
     def __init__(
         self,
         user_ids: list[str],
         weeks: list[WeekId],
-        tensors=None,
+        offsets: np.ndarray,
+        cells: np.ndarray,
+        counts: np.ndarray,
         norm_stats: NormStats | None = None,
-        *,
-        offsets: np.ndarray | None = None,
-        cells: np.ndarray | None = None,
-        counts: np.ndarray | None = None,
     ):
-        if tensors is not None:
-            offsets, cells, counts = _sparse(tensors)
         self.user_ids = user_ids
         self.weeks = weeks
         self.offsets = offsets  # (N+1,) int64
@@ -378,7 +353,7 @@ def featurize_users(columns: CdrColumns) -> TensorDataset:
     A week with zero activity produces no tensor.
     """
     if not len(columns):
-        return TensorDataset([], [], np.zeros((0, N_CHANNELS, N_HOURS, N_DAYS)))
+        return TensorDataset([], [], np.zeros(1, np.int64), np.zeros(0, np.uint16), np.zeros(0))
     # day 0 (1970-01-01) is a Thursday: shift by 3 to anchor weeks on Monday
     week, weekday = np.divmod(columns.day + 3, N_DAYS)
     first = int(week.min())
@@ -394,7 +369,7 @@ def featurize_users(columns: CdrColumns) -> TensorDataset:
     }
     user_ids = [columns.user_ids[u] for u in user_of.tolist()]
     weeks = [mondays[w] for w in week_of.tolist()]
-    return TensorDataset(user_ids, weeks, offsets=offsets, cells=cells, counts=counts)
+    return TensorDataset(user_ids, weeks, offsets, cells, counts)
 
 
 def save_tensor_dataset(path, ds: TensorDataset) -> None:
@@ -475,5 +450,5 @@ def load_tensor_dataset(path) -> TensorDataset:
             if shape != (N_CHANNELS,):
                 raise ContainerError(f"{path}: {name} of shape {shape}, expected ({N_CHANNELS},)")
         stats = NormStats(arrays["norm.mean"], arrays["norm.std"])
-    sparse = {name: arrays[name] for name in _SPARSE_DTYPES}
-    return TensorDataset(header["users"], weeks, norm_stats=stats, **sparse)
+    sparse = (arrays[name] for name in _SPARSE_DTYPES)
+    return TensorDataset(header["users"], weeks, *sparse, norm_stats=stats)

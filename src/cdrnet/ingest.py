@@ -212,32 +212,6 @@ def _line_bounds(data: bytes) -> tuple[np.ndarray, np.ndarray]:
     return starts, ends
 
 
-def _encode(lines: list[str]) -> tuple[bytes, np.ndarray, np.ndarray]:
-    """The lines' UTF-8 bytes and their (starts, ends) as _line_bounds gives them.
-
-    Each item is one line; its text stops before the "\\r" and "\\n"
-    characters that end it.
-    """
-    n = len(lines)
-    text = "".join(lines)
-    if text.isascii():
-        size = np.fromiter(map(len, lines), dtype=np.int64, count=n)
-    else:
-        size = np.fromiter((len(ln.encode("utf-8", "surrogatepass")) for ln in lines), np.int64, n)
-    data = text.encode("utf-8", "surrogatepass")
-    del text
-    buf = np.frombuffer(data, np.uint8)
-    starts = np.concatenate(([0], np.cumsum(size)))
-    ends = starts[1:].copy()
-    tail = np.arange(n)
-    while len(tail):
-        tail = tail[ends[tail] > starts[tail]]
-        last = buf[ends[tail] - 1]
-        tail = tail[(last == _NL) | (last == _CR)]
-        ends[tail] -= 1
-    return data, starts, ends
-
-
 def _scan(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[CdrColumns, np.ndarray]:
     """Vectorized parse of CDR data lines into columns of the lines it accepts.
 
@@ -385,25 +359,20 @@ def _codes(data: bytes, lo: np.ndarray, hi: np.ndarray) -> tuple[list[str], np.n
 
 
 def ingest(
-    cdr: bytes | Iterable[str],
+    data: bytes,
     label_lines: Iterable[str] | None = None,
 ) -> tuple[CdrColumns, dict[str, LabelRecord], IngestReport]:
     """Parse both streams into CDR columns and a label map.
 
-    cdr is the UTF-8 text of a CDR file as bytes (see read_utf8), whose
+    data is the UTF-8 text of a CDR file as bytes (see read_utf8), whose
     lines end as in a file opened in text mode: at "\\n", "\\r\\n" or a lone
-    "\\r". It may also be the file's lines, each item one line with or
-    without its line end; they are encoded into one text once. CDR lines
-    are accepted by vectorized checks (_scan); parse_cdr_line names the
-    defect of each line those refuse, for the report with its line number.
-    Users without a label are retained: usable for prediction, excluded
-    from training.
+    "\\r". CDR lines are accepted by vectorized checks (_scan);
+    parse_cdr_line names the defect of each line those refuse, for the
+    report with its line number. Users without a label are retained: usable
+    for prediction, excluded from training.
     """
     report = IngestReport()
-    if isinstance(cdr, bytes):
-        data, (starts, ends) = cdr, _line_bounds(cdr)
-    else:
-        data, starts, ends = _encode(list(cdr))
+    starts, ends = _line_bounds(data)
     skip = 1 if len(ends) and data[starts[0] : ends[0]] == CDR_HEADER.encode() else 0
     columns, ok = _scan(data, starts[skip:], ends[skip:])
     for i in (skip + np.flatnonzero(~ok)).tolist():
@@ -434,7 +403,7 @@ def ingest(
 
 def load_labels(label_lines: Iterable[str]) -> tuple[dict[str, LabelRecord], IngestReport]:
     """Parse a labels stream alone (train/evaluate paths need no CDR data)."""
-    _, labels, report = ingest([], label_lines)
+    _, labels, report = ingest(b"", label_lines)
     return labels, report
 
 

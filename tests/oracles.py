@@ -8,7 +8,10 @@ space and headers from the package so that it redoes only the per-user
 draws and the line formatting. The oracles own the CDR record types (Direction, Kind,
 CdrRecord) and the reference grammar that parses a line into a record;
 the package itself reads CDR files into columns only. Channel order is
-restated from the documented contract rather than imported.
+restated from the documented contract rather than imported. dense_dataset
+and text_bytes are input helpers, not oracles: they turn the dense tensors
+and line lists that tests write by hand into the package's one input form,
+a TensorDataset's CSR arrays and a CDR file's bytes.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from datetime import date, datetime, timedelta
 
 import numpy as np
 
-from cdrnet.featurize import N_DAYS, N_HOURS, STD_FLOOR, LabelSpace
+from cdrnet.featurize import N_DAYS, N_HOURS, STD_FLOOR, TENSOR_CELLS, LabelSpace, TensorDataset
 from cdrnet.ingest import CDR_HEADER, LABELS_HEADER, ParseError
 from cdrnet.synth import (
     GENDERS,
@@ -171,6 +174,23 @@ def dense_apply_normalizer(tensors, stats) -> np.ndarray:
     t -= stats.mean[:, None, None]
     t /= stats.std[:, None, None]
     return t
+
+
+def dense_dataset(user_ids, weeks, tensors, norm_stats=None) -> TensorDataset:
+    """A TensorDataset holding dense (N, 8, 24, 7) tensors as the CSR arrays of a tensor file."""
+    arr = np.asarray(tensors, dtype=np.float64)
+    if arr.ndim != 4 or arr.shape[1:] != (8, N_HOURS, N_DAYS):
+        raise ValueError(f"expected (N, 8, 24, 7) week tensors, got shape {arr.shape}")
+    flat = arr.reshape(-1)
+    nonzero = np.flatnonzero(flat)
+    offsets = np.searchsorted(nonzero, np.arange(len(arr) + 1) * TENSOR_CELLS)
+    cells = (nonzero % TENSOR_CELLS).astype(np.uint16)
+    return TensorDataset(user_ids, weeks, offsets, cells, flat[nonzero], norm_stats)
+
+
+def text_bytes(lines) -> bytes:
+    """The UTF-8 bytes of a file of these lines; one without its own line end gets "\\n"."""
+    return "".join(ln if ln.endswith(("\n", "\r")) else ln + "\n" for ln in lines).encode()
 
 
 def record_rows(records) -> list[tuple]:

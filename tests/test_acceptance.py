@@ -55,9 +55,11 @@ from oracles import (
     brute_conv,
     brute_dense,
     brute_week_tensor,
+    dense_dataset,
     format_cdr_line,
     hour_major,
     random_records,
+    text_bytes,
 )
 
 
@@ -72,7 +74,7 @@ def _report(num: int, description: str, ok: bool, detail: str = "") -> None:
 def _subset(ds: TensorDataset, users) -> TensorDataset:
     keep = set(users)
     idx = [i for i, u in enumerate(ds.user_ids) if u in keep]
-    return TensorDataset(
+    return dense_dataset(
         [ds.user_ids[i] for i in idx], [ds.weeks[i] for i in idx], ds.tensors[idx]
     )
 
@@ -81,7 +83,7 @@ def _experiment(signal: float, seed: int):
     """Train and score both attributes and both heads on a held-out user half."""
     config = SynthConfig(users=2000, weeks_per_user=8, signal=signal, seed=seed)
     cdr_lines, label_lines = generate(config)
-    groups, labels, _ = ingest(cdr_lines, label_lines)
+    groups, labels, _ = ingest(text_bytes(cdr_lines), label_lines)
     ds = featurize_users(groups)
     users = sorted(set(ds.user_ids))
     train_users, test_users = split_users(users, 0.5, seed)
@@ -146,7 +148,7 @@ def test_acceptance_3_featurization_oracle():
     while total < 10000:
         count = int(rng.integers(200, 600))
         records = random_records(rng, count, monday)
-        columns, _, report = ingest([format_cdr_line(r) for r in records])
+        columns, _, report = ingest(text_bytes(format_cdr_line(r) for r in records))
         ds = featurize_users(columns)
         exact = (
             exact
@@ -253,7 +255,7 @@ def test_acceptance_8_determinism_and_serialization(tmp_path):
     first, second = generate(config), generate(config)
     synth_ok = first == second
 
-    groups, labels, _ = ingest(*first)
+    groups, labels, _ = ingest(text_bytes(first[0]), first[1])
     ds = featurize_users(groups)
     net = NetworkConfig(classes=2, filters=(4, 4, 4, 4, 4, 8), dense=(16, 8))
     train_config = TrainConfig(epochs=2, seed=0, val_fraction=0.0)

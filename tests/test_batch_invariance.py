@@ -19,12 +19,17 @@ from cdrnet.classify import SvmModel, predict_dataset, write_predictions
 from cdrnet.featurize import TensorDataset, WeekId, fit_normalizer
 from cdrnet.net import NetworkConfig, init_params
 
+from oracles import dense_dataset
+
 CLASSES = 4
 _RNG = np.random.default_rng(3)
 _CONFIG = NetworkConfig(classes=CLASSES)
+_FIT_SET = dense_dataset(
+    ["u"] * 16, [WeekId(date(2024, 1, 1))] * 16, _RNG.poisson(1.0, size=(16, 8, 24, 7))
+)
 MODEL = replace(
     init_params(_CONFIG, 0),
-    norm_stats=fit_normalizer(_RNG.poisson(1.0, size=(16, 8, 24, 7)).astype(np.float64)),
+    norm_stats=fit_normalizer(_FIT_SET),
     svm=SvmModel(
         weights=_RNG.normal(size=(CLASSES, _CONFIG.feature_dim)),
         bias=_RNG.normal(size=CLASSES),
@@ -46,7 +51,7 @@ USERS = st.lists(
 def _dataset(users, weeks) -> TensorDataset:
     ids = [u for u in users for _ in weeks[u]]
     monday = date(2024, 1, 1)
-    return TensorDataset(
+    return dense_dataset(
         ids,
         [WeekId(monday + timedelta(days=7 * k)) for u in users for k in range(len(weeks[u]))],
         np.concatenate([weeks[u] for u in users]),

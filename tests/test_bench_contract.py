@@ -34,6 +34,8 @@ from cdrnet.ingest import LabelRecord, ingest
 from cdrnet.modelfile import save_model
 from cdrnet.net import NetworkConfig, init_params
 
+from oracles import dense_dataset
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import layertrace  # noqa: E402
 
@@ -62,8 +64,8 @@ def test_classify_calls_the_net_through_its_module_names(monkeypatch):
         monkeypatch.setattr(cdrnet.classify, name, counted)
     weeks = np.random.default_rng(0).poisson(1.0, size=(3, 8, 24, 7)).astype(np.float64)
     model = init_params(NetworkConfig(classes=2, filters=(2, 2, 2, 2, 2, 4), dense=(8, 4)), 0)
-    model.norm_stats = fit_normalizer(weeks)
-    ds = TensorDataset(["a", "b", "a"], [WeekId(date(2024, 1, 1))] * 3, weeks)
+    ds = dense_dataset(["a", "b", "a"], [WeekId(date(2024, 1, 1))] * 3, weeks)
+    model.norm_stats = fit_normalizer(ds)
     assert [p.user_id for p in cdrnet.classify.predict_dataset(model, ds)] == ["a", "b"]
     assert calls["forward_batch"] > 0 and calls["apply_normalizer"] > 0
 
@@ -81,7 +83,7 @@ def test_train_normalizes_through_its_module_names(monkeypatch):
         monkeypatch.setattr(cdrnet.training, name, counted)
     weeks = np.random.default_rng(3).poisson(1.0, size=(6, 8, 24, 7)).astype(np.float64)
     labels = {u: LabelRecord(u, g, 30) for u, g in (("a", "f"), ("b", "m"), ("c", "f"))}
-    ds = TensorDataset(["a", "b", "c", "a", "b", "c"], [WeekId(date(2024, 1, 1))] * 6, weeks)
+    ds = dense_dataset(["a", "b", "c", "a", "b", "c"], [WeekId(date(2024, 1, 1))] * 6, weeks)
     config = cdrnet.training.TrainConfig(epochs=1, batch_size=2, val_fraction=0.34)
     net = NetworkConfig(classes=2, filters=(2, 2, 2, 2, 2, 4), dense=(8, 4))
     cdrnet.training.train(ds, labels, LabelSpace.fit("gender", labels.values()), config, net)
@@ -121,7 +123,8 @@ def test_train_svm_head_fits_through_the_module_level_trainer(monkeypatch):
     model = init_params(NetworkConfig(classes=2, filters=(2, 2, 2, 2, 2, 4), dense=(8, 4)), 0)
     labels = {u: LabelRecord(u, g, 30) for u, g in (("a", "f"), ("b", "m"), ("c", "f"))}
     model.label_space = LabelSpace.fit("gender", labels.values())
-    ds = TensorDataset(["a", "b", "c", "a"], [WeekId(date(2024, 1, 1))] * 4, weeks)
+    ds = dense_dataset(["a", "b", "c", "a"], [WeekId(date(2024, 1, 1))] * 4, weeks)
+    model.norm_stats = fit_normalizer(ds)
     svm = cdrnet.classify.train_svm_head(model, ds, labels, epochs=2)
     assert len(calls) == 1
     assert svm.weights.shape == (2, 4)
@@ -142,7 +145,7 @@ def test_featurize_output_loads_back_as_the_dense_tensors_the_bench_reads(tmp_pa
         assert run(["synth", "--cdr", str(cdr), "--labels", str(tmp_path / "l.csv"),
                     "--users", "6", "--weeks", "3", "--seed", "2"]) == 0
         assert run(["featurize", "--cdr", str(cdr), "--out", str(tmp_path / "t.bin")]) == 0
-    groups, _, _ = ingest(cdr.read_text(encoding="utf-8").splitlines(keepends=True))
+    groups, _, _ = ingest(cdr.read_bytes())
     expected = featurize_users(groups)
     ds = load_tensor_dataset(tmp_path / "t.bin")
     assert ds.tensors.dtype == np.float64 and ds.tensors.shape == (len(expected), 8, 24, 7)
@@ -176,9 +179,10 @@ def test_predictions_and_metrics_have_the_shape_the_bench_reads(tmp_path):
     # exactly 2+K columns and every later line as one user's row, and the
     # evaluate --out JSON for its "accuracy"
     weeks = np.random.default_rng(1).poisson(1.0, size=(4, 8, 24, 7)).astype(np.float64)
-    ds = TensorDataset(["b", "a", "c", "a"], [WeekId(date(2024, 1, 1))] * 4, weeks)
+    ds = dense_dataset(["b", "a", "c", "a"], [WeekId(date(2024, 1, 1))] * 4, weeks)
     save_tensor_dataset(tmp_path / "t.bin", ds)
     model = init_params(NetworkConfig(classes=4, filters=(2, 2, 2, 2, 2, 4), dense=(8, 4)), 0)
+    model.norm_stats = fit_normalizer(ds)
     model.label_space = LabelSpace.fit("age", [])
     save_model(tmp_path / "m.bin", model)
     (tmp_path / "l.csv").write_text("user_id,gender,age_years\na,f,20\nb,m,30\n", encoding="utf-8")

@@ -19,9 +19,9 @@ from cdrnet.classify import (
     train_linear_svm,
     write_predictions,
 )
-from cdrnet.featurize import TensorDataset, WeekId
-from cdrnet.net import NetworkConfig, forward_batch, init_params
-from oracles import brute_pegasos
+from cdrnet.featurize import NormStats, TensorDataset, WeekId, fit_normalizer
+from cdrnet.net import COMPUTE_DTYPE, NetworkConfig, forward_batch, init_params
+from oracles import brute_pegasos, dense_apply_normalizer, dense_dataset
 
 SMALL_NET = NetworkConfig(
     classes=3,
@@ -32,24 +32,38 @@ SMALL_NET = NetworkConfig(
 
 
 @pytest.fixture(scope="module")
-def model():
-    return init_params(SMALL_NET, 0)
-
-
-@pytest.fixture(scope="module")
 def weeks():
     rng = np.random.default_rng(0)
     return rng.poisson(2.0, size=(4, 8, 24, 7)).astype(np.float64)
 
 
+@pytest.fixture(scope="module")
+def model(weeks):
+    params = init_params(SMALL_NET, 0)
+    params.norm_stats = fit_normalizer(_dataset([("u1", w) for w in weeks]))
+    return params
+
+
 def _dataset(rows) -> TensorDataset:
     """TensorDataset from (user_id, week tensor) rows, kept in the given order."""
     monday = date(2024, 1, 1)
-    return TensorDataset(
+    return dense_dataset(
         [u for u, _ in rows],
         [WeekId(monday + timedelta(days=7 * i)) for i in range(len(rows))],
         np.stack([t for _, t in rows]) if rows else np.zeros((0, 8, 24, 7)),
     )
+
+
+def _chunk_forward(model, weeks):
+    """forward_batch's (probs, dense8) of weeks as predict_dataset runs them, widened to float64.
+
+    The weeks are normalized by the model's stats and padded with zero weeks
+    to one CHUNK_ROWS chunk in COMPUTE_DTYPE.
+    """
+    padded = np.concatenate([weeks, np.zeros((CHUNK_ROWS - len(weeks), 8, 24, 7))])
+    x = dense_apply_normalizer(padded, model.norm_stats).astype(COMPUTE_DTYPE)
+    probs, feats, _ = forward_batch(model, x)
+    return probs[: len(weeks)].astype(np.float64), feats[: len(weeks)].astype(np.float64)
 
 
 def _predict_one(model, weeks, head="avg", user_id="u1") -> UserPrediction:
@@ -63,16 +77,17 @@ def _svm_classes(svm, x):
 
 def test_predict_user_averages_softmax(model, weeks):
     pred = _predict_one(model, weeks)
-    probs, _, _ = forward_batch(model, weeks)
+    probs, _ = _chunk_forward(model, weeks)
     np.testing.assert_allclose(pred.scores, probs.mean(axis=0), atol=1e-12)
-    assert pred.scores.sum() == pytest.approx(1.0, abs=1e-9)
+    # the softmax runs in COMPUTE_DTYPE, so its rows sum to 1 to that precision
+    assert pred.scores.sum() == pytest.approx(1.0, abs=np.finfo(COMPUTE_DTYPE).eps)
     assert pred.class_index == int(np.argmax(pred.scores))
     assert pred.weeks_used == 4 and pred.user_id == "u1"
 
 
 def test_predict_user_single_week_equals_softmax(model, weeks):
     pred = _predict_one(model, weeks[:1])
-    probs, _, _ = forward_batch(model, weeks[:1])
+    probs, _ = _chunk_forward(model, weeks[:1])
     np.testing.assert_allclose(pred.scores, probs[0], atol=1e-12)
 
 
@@ -89,14 +104,15 @@ def test_predict_user_duplication_idempotent(model, weeks):
     np.testing.assert_allclose(a.scores, b.scores, atol=1e-12)
 
 
-def test_predict_user_applies_model_normalizer(weeks):
-    from cdrnet.featurize import fit_normalizer
-
-    params = init_params(SMALL_NET, 0)
-    raw = _predict_one(params, weeks).scores
-    params.norm_stats = fit_normalizer(weeks)
-    normed = _predict_one(params, weeks).scores
-    assert not np.allclose(raw, normed)
+def test_predict_user_applies_model_normalizer(model, weeks):
+    scores = []
+    for stats in (NormStats(np.zeros(8), np.ones(8)), model.norm_stats):
+        params = replace(model, norm_stats=stats)
+        pred = _predict_one(params, weeks).scores
+        probs, _ = _chunk_forward(params, weeks)
+        np.testing.assert_allclose(pred, probs.mean(axis=0), atol=1e-12)
+        scores.append(pred)
+    assert not np.allclose(*scores)
 
 
 def test_predict_user_empty_weeks_rejected(model):
@@ -111,7 +127,7 @@ def test_extract_user_features_is_mean_of_week_features(model, weeks):
                         feature_mean=np.zeros(d), feature_std=np.ones(d))
     with_svm = replace(model, svm=identity)
     feats = _predict_one(with_svm, weeks, head="svm").scores
-    _, per_week, _ = forward_batch(model, weeks)
+    _, per_week = _chunk_forward(model, weeks)
     np.testing.assert_allclose(feats, per_week.mean(axis=0), atol=1e-12)
     assert feats.shape == (SMALL_NET.feature_dim,)
     single = _predict_one(with_svm, weeks[:1], head="svm").scores
@@ -130,7 +146,7 @@ def test_predict_dataset_packs_users_across_chunks(model):
     preds = predict_dataset(model, _dataset(rows))
     assert [p.user_id for p in preds] == sorted(users)
     for p in preds:
-        probs, _, _ = forward_batch(model, per_user[p.user_id])
+        probs, _ = _chunk_forward(model, per_user[p.user_id])
         np.testing.assert_allclose(p.scores, probs.mean(axis=0), atol=1e-12)
         assert p.weeks_used == len(per_user[p.user_id])
 

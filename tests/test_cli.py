@@ -22,6 +22,8 @@ from cdrnet.ingest import CDR_HEADER, load_labels, read_lines
 from cdrnet.modelfile import MODEL_MAGIC
 from cdrnet.net import NetworkConfig
 
+from oracles import dense_dataset
+
 SMALL_TRAIN = [
     "--epochs", "2", "--filters", "4,4,4,4,4,8", "--dense", "16,8",
     "--val-fraction", "0.25", "--seed", "0",
@@ -108,6 +110,11 @@ def test_missing_required_flag_is_usage_error(tmp_path):
     ("train", "--age-edges", "50,30"),
     ("train", "--batch", "x"),
     ("train", "--lr", "0"),
+    ("train", "--lr", "inf"),
+    ("train", "--momentum", "nan"),
+    ("train", "--momentum", "1.5"),
+    ("train", "--weight-decay", "nan"),
+    ("train", "--weight-decay", "-1"),
     ("train", "--alpha", "1"),
     ("train-svm", "--lambda", "-1"),
     ("synth", "--users", "0"),
@@ -115,6 +122,7 @@ def test_missing_required_flag_is_usage_error(tmp_path):
     ("synth", "--weeks", "0"),
     ("synth", "--gender-ratio", "1"),
     ("synth", "--event-rate", "0"),
+    ("synth", "--event-rate", "inf"),
     ("synth", "--age-edges", "0,10"),
     ("synth", "--weeks", "500000"),  # past 9999-12-31
     ("synth", "--contact-pool", str(2**32 + 1)),
@@ -253,7 +261,7 @@ def test_train_writes_history_json(pipeline):
 def test_train_on_empty_tensor_file_exits_two(pipeline, tmp_path):
     paths, _ = pipeline
     empty = tmp_path / "empty.bin"
-    save_tensor_dataset(empty, TensorDataset([], [], np.zeros((0, 8, 24, 7))))
+    save_tensor_dataset(empty, dense_dataset([], [], np.zeros((0, 8, 24, 7))))
     code, _, err = _run(
         ["train", "--tensors", empty, "--labels", paths["labels"],
          "--out", tmp_path / "m.bin", "--attribute", "gender", *SMALL_TRAIN]
@@ -652,19 +660,30 @@ def test_model_file_with_a_crafted_header_exits_two(pipeline, tmp_path, command,
     assert not out.exists()
 
 
+def _set_std(std):
+    return lambda h, a: np.put(a["norm.std"], 2, std)
+
+
 @pytest.mark.parametrize("command", ["predict", "train-svm"])
-@pytest.mark.parametrize("std", [0.0, -1.0, math.nan])
-def test_model_with_unusable_norm_stats_exits_two(pipeline, tmp_path, command, std):
+@pytest.mark.parametrize("edit, word", [
     # checksum-valid stats that fit_normalizer never writes; with them the
     # net would score every user nan
+    *(pytest.param(_set_std(std), "norm", id=str(std)) for std in (0.0, -1.0, math.nan)),
+    # a model file without the norm stats or the label space that train writes
+    pytest.param(lambda h, a: [a.pop(name) for name in ("norm.mean", "norm.std")], "norm",
+                 id="no-norm-stats"),
+    pytest.param(lambda h, a: [h.pop(key) for key in ("attribute", "class_labels")],
+                 "label space", id="no-label-space"),
+])
+def test_model_with_unusable_norm_stats_exits_two(pipeline, tmp_path, command, edit, word):
     paths, _ = pipeline
     bad = tmp_path / "bad.bin"
-    _rewrite(paths["svm_model"], bad, MODEL_MAGIC, lambda h, a: np.put(a["norm.std"], 2, std))
+    _rewrite(paths["svm_model"], bad, MODEL_MAGIC, edit)
     out = tmp_path / "out"
     code, _, err = _run(_commands(paths, bad, paths["tensors"], out)[command])
     assert code == 2
     line = _error_line(err)
-    assert str(bad) in line and "norm" in line
+    assert str(bad) in line and word in line
     assert not out.exists()
 
 

@@ -21,9 +21,11 @@ from cdrnet.container import (
     read_container,
     write_container,
 )
-from cdrnet.featurize import TensorDataset, WeekId, load_tensor_dataset, save_tensor_dataset
+from cdrnet.featurize import WeekId, load_tensor_dataset, save_tensor_dataset
 from cdrnet.modelfile import load_model, save_model
 from cdrnet.net import downsized_config, init_params
+
+from oracles import dense_dataset
 
 MAGIC = "TEST/1"
 
@@ -114,7 +116,7 @@ def _tensor_file(path):
     rng = np.random.default_rng(11)
     weeks = rng.poisson(0.2, size=(3, 8, 24, 7)).astype(np.float64)
     week = WeekId(date(2024, 1, 1))
-    save_tensor_dataset(path, TensorDataset(["a", "a", "b"], [week] * 3, weeks))
+    save_tensor_dataset(path, dense_dataset(["a", "a", "b"], [week] * 3, weeks))
     return load_tensor_dataset
 
 

@@ -16,7 +16,6 @@ from cdrnet.featurize import (
     TENSOR_MAGIC,
     LabelSpace,
     NormStats,
-    TensorDataset,
     WeekId,
     apply_normalizer,
     featurize_users,
@@ -34,8 +33,10 @@ from oracles import (
     brute_normalizer,
     brute_week_tensor,
     dense_apply_normalizer,
+    dense_dataset,
     format_cdr_line,
     random_records,
+    text_bytes,
 )
 
 MONDAY = date(2024, 1, 1)
@@ -166,17 +167,17 @@ def test_empty_record_list_gives_zero_tensor():
     assert (ds.user_ids, ds.weeks, ds.tensors.shape) == ([], [], (0, 8, 24, 7))
 
 
-def _normalized(tensors, stats, dtype=np.float64) -> np.ndarray:
-    """apply_normalizer over every row of dense tensors."""
-    ds = TensorDataset(["u"] * len(tensors), [WEEK] * len(tensors), tensors)
-    return apply_normalizer(ds, range(len(ds)), stats, np.empty(tensors.shape, dtype))
+def _fit_and_normalize(tensors) -> tuple[NormStats, np.ndarray]:
+    """fit_normalizer's stats and apply_normalizer's output over every row of dense tensors."""
+    ds = dense_dataset(["u"] * len(tensors), [WEEK] * len(tensors), tensors)
+    stats = fit_normalizer(ds)
+    return stats, apply_normalizer(ds, range(len(ds)), stats, np.empty(tensors.shape))
 
 
 def test_normalizer_zscores_training_set():
     rng = np.random.default_rng(0)
     tensors = rng.poisson(3.0, size=(20, 8, 24, 7)).astype(np.float64)
-    stats = fit_normalizer(tensors)
-    normed = _normalized(tensors, stats)
+    stats, normed = _fit_and_normalize(tensors)
     np.testing.assert_allclose(normed.mean(axis=(0, 2, 3)), np.zeros(8), atol=1e-12)
     np.testing.assert_allclose(normed.std(axis=(0, 2, 3)), np.ones(8), atol=1e-9)
 
@@ -184,24 +185,21 @@ def test_normalizer_zscores_training_set():
 def test_normalizer_uses_log1p():
     tensors = np.zeros((2, 8, 24, 7))
     tensors[0, 0, 0, 0] = np.e - 1.0  # log1p == 1
-    stats = fit_normalizer(tensors)
-    normed = _normalized(tensors, stats)
+    stats, normed = _fit_and_normalize(tensors)
     cell = np.log1p(np.e - 1.0)
     assert normed[0, 0, 0, 0] == pytest.approx((cell - stats.mean[0]) / stats.std[0])
 
 
 def test_constant_channel_std_floored():
-    tensors = np.zeros((3, 8, 24, 7))
-    stats = fit_normalizer(tensors)
+    stats, normed = _fit_and_normalize(np.zeros((3, 8, 24, 7)))
     assert (stats.std >= 1e-6).all()
-    normed = _normalized(tensors, stats)
     assert np.isfinite(normed).all()
 
 
 def test_apply_normalizer_single_tensor():
     tensors = np.random.default_rng(1).poisson(1.0, size=(4, 8, 24, 7)).astype(np.float64)
-    stats = fit_normalizer(tensors)
-    ds = TensorDataset(["u"] * 4, [WEEK] * 4, tensors)
+    ds = dense_dataset(["u"] * 4, [WEEK] * 4, tensors)
+    stats = fit_normalizer(ds)
     single = apply_normalizer(ds, [2], stats, np.empty((1, 8, 24, 7)))
     assert single.shape == (1, 8, 24, 7)
     assert np.array_equal(single[0], dense_apply_normalizer(tensors[2], stats))
@@ -212,7 +210,7 @@ def _random_dataset(rows, density, seed):
     rng = np.random.default_rng(seed)
     tensors = rng.exponential(20.0, size=(rows, 8, 24, 7))
     tensors[rng.random(tensors.shape) >= density] = 0.0
-    return TensorDataset([f"u{i}" for i in range(rows)], [WEEK] * rows, tensors), tensors
+    return dense_dataset([f"u{i}" for i in range(rows)], [WEEK] * rows, tensors), tensors
 
 
 @settings(max_examples=80, deadline=None)
@@ -223,18 +221,16 @@ def _random_dataset(rows, density, seed):
     seed=st.integers(0, 2**32 - 1),
     dtype=st.sampled_from([np.float32, np.float64]),
     extra=st.integers(0, 3),
-    raw=st.booleans(),
 )
-def test_apply_normalizer_equals_the_dense_oracle(data, n, density, seed, dtype, extra, raw):
+def test_apply_normalizer_equals_the_dense_oracle(data, n, density, seed, dtype, extra):
     # any rows, in any order and with repeats, into an output longer than them
     ds, dense = _random_dataset(n, density, seed)
     rows = data.draw(st.lists(st.integers(0, n - 1), max_size=8))
-    stats = None if raw else fit_normalizer(ds)
+    stats = fit_normalizer(ds)
     out = np.full((len(rows) + extra, 8, 24, 7), np.nan, dtype)
     assert apply_normalizer(ds, rows, stats, out) is out
     picked = np.concatenate([dense[rows], np.zeros((extra, 8, 24, 7))])
-    expected = picked if raw else dense_apply_normalizer(picked, stats)
-    assert np.array_equal(out, expected.astype(dtype))
+    assert np.array_equal(out, dense_apply_normalizer(picked, stats).astype(dtype))
 
 
 @settings(max_examples=80, deadline=None)
@@ -251,10 +247,11 @@ def test_fit_normalizer_over_rows_equals_the_dense_fit(data, n, density, seed):
     mean, std = brute_normalizer(dense[rows])
     np.testing.assert_allclose(stats.mean, mean, rtol=1e-12, atol=0)
     np.testing.assert_allclose(stats.std, std, rtol=1e-12, atol=0)
-    # the dense fit visits the same non-zeros in the same order, so it agrees bit for bit
-    dense_fit = fit_normalizer(dense[rows])
-    assert np.array_equal(stats.mean, dense_fit.mean)
-    assert np.array_equal(stats.std, dense_fit.std)
+    # a fit over a dataset of just the picked rows visits the same non-zeros
+    # in the same order, so it agrees bit for bit
+    picked = fit_normalizer(dense_dataset(["u"] * len(rows), [WEEK] * len(rows), dense[rows]))
+    assert np.array_equal(stats.mean, picked.mean)
+    assert np.array_equal(stats.std, picked.std)
 
 
 @pytest.mark.parametrize("shape", [(4, 8, 24, 7), (4, 8, 24, 6), (8, 8, 24, 7)])
@@ -264,7 +261,7 @@ def test_apply_normalizer_refuses_an_output_it_cannot_fill(shape):
     if shape[0] == 8:
         out = out[::2]  # not contiguous
     with pytest.raises(ValueError):
-        apply_normalizer(ds, [0, 1, 2, 3, 0], None, out)
+        apply_normalizer(ds, [0, 1, 2, 3, 0], fit_normalizer(ds), out)
 
 
 def test_age_bucket_boundaries():
@@ -320,7 +317,7 @@ def test_label_space_refuses_a_space_no_fit_makes(attribute, class_labels, age_e
 
 def _columns(records):
     """The CDR columns that ingest makes of these records' lines."""
-    columns, _, report = ingest([format_cdr_line(r) for r in records])
+    columns, _, report = ingest(text_bytes(format_cdr_line(r) for r in records))
     assert report.records_rejected == 0
     return columns
 
@@ -373,7 +370,7 @@ def test_by_user_keeps_each_users_rows_in_file_order():
     rng = np.random.default_rng(5)
     tensors = rng.poisson(1.0, size=(5, 8, 24, 7)).astype(np.float64)
     ids = ["b", "a", "b", "c", "a"]
-    ds = TensorDataset(ids, [WEEK] * 5, tensors)
+    ds = dense_dataset(ids, [WEEK] * 5, tensors)
     stacked = ds.by_user()
     assert list(stacked) == ["a", "b", "c"]
     for uid, t in stacked.items():
@@ -383,7 +380,7 @@ def test_by_user_keeps_each_users_rows_in_file_order():
 def test_tensor_dataset_round_trip(tmp_path):
     groups = _groups({"u1": [(0, 9)], "u2": [(3, 20)]})
     ds = featurize_users(groups)
-    ds.norm_stats = fit_normalizer(ds.tensors)
+    ds.norm_stats = fit_normalizer(ds)
     path = tmp_path / "t.bin"
     save_tensor_dataset(path, ds)
     back = load_tensor_dataset(path)
@@ -395,7 +392,7 @@ def test_tensor_dataset_round_trip(tmp_path):
 
 
 def test_tensor_dataset_round_trip_without_stats(tmp_path):
-    ds = TensorDataset(["u"], [WEEK], np.ones((1, 8, 24, 7)))
+    ds = dense_dataset(["u"], [WEEK], np.ones((1, 8, 24, 7)))
     path = tmp_path / "t.bin"
     save_tensor_dataset(path, ds)
     assert load_tensor_dataset(path).norm_stats is None
@@ -403,7 +400,7 @@ def test_tensor_dataset_round_trip_without_stats(tmp_path):
 
 def test_empty_tensor_dataset_round_trips(tmp_path):
     path = tmp_path / "t.bin"
-    save_tensor_dataset(path, TensorDataset([], [], np.zeros((0, 8, 24, 7))))
+    save_tensor_dataset(path, dense_dataset([], [], np.zeros((0, 8, 24, 7))))
     back = load_tensor_dataset(path)
     assert (back.user_ids, back.weeks, back.tensors.shape) == ([], [], (0, 8, 24, 7))
 
@@ -413,7 +410,7 @@ def test_empty_weeks_store_no_cells_and_round_trip(tmp_path):
     tensors = np.zeros((6, 8, 24, 7))
     tensors[[0, 4, 5]] = active.tensors
     weeks = [WeekId(date(2024, 1, 1 + 7 * w)) for w in range(5)] + [WEEK]
-    ds = TensorDataset(["u"] * 5 + ["v"], weeks, tensors)
+    ds = dense_dataset(["u"] * 5 + ["v"], weeks, tensors)
     path = tmp_path / "t.bin"
     save_tensor_dataset(path, ds)
     _, arrays = read_container(path, TENSOR_MAGIC)
@@ -435,7 +432,7 @@ def test_sparse_tensor_file_round_trips_any_counts(tmp_path_factory, rows, densi
     rng = np.random.default_rng(seed)
     tensors = rng.exponential(50.0, size=(rows, 8, 24, 7))
     tensors[rng.random(tensors.shape) >= density] = 0.0
-    ds = TensorDataset([f"u{i}" for i in range(rows)], [WEEK] * rows, tensors)
+    ds = dense_dataset([f"u{i}" for i in range(rows)], [WEEK] * rows, tensors)
     path = tmp_path_factory.mktemp("sparse") / "t.bin"
     save_tensor_dataset(path, ds)
     back = load_tensor_dataset(path)
@@ -464,10 +461,9 @@ def test_fit_normalizer_equals_numpy_mean_and_std(
     if empty_channel is not None:
         x[:, empty_channel] = 0.0
     mean, std = brute_normalizer(x)
-    for given_as in (x, TensorDataset(["u"] * len(x), [WEEK] * len(x), x)):
-        stats = fit_normalizer(given_as)
-        np.testing.assert_allclose(stats.mean, mean, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(stats.std, std, rtol=1e-12, atol=0)
+    stats = fit_normalizer(dense_dataset(["u"] * len(x), [WEEK] * len(x), x))
+    np.testing.assert_allclose(stats.mean, mean, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(stats.std, std, rtol=1e-12, atol=0)
     if empty_channel is not None:
         assert stats.mean[empty_channel] == 0.0 and stats.std[empty_channel] == 1e-6
 

@@ -23,6 +23,7 @@ from oracles import (
     format_cdr_line,
     parse_cdr_record,
     record_rows,
+    text_bytes,
 )
 
 GOOD_LINE = "u1,out,call,2024-01-02T09:30:00,42,c7"
@@ -72,7 +73,7 @@ def test_bad_cdr_lines_raise(line):
 
 
 def test_text_duration_zero_accepted():
-    columns, _, report = ingest(["u1,in,text,2024-01-02T09:30:00,0,c7"])
+    columns, _, report = ingest(text_bytes(["u1,in,text,2024-01-02T09:30:00,0,c7"]))
     assert report.records_accepted == 1
     assert not columns.is_call[0] and columns.duration[0] == 0
 
@@ -97,7 +98,7 @@ def test_ingest_codes_users_in_sorted_order():
         "u1,out,call,2024-01-02T23:00:00,10,c1",
         "u1,out,call,2024-01-02T01:00:00,20,c2",
     ]
-    columns, labels, report = ingest(lines)
+    columns, labels, report = ingest(text_bytes(lines))
     assert columns.user_ids == ["u1", "u2"]
     assert columns.contact_ids == ["c1", "c2"]
     assert sorted(zip(columns.user.tolist(), columns.hour.tolist())) == [(0, 1), (0, 23), (1, 8)]
@@ -108,14 +109,14 @@ def test_ingest_codes_users_in_sorted_order():
 
 
 def test_ingest_without_header_treats_first_line_as_data():
-    columns, _, report = ingest([GOOD_LINE])
+    columns, _, report = ingest(text_bytes([GOOD_LINE]))
     assert report.records_accepted == 1
     assert "u1" in columns.user_ids
 
 
 def test_rejections_carry_stream_and_line_numbers():
     lines = [CDR_HEADER, GOOD_LINE, "garbage", "u1,out,call,bad,1,c1"]
-    _, _, report = ingest(lines)
+    _, _, report = ingest(text_bytes(lines))
     assert report.records_accepted == 1
     assert report.records_rejected == 2
     assert [(r.stream, r.line) for r in report.rejections] == [("cdr", 3), ("cdr", 4)]
@@ -124,13 +125,13 @@ def test_rejections_carry_stream_and_line_numbers():
 
 def test_accounting_covers_every_data_line():
     lines = [CDR_HEADER] + [GOOD_LINE] * 4 + ["oops"] * 3
-    _, _, report = ingest(lines)
+    _, _, report = ingest(text_bytes(lines))
     assert report.records_accepted + report.records_rejected == len(lines) - 1
 
 
 def test_labels_ingested_alongside_records():
     _, labels, report = ingest(
-        [CDR_HEADER, GOOD_LINE],
+        text_bytes([CDR_HEADER, GOOD_LINE]),
         [LABELS_HEADER, "u1,f,30", "u9,m,55", "broken"],
     )
     assert set(labels) == {"u1", "u9"}
@@ -142,11 +143,11 @@ def test_labels_ingested_alongside_records():
 
 def test_duplicate_label_aborts():
     with pytest.raises(IngestError):
-        ingest([], [LABELS_HEADER, "u1,f,30", "u1,m,40"])
+        ingest(b"", [LABELS_HEADER, "u1,f,30", "u1,m,40"])
 
 
 def test_users_without_labels_are_retained():
-    columns, labels, _ = ingest([CDR_HEADER, GOOD_LINE], [LABELS_HEADER, "u9,m,50"])
+    columns, labels, _ = ingest(text_bytes([CDR_HEADER, GOOD_LINE]), [LABELS_HEADER, "u9,m,50"])
     assert "u1" in columns.user_ids and "u1" not in labels
 
 
@@ -158,7 +159,7 @@ def test_load_labels_alone():
 
 
 def test_report_json_shape():
-    _, _, report = ingest([CDR_HEADER, "junk"])
+    _, _, report = ingest(text_bytes([CDR_HEADER, "junk"]))
     js = report.to_json()
     assert js["records_rejected"] == 1
     assert js["rejections"][0]["line"] == 2
@@ -184,7 +185,7 @@ def test_report_json_shape():
 def test_strict_grammar_rejects_with_line_number(line, reason):
     with pytest.raises(ParseError):
         parse_cdr_line(line)
-    columns, _, report = ingest([CDR_HEADER, GOOD_LINE, line, GOOD_LINE])
+    columns, _, report = ingest(text_bytes([CDR_HEADER, GOOD_LINE, line, GOOD_LINE]))
     assert report.rejections == [Rejection("cdr", 3, reason)]
     assert report.records_accepted == len(columns) == 2
 
@@ -202,11 +203,9 @@ def test_non_ascii_age_rejected():
     "line",
     [
         "u1,out,call,2024-01-02T09:30:00,42,c7\r\n",                # CRLF ending
-        "u1\r,out,call,2024-01-02T09:30:00,42,c7",                  # CR inside a field
         "ü1,in,text,2024-01-02T09:30:00,0,ç7",                      # non-ASCII ids
         "u" * 100 + ",out,call,2024-01-02T09:30:00,42,c7",          # id past the 64 key bytes
         "u\x001,out,call,2024-01-02T09:30:00,42,c\x007",            # NUL bytes in ids
-        "u1\nx,out,call,2024-01-02T09:30:00,42,c7",                 # newline inside a list item
         "u1,out,call,2000-02-29T23:59:59,0,c7",                     # leap day
         "u1,out,call,0001-01-01T00:00:00,0,c7",                     # first representable day
         # long ids that share their first 64 bytes but differ in tail and length
@@ -219,7 +218,7 @@ def test_non_ascii_age_rejected():
 )
 def test_columns_agree_with_the_reference_parser(line):
     lines = [CDR_HEADER, GOOD_LINE, *((line,) if isinstance(line, str) else line)]
-    columns, _, report = ingest(lines)
+    columns, _, report = ingest(text_bytes(lines))
     assert report.records_rejected == 0
     records = [parse_cdr_record(ln) for ln in lines[1:]]
     assert column_rows(columns) == record_rows(records)
@@ -235,5 +234,5 @@ def test_columns_agree_with_the_reference_parser(line):
 )
 def test_out_of_range_timestamps_rejected(timestamp):
     line = f"u1,out,call,{timestamp},42,c7"
-    _, _, report = ingest([CDR_HEADER, line])
+    _, _, report = ingest(text_bytes([CDR_HEADER, line]))
     assert report.rejections == [Rejection("cdr", 2, f"unparseable timestamp {timestamp!r}")]

@@ -8,7 +8,7 @@ lists and the (line, reason) list equal a line-by-line pass of the
 oracles' reference grammar, that every user-week tensor equals the
 brute-force recount, and that CRLF endings change nothing. The bytes of a
 file, with any mix of line ends and any scan block size, must ingest as
-the lines that read_lines gives.
+the reference grammar parses the lines of the file opened in text mode.
 """
 
 import contextlib
@@ -44,6 +44,7 @@ from oracles import (
     format_cdr_line,
     parse_cdr_record,
     record_rows,
+    text_bytes,
 )
 
 FIRST_DAY = datetime(2023, 12, 18)  # a Monday; the span crosses a year end
@@ -137,10 +138,10 @@ def _apply(line: str, defect) -> str:
 FILE = st.lists(st.tuples(RECORD, st.one_of(st.none(), FIELD_DEFECT)), min_size=1, max_size=60)
 
 
-def _reference(lines):
-    """Accepted records and (line, reason) rejections, one reference parse per line."""
+def _reference(lines, skip=1):
+    """Accepted records and (line, reason) rejections past the first skip lines, one parse each."""
     records, rejections = [], []
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in enumerate(lines[skip:], start=skip + 1):
         try:
             records.append(parse_cdr_record(line))
         except ParseError as exc:
@@ -168,7 +169,7 @@ def test_columnar_ingest_matches_the_reference_parser(drawn):
         for rec, defect in drawn
     ]
     records, rejections = _reference(lines)
-    columns, _, report = ingest(lines)
+    columns, _, report = ingest(text_bytes(lines))
     assert report.records_accepted == len(records) == len(columns)
     assert [(r.line, r.reason) for r in report.rejections] == rejections
     assert all(r.stream == "cdr" for r in report.rejections)
@@ -186,8 +187,8 @@ def test_crlf_line_endings_change_nothing(drawn):
         format_cdr_line(rec) if defect is None else _apply(format_cdr_line(rec), defect)
         for rec, defect in drawn
     ]
-    lf_columns, _, lf_report = ingest([ln + "\n" for ln in lines])
-    crlf_columns, _, crlf_report = ingest([ln + "\r\n" for ln in lines])
+    lf_columns, _, lf_report = ingest(text_bytes(ln + "\n" for ln in lines))
+    crlf_columns, _, crlf_report = ingest(text_bytes(ln + "\r\n" for ln in lines))
     assert crlf_report.to_json() == lf_report.to_json()
     if len(lf_columns):
         lf, crlf = featurize_users(lf_columns), featurize_users(crlf_columns)
@@ -219,13 +220,15 @@ def test_file_bytes_ingest_as_their_lines_do(drawn, header, last_end, block):
     with tempfile.TemporaryDirectory() as workdir:
         path = Path(workdir) / "cdr.csv"
         path.write_bytes(text.encode("utf-8"))
-        expected, _, expected_report = ingest(read_lines(path))
+        records, rejections = _reference(read_lines(path), skip=int(header))
         # the package's name "ingest" is the function; patch the module
         with mock.patch.object(sys.modules["cdrnet.ingest"], "_BLOCK_LINES", block):
             columns, _, report = ingest(read_utf8(path))
-    assert report.to_json() == expected_report.to_json()
-    assert column_rows(columns) == column_rows(expected)
-    assert (columns.user_ids, columns.contact_ids) == (expected.user_ids, expected.contact_ids)
+    assert [(r.line, r.reason) for r in report.rejections] == rejections
+    assert report.records_accepted == len(records)
+    assert column_rows(columns) == record_rows(records)
+    assert columns.user_ids == sorted({r.user_id for r in records})
+    assert columns.contact_ids == sorted({r.correspondent_id for r in records})
 
 
 def test_the_bench_rejections_are_reported_from_file_bytes(tmp_path):
@@ -259,7 +262,7 @@ def test_cdr_line_round_trip(user, direction, kind, timestamp, duration, contact
         duration if kind is Kind.CALL else 0, contact,
     )
     assert parse_cdr_record(format_cdr_line(rec)) == rec
-    columns, _, report = ingest([format_cdr_line(rec)])
+    columns, _, report = ingest(text_bytes([format_cdr_line(rec)]))
     assert report.records_rejected == 0
     assert column_rows(columns) == record_rows([rec])
     assert (columns.user_ids, columns.contact_ids) == ([user], [contact])
@@ -276,6 +279,6 @@ def test_day_numbers_follow_the_calendar():
     days = [date(1, 1, 1), date(1969, 12, 31), date(1970, 1, 1), date(2000, 2, 29),
             date(2100, 3, 1), date(9999, 12, 31)]
     lines = [f"u,in,text,{d.isoformat()}T00:00:00,0,c" for d in days]
-    columns, _, report = ingest(lines)
+    columns, _, report = ingest(text_bytes(lines))
     assert report.records_rejected == 0
     assert sorted(columns.day.tolist()) == [(d - date(1970, 1, 1)).days for d in days]

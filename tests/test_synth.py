@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from cdrnet.featurize import LabelSpace
-from cdrnet.ingest import CDR_HEADER, LABELS_HEADER, ingest
+from cdrnet.ingest import CDR_HEADER, LABELS_HEADER, ingest, load_labels
 from cdrnet.synth import (
     BLOCK_MASS,
     GENDERS,
@@ -24,7 +24,7 @@ from cdrnet.synth import (
     write_lines,
 )
 
-from oracles import brute_generate, parse_cdr_record
+from oracles import brute_generate, parse_cdr_record, text_bytes
 
 N_BUCKETS = 4  # the default age edges (28, 38, 48)
 
@@ -113,7 +113,7 @@ def test_headers_present():
 
 def test_output_parses_without_rejections():
     cdr_lines, label_lines = generate(SynthConfig(users=25, weeks_per_user=3, seed=2))
-    columns, labels, report = ingest(cdr_lines, label_lines)
+    columns, labels, report = ingest(text_bytes(cdr_lines), label_lines)
     groups = _groups(cdr_lines)
     assert columns.user_ids == sorted(groups)
     assert report.records_rejected == 0
@@ -141,7 +141,7 @@ def test_ages_fall_in_sampling_range():
 def test_events_land_in_the_users_weeks():
     config = SynthConfig(users=15, weeks_per_user=4, seed=7, start_monday=date(2024, 3, 4))
     cdr_lines, _ = generate(config)
-    _, _, report = ingest(cdr_lines)
+    _, _, report = ingest(text_bytes(cdr_lines))
     groups = _groups(cdr_lines)
     assert report.records_rejected == 0
     for records in groups.values():
@@ -262,7 +262,7 @@ def test_null_signal_has_neutral_habits():
 def test_full_signal_matches_archetype_cells():
     config = SynthConfig(users=320, weeks_per_user=4, seed=23, signal=1.0, event_rate=120.0)
     cdr_lines, label_lines = generate(config)
-    _, labels, _ = ingest(cdr_lines, label_lines)
+    labels, _ = load_labels(label_lines)
     groups = _groups(cdr_lines)
     space = LabelSpace.fit("age", (), config.age_edges)
     archetypes = make_archetypes(space.n_classes, config.seed)
@@ -284,7 +284,7 @@ def test_full_signal_matches_archetype_cells():
 def test_full_signal_matches_archetype_habits():
     config = SynthConfig(users=320, weeks_per_user=4, seed=24, signal=1.0, event_rate=120.0)
     cdr_lines, label_lines = generate(config)
-    _, labels, _ = ingest(cdr_lines, label_lines)
+    labels, _ = load_labels(label_lines)
     groups = _groups(cdr_lines)
     space = LabelSpace.fit("age", (), config.age_edges)
     archetypes = make_archetypes(space.n_classes, config.seed)

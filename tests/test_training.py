@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cdrnet import training
-from cdrnet.featurize import LabelSpace, TensorDataset, WeekId
+from cdrnet.featurize import LabelSpace, WeekId
 from cdrnet.ingest import LabelRecord
 from cdrnet.net import NetworkConfig
 from cdrnet.training import (
@@ -17,6 +17,8 @@ from cdrnet.training import (
     split_users,
     train,
 )
+
+from oracles import dense_dataset
 
 MONDAY = date(2024, 1, 1)
 
@@ -145,7 +147,7 @@ def _toy_dataset(n_users=24, weeks=3, seed=0):
             user_ids.append(uid)
             week_ids.append(WeekId(date(2024, 1, 1)))
             rows.append(t)
-    return TensorDataset(user_ids, week_ids, np.stack(rows)), labels
+    return dense_dataset(user_ids, week_ids, np.stack(rows)), labels
 
 
 SMALL_NET = dict(
@@ -224,7 +226,7 @@ def test_non_finite_input_raises_numeric_error():
     ds, labels = _toy_dataset(n_users=8, weeks=1)
     tensors = ds.tensors.copy()  # the dataset's dense view is read-only
     tensors[0, 0, 0, 0] = np.inf
-    ds = TensorDataset(ds.user_ids, ds.weeks, tensors)
+    ds = dense_dataset(ds.user_ids, ds.weeks, tensors)
     cfg = TrainConfig(epochs=1, batch_size=4, seed=0, val_fraction=0.0)
     with np.errstate(invalid="ignore"), pytest.raises(NumericError):
         train(ds, labels, GENDER, cfg, NetworkConfig(classes=2, **SMALL_NET))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import groupby
 
 import numpy as np
 
@@ -51,18 +50,18 @@ class UserPrediction:
 def _user_means(model: ModelParams, dataset: TensorDataset, users=None):
     """(user_id, mean softmax, mean dense8, weeks) per user, sorted by user id.
 
-    Rows are stably sorted by user id and run through forward_batch in
+    The users' row ranges, in file order, run through forward_batch in
     chunks of exactly CHUNK_ROWS rows, padded with all-zero weeks. Every row
     then meets the same GEMM shapes whatever other rows share its chunk, so
     a user's means do not depend on the other users in the file. Each chunk
     is filled from the dataset's sparse rows by apply_normalizer with the
     model's norm stats, which it must carry. The net runs in COMPUTE_DTYPE;
-    its outputs are widened to float64 and each user's rows are averaged in
-    file order. users, when given, selects the users to run.
+    its outputs are widened to float64 and averaged over each user's range.
+    users, when given, is a sorted list of the dataset's users to run.
     """
-    ids = dataset.user_ids
-    rows = dataset.rows_of(ids if users is None else users)
-    if not rows:
+    users = dataset.users if users is None else users
+    rows, sizes = dataset.rows_of(users)
+    if not len(rows):
         raise ValueError("need at least one week tensor")
     probs = np.empty((len(rows), model.config.classes))
     feats = np.empty((len(rows), model.config.feature_dim))
@@ -72,15 +71,11 @@ def _user_means(model: ModelParams, dataset: TensorDataset, users=None):
         p, f, _ = forward_batch(model, apply_normalizer(dataset, part, model.norm_stats, chunk))
         probs[start : start + len(part)] = p[: len(part)]
         feats[start : start + len(part)] = f[: len(part)]
-    out = []
-    start = 0
-    for user_id, group in groupby(ids[i] for i in rows):
-        stop = start + sum(1 for _ in group)
-        out.append(
-            (user_id, probs[start:stop].mean(axis=0), feats[start:stop].mean(axis=0), stop - start)
-        )
-        start = stop
-    return out
+    bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+    return [
+        (user_id, probs[a:b].mean(axis=0), feats[a:b].mean(axis=0), b - a)
+        for user_id, a, b in zip(users, bounds, bounds[1:])
+    ]
 
 
 @dataclass
@@ -105,6 +100,14 @@ def _hinge_objective(w, b, x, y, lam) -> float:
     margins = y * (x @ w + b)
     hinge = np.maximum(0.0, 1.0 - margins)
     return float(0.5 * lam * (w @ w) + hinge.mean())
+
+
+def svm_settings(lam: float = 1e-4, epochs: int = 50) -> None:
+    """Refuse, with a ValueError, a lam that is not positive and finite or epochs below 1."""
+    if not 0.0 < lam < math.inf:
+        raise ValueError("lam must be positive and finite")
+    if epochs < 1:
+        raise ValueError("epochs must be at least 1")
 
 
 def train_linear_svm(
@@ -140,8 +143,7 @@ def train_linear_svm(
         n_classes = int(y_all.max()) + 1
     if len(np.unique(y_all)) < 2:
         raise ValueError("need at least two classes present in the training labels")
-    if lam <= 0.0 or epochs < 1:
-        raise ValueError("lam must be positive and epochs at least 1")
+    svm_settings(lam, epochs)
 
     mean = x.mean(axis=0)
     std = np.maximum(x.std(axis=0), STD_FLOOR)
@@ -257,12 +259,12 @@ def train_svm_head(
     from .training import split_users
 
     space = model.label_space
-    users = sorted({u for u in dataset.user_ids if u in labels})
+    users = [u for u in dataset.users if u in labels]
     if not users:
         raise ValueError("no labeled users in the dataset")
     train_users, _ = split_users(users, val_fraction, seed)
 
-    feats = np.stack([f for _, _, f, _ in _user_means(model, dataset, set(train_users))])
+    feats = np.stack([f for _, _, f, _ in _user_means(model, dataset, train_users)])
     y = [space.index(labels[u]) for u in train_users]
     return train_linear_svm(feats, y, lam=lam, epochs=epochs, seed=seed, n_classes=space.n_classes)
 

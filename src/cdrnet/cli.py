@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .classify import (
     format_table,
     predict_dataset,
     read_predictions,
+    svm_settings,
     train_svm_head,
     write_predictions,
 )
@@ -37,105 +38,32 @@ from .net import DEFAULT_DENSE, DEFAULT_FILTERS, NetworkConfig, downsized_config
 from .synth import SynthConfig, generate, write_lines
 from .training import GRAD_TOL, NumericError, TrainConfig, grad_check, train
 
-# argparse types. Each raises ArgumentTypeError with a plain message, so a
-# bad value exits 1 with the usage line and the message names the value.
+
+def ints(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
 
 
-def _number(kind, text: str):
-    try:
-        return kind(text)
-    except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
+def _checked(kind, owner, field: str | None = None):
+    """An argparse type: the text parsed by kind, then checked by building the owner
+    that holds its range (owner(value) or owner(field=value)). A bad value exits 1
+    with the usage line and a message naming it."""
 
-
-def _positive_int(text: str) -> int:
-    value = _number(int, text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    value = _number(int, text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
-
-
-def _synth_int(field: str):
-    """A positive int that SynthConfig accepts as its `field`."""
-
-    def parse(text: str) -> int:
-        value = _positive_int(text)
+    def parse(text: str):
+        value = kind(text)  # argparse reports a ValueError here as "invalid <kind> value"
         try:
-            SynthConfig(users=1, **{field: value})
+            owner(value) if field is None else owner(**{field: value})
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
         return value
 
+    parse.__name__ = kind.__name__
     return parse
 
 
-def _positive_float(text: str) -> float:
-    value = _number(float, text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
-    return value
-
-
-def _non_negative_float(text: str) -> float:
-    value = _number(float, text)
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be non-negative and finite, got {value}")
-    return value
-
-
-def _fraction(text: str) -> float:
-    value = _number(float, text)
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {value}")
-    return value
-
-
-def _unit_interval(text: str) -> float:
-    value = _number(float, text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {value}")
-    return value
-
-
-def _open_unit_interval(text: str) -> float:
-    value = _number(float, text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {value}")
-    return value
-
-
-def _checked_ints(text: str, check) -> tuple[int, ...]:
-    """Comma-separated ints that check() returns as accepted or refuses with ValueError."""
-    values = tuple(_number(int, x) for x in text.split(","))
-    try:
-        return check(values)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _age_edges(text: str) -> tuple[int, ...]:
-    return _checked_ints(text, lambda v: LabelSpace.fit("age", (), v).age_edges)
-
-
-def _filters(text: str) -> tuple[int, ...]:
-    def check(values):
-        if len(values) != len(DEFAULT_FILTERS):
-            raise ValueError(f"expected {len(DEFAULT_FILTERS)} counts, one per conv layer")
-        return NetworkConfig(classes=2, filters=values).filters
-
-    return _checked_ints(text, check)
-
-
-def _dense(text: str) -> tuple[int, ...]:
-    return _checked_ints(text, lambda v: NetworkConfig(classes=2, dense=v).dense)
+_seed = _checked(int, np.random.SeedSequence)
+_age_edges = _checked(ints, lambda edges: LabelSpace.fit("age", (), edges))
+_fraction = _checked(float, TrainConfig, "val_fraction")
+_network = partial(NetworkConfig, classes=2)
 
 
 def _load_tensors(path):
@@ -154,8 +82,9 @@ def _load_trained_model(path):
     return params
 
 
-def _cmd_synth(args) -> int:
-    config = SynthConfig(
+def _synth_config(args) -> SynthConfig:
+    """synth's values, checked together: the event budget spans several flags."""
+    return SynthConfig(
         users=args.users,
         weeks_per_user=args.weeks,
         age_edges=args.age_edges,
@@ -165,7 +94,10 @@ def _cmd_synth(args) -> int:
         event_rate=args.event_rate,
         seed=args.seed,
     )
-    cdr_lines, label_lines = generate(config)
+
+
+def _cmd_synth(args) -> int:
+    cdr_lines, label_lines = generate(args.config)
     write_lines(args.cdr, cdr_lines)
     write_lines(args.labels, label_lines)
     print(f"wrote {len(cdr_lines) - 1} records and {len(label_lines) - 1} labels")
@@ -181,7 +113,7 @@ def _cmd_featurize(args) -> int:
     ds = featurize_users(groups)
     ds.norm_stats = fit_normalizer(ds)
     save_tensor_dataset(args.out, ds)
-    print(f"wrote {len(ds)} user-week tensors for {len(set(ds.user_ids))} users")
+    print(f"wrote {len(ds)} user-week tensors for {len(ds.users)} users")
     return 0
 
 
@@ -191,8 +123,7 @@ def _cmd_train(args) -> int:
     if not labels:
         print(f"error: {args.labels}: no usable labels", file=sys.stderr)
         return 2
-    users = set(ds.user_ids)
-    records = [r for u, r in labels.items() if u in users]
+    records = [labels[u] for u in ds.users if u in labels]
     space = LabelSpace.fit(args.attribute, records, args.age_edges)
     net_config = NetworkConfig(
         classes=space.n_classes,
@@ -311,15 +242,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a labeled synthetic CDR dataset")
     p.add_argument("--cdr", required=True, help="output CDR csv path")
     p.add_argument("--labels", required=True, help="output labels csv path")
-    p.add_argument("--users", type=_positive_int, required=True)
-    p.add_argument("--weeks", type=_synth_int("weeks_per_user"), default=8)
-    p.add_argument("--signal", type=_unit_interval, default=1.0, help="class signal strength")
-    p.add_argument("--age-edges", type=_age_edges, default=DEFAULT_AGE_EDGES)
-    p.add_argument("--gender-ratio", type=_open_unit_interval, default=0.5)
-    p.add_argument("--contact-pool", type=_synth_int("contact_pool"), default=20)
-    p.add_argument("--event-rate", type=_positive_float, default=60.0)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.set_defaults(func=_cmd_synth)
+    p.add_argument("--users", type=int, required=True)
+    p.add_argument("--weeks", type=int, default=8)
+    p.add_argument("--signal", type=float, default=1.0, help="class signal strength")
+    p.add_argument("--age-edges", type=ints, default=DEFAULT_AGE_EDGES)
+    p.add_argument("--gender-ratio", type=float, default=0.5)
+    p.add_argument("--contact-pool", type=int, default=20)
+    p.add_argument("--event-rate", type=float, default=60.0)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.set_defaults(func=_cmd_synth, parser=p)
 
     p = sub.add_parser("featurize", help="turn a CDR csv into week tensors")
     p.add_argument("--cdr", required=True, help="input CDR csv path")
@@ -332,16 +263,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output model file path")
     p.add_argument("--attribute", choices=("gender", "age"), required=True)
     p.add_argument("--age-edges", type=_age_edges, default=DEFAULT_AGE_EDGES)
-    p.add_argument("--epochs", type=_positive_int, default=30)
-    p.add_argument("--lr", type=_positive_float, default=0.01)
-    p.add_argument("--momentum", type=_fraction, default=0.9)
-    p.add_argument("--batch", type=_positive_int, default=32)
-    p.add_argument("--weight-decay", type=_non_negative_float, default=0.0)
+    p.add_argument("--epochs", type=_checked(int, TrainConfig, "epochs"), default=30)
+    p.add_argument("--lr", type=_checked(float, TrainConfig, "learning_rate"), default=0.01)
+    p.add_argument("--momentum", type=_checked(float, TrainConfig, "momentum"), default=0.9)
+    p.add_argument("--batch", type=_checked(int, TrainConfig, "batch_size"), default=32)
+    p.add_argument(
+        "--weight-decay", type=_checked(float, TrainConfig, "weight_decay"), default=0.0
+    )
     p.add_argument("--val-fraction", type=_fraction, default=0.1)
-    p.add_argument("--filters", type=_filters, default=DEFAULT_FILTERS)
-    p.add_argument("--dense", type=_dense, default=DEFAULT_DENSE)
-    p.add_argument("--alpha", type=_fraction, default=0.01, help="leaky ReLU slope")
-    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--filters", type=_checked(ints, _network, "filters"), default=DEFAULT_FILTERS)
+    p.add_argument("--dense", type=_checked(ints, _network, "dense"), default=DEFAULT_DENSE)
+    p.add_argument(
+        "--alpha", type=_checked(float, _network, "alpha"), default=0.01, help="leaky ReLU slope"
+    )
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--history", help="optional path for per-epoch stats (json)")
     p.set_defaults(func=_cmd_train)
 
@@ -350,10 +285,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tensors", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--out", help="output model path (default: overwrite --model)")
-    p.add_argument("--lambda", dest="lam", type=_positive_float, default=1e-4)
-    p.add_argument("--epochs", type=_positive_int, default=50)
+    p.add_argument("--lambda", dest="lam", type=_checked(float, svm_settings, "lam"), default=1e-4)
+    p.add_argument("--epochs", type=_checked(int, svm_settings, "epochs"), default=50)
     p.add_argument("--val-fraction", type=_fraction, default=0.0)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_train_svm)
 
     p = sub.add_parser("predict", help="predict each user in a tensor file")
@@ -372,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("gradcheck", help="finite-difference audit of the backward pass")
-    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_gradcheck)
 
     return parser
@@ -383,6 +318,11 @@ def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "synth":
+            try:
+                args.config = _synth_config(args)
+            except ValueError as exc:
+                args.parser.error(str(exc))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

@@ -16,10 +16,11 @@ per-channel z-scoring with training-set statistics: counts and durations
 are heavy-tailed, raw values would be poorly scaled for convolution.
 
 Datasets round-trip through a "CDRTENSOR/2" container (see container.py)
-holding the raw tensors in compressed sparse row form plus an optional
-NormStats sidecar. Row i's non-zero cells are cells[offsets[i]:offsets[i+1]],
-each a flat (channel, hour, day) index below 1344 in increasing order, with
-their values in counts at the same positions:
+holding the raw tensors, one row per user week with the rows sorted by user
+id, in compressed sparse row form plus an optional NormStats sidecar. Row
+i's non-zero cells are cells[offsets[i]:offsets[i+1]], each a flat
+(channel, hour, day) index below 1344 in increasing order, with their
+values in counts at the same positions:
 
     offsets   <i8   N+1 entries, offsets[0] == 0, offsets[N] == len(cells)
     cells     <u2   flat cell index of each non-zero count
@@ -29,10 +30,11 @@ The tensors are mostly zeros (9.4% of cells are non-zero on a reference
 synthetic set), so the file is an eighth of the dense float64 size or less.
 featurize counts the CSR arrays straight from sorted cell keys and fits
 the normalizer over the non-zeros alone, so it never holds the dense
-tensors. Loading checks the arrays and keeps them. train, train-svm and
-predict read them through apply_normalizer, which fills one batch of
-normalized tensors at a time, so no stage of the pipeline builds the dense
-tensors. Dense "CDRTENSOR/1" files are refused; featurize rebuilds them.
+tensors. Loading checks the arrays and the user order, and keeps them.
+train, train-svm and predict read them through apply_normalizer, which
+fills one batch of normalized tensors at a time, so no stage builds the
+dense tensors. Dense "CDRTENSOR/1" files are refused; featurize rebuilds
+them.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
-from itertools import groupby
 
 import numpy as np
 
@@ -284,7 +285,9 @@ class TensorDataset:
     """Parallel (user_id, week, raw tensor) rows plus an optional NormStats sidecar.
 
     The tensors are held as the CSR arrays of a tensor file (module
-    docstring); apply_normalizer fills batches from them. tensors, their
+    docstring); apply_normalizer fills batches from them. Rows must come
+    sorted by user id (else ValueError): users holds the distinct ids and
+    user i's rows are user_offsets[i]:user_offsets[i+1]. tensors, their
     dense float64 (N, 8, 24, 7) view, and by_user, which slices it, remain
     for the benchmark alone; no CLI stage reads them.
     """
@@ -298,6 +301,12 @@ class TensorDataset:
         counts: np.ndarray,
         norm_stats: NormStats | None = None,
     ):
+        starts = [i for i, u in enumerate(user_ids) if i == 0 or u != user_ids[i - 1]]
+        self.users = [user_ids[i] for i in starts]
+        for a, b in zip(self.users, self.users[1:]):
+            if b < a:
+                raise ValueError(f"users not sorted by id: {b!r} follows {a!r}")
+        self.user_offsets = np.array(starts + [len(user_ids)], dtype=np.intp)  # (U+1,)
         self.user_ids = user_ids
         self.weeks = weeks
         self.offsets = offsets  # (N+1,) int64
@@ -324,27 +333,18 @@ class TensorDataset:
     def __len__(self) -> int:
         return len(self.user_ids)
 
-    def rows_of(self, users) -> list[int]:
-        """Row indices of the given users' weeks, stably sorted by user id."""
+    def rows_of(self, users) -> tuple[np.ndarray, np.ndarray]:
+        """Row indices of the given users' weeks, in file order, and the week count
+        of each of those users the dataset holds, in sorted order."""
         chosen = set(users)
-        ids = self.user_ids
-        return sorted((i for i, u in enumerate(ids) if u in chosen), key=ids.__getitem__)
+        keep = np.array([u in chosen for u in self.users], dtype=bool)
+        sizes = np.diff(self.user_offsets)
+        return np.flatnonzero(np.repeat(keep, sizes)), sizes[keep]
 
     def by_user(self) -> dict[str, np.ndarray]:
-        """Stacked week tensors per user, users in sorted order.
-
-        Each user's stack is a slice of one array: of tensors itself when the
-        rows are already sorted by user, as featurize writes them, so that no
-        row is copied; otherwise of one sorted copy.
-        """
-        rows = self.rows_of(self.user_ids)
-        stacked = self.tensors if rows == list(range(len(rows))) else self.tensors[rows]
-        out, start = {}, 0
-        for uid, group in groupby(self.user_ids[i] for i in rows):
-            stop = start + sum(1 for _ in group)
-            out[uid] = stacked[start:stop]
-            start = stop
-        return out
+        """Each user's stacked week tensors, a slice of tensors, users in sorted order."""
+        tensors, bounds = self.tensors, self.user_offsets.tolist()
+        return {u: tensors[a:b] for u, a, b in zip(self.users, bounds, bounds[1:])}
 
 
 def featurize_users(columns: CdrColumns) -> TensorDataset:
@@ -451,4 +451,7 @@ def load_tensor_dataset(path) -> TensorDataset:
                 raise ContainerError(f"{path}: {name} of shape {shape}, expected ({N_CHANNELS},)")
         stats = NormStats(arrays["norm.mean"], arrays["norm.std"])
     sparse = (arrays[name] for name in _SPARSE_DTYPES)
-    return TensorDataset(header["users"], weeks, *sparse, norm_stats=stats)
+    try:
+        return TensorDataset(header["users"], weeks, *sparse, norm_stats=stats)
+    except ValueError as exc:
+        raise ContainerError(f"{path}: {exc}") from None

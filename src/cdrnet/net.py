@@ -60,7 +60,7 @@ class NetworkConfig:
         if self.classes < 2:
             raise ValueError("need at least 2 output classes")
         if len(self.kernels) != len(self.filters) or not self.kernels:
-            raise ValueError("kernels and filters must be non-empty and equally long")
+            raise ValueError(f"expected {len(self.kernels)} counts, one per conv layer, in filters")
         if len(self.dense) != 2:
             raise ValueError("exactly two dense widths expected")
         if not 0.0 <= self.alpha < 1.0:

@@ -40,12 +40,13 @@ generate once did, and must give the same lines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
 
-from .featurize import DEFAULT_AGE_EDGES, N_DAYS, N_HOURS, LabelSpace
+from .featurize import DEFAULT_AGE_EDGES, N_DAYS, N_HOURS, LabelSpace, WeekId
 from .ingest import CDR_HEADER, LABELS_HEADER
 
 GENDERS = ("f", "m")
@@ -56,6 +57,10 @@ NEUTRAL_DURATION_S = 150.0
 NEUTRAL_REUSE = 0.5
 # "direction,kind" of a line by 2 * is_out + is_call
 _DIRECTION_KIND = ("in,text", "in,call", "out,text", "out,call")
+# The most expected events (users x weeks_per_user x event_rate) a config may ask
+# for: generate holds every line, about 130 bytes each at its peak, so about 3.3 GB.
+# One user over every week to 9999-12-31 at the default rate (24.97 million) fits.
+EVENT_BUDGET = 25_000_000
 
 
 @dataclass(frozen=True)
@@ -71,17 +76,16 @@ class SynthConfig:
     start_monday: date = date(2024, 1, 1)
 
     def __post_init__(self):
-        object.__setattr__(self, "age_edges", tuple(int(e) for e in self.age_edges))
+        object.__setattr__(self, "age_edges", LabelSpace.fit("age", (), self.age_edges).age_edges)
         if self.users < 1 or self.weeks_per_user < 1 or self.contact_pool < 1:
             raise ValueError("users, weeks_per_user, and contact_pool must be at least 1")
         if not 0.0 <= self.signal <= 1.0:
             raise ValueError(f"signal {self.signal} outside [0, 1]")
         if not 0.0 < self.gender_ratio < 1.0:
             raise ValueError("gender_ratio must lie strictly between 0 and 1")
-        if self.event_rate <= 0.0:
-            raise ValueError("event_rate must be positive")
-        if self.start_monday.weekday() != 0:
-            raise ValueError(f"{self.start_monday} is not a Monday")
+        if not 0.0 < self.event_rate < math.inf:
+            raise ValueError("event_rate must be positive and finite")
+        WeekId(self.start_monday)  # a Monday
         if self.start_monday.toordinal() + 7 * self.weeks_per_user - 1 > date.max.toordinal():
             raise ValueError(
                 f"weeks_per_user {self.weeks_per_user} from {self.start_monday} "
@@ -89,6 +93,8 @@ class SynthConfig:
             )
         if self.contact_pool > 1 << 32:  # the widest range generate's contact draw decodes
             raise ValueError(f"contact_pool {self.contact_pool} exceeds 2**32")
+        if self.users * self.weeks_per_user > EVENT_BUDGET / self.event_rate:  # no overflow
+            raise ValueError(f"users x weeks_per_user x event_rate over budget {EVENT_BUDGET:,}")
 
 
 @dataclass(frozen=True)
@@ -167,7 +173,7 @@ def generate(config: SynthConfig) -> tuple[list[str], list[str]]:
     day) cells follow s * class_intensity + (1 - s) * uniform. Lines are
     built column by column; only the contact draw runs event by event.
     """
-    edges = LabelSpace.fit("age", (), config.age_edges).age_edges
+    edges = config.age_edges
     archetypes = make_archetypes(len(edges) + 1, config.seed)
     uniform = np.full(N_HOURS * N_DAYS, 1.0 / (N_HOURS * N_DAYS))
     s = config.signal

@@ -8,6 +8,7 @@ is fitted on the training partition only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -25,15 +26,16 @@ class NumericError(ArithmeticError):
     """Loss, gradients or parameters stopped being finite during optimization."""
 
 
-def cross_entropy(probs, labels) -> float:
+def cross_entropy(probs, labels) -> np.floating:
     """Mean negative log-likelihood of an (N, K) batch against (N,) labels.
 
-    Probabilities are clipped at 1e-12.
+    Probabilities are clipped at 1e-12. The loss is a float64 or wider numpy scalar.
     """
-    p = np.asarray(probs, dtype=np.float64)
+    p = np.asarray(probs)
+    p = p.astype(np.result_type(p, np.float64), copy=False)
     idx = np.asarray(labels, dtype=np.intp)
     picked = p[np.arange(len(p)), idx]
-    return float(-np.log(np.maximum(picked, 1e-12)).mean())
+    return -np.log(np.maximum(picked, 1e-12)).mean()
 
 
 def loss_gradient(probs, labels) -> np.ndarray:
@@ -80,8 +82,12 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be positive")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie in [0, 1)")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must lie in [0, 1)")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -127,7 +133,7 @@ def train(
     Raises NumericError when the loss, a gradient or a parameter stops
     being finite.
     """
-    users = sorted({u for u in dataset.user_ids if u in labels})
+    users = [u for u in dataset.users if u in labels]
     if not users:
         raise ValueError("no labeled users in the dataset")
     assign = {u: label_space.index(labels[u]) for u in users}
@@ -142,10 +148,9 @@ def train(
     train_users, val_users = split_users(users, config.val_fraction, config.seed)
 
     def rows(users: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Dataset rows and class labels of the users' weeks, rows sorted by user."""
-        index = dataset.rows_of(users)
-        y = np.array([assign[dataset.user_ids[i]] for i in index], dtype=np.intp)
-        return np.array(index, dtype=np.intp), y
+        """Dataset rows and class labels of the sorted users' weeks, rows in file order."""
+        index, sizes = dataset.rows_of(users)
+        return index, np.repeat(np.array([assign[u] for u in users], dtype=np.intp), sizes)
 
     train_rows, y_train = rows(train_users)
     val_rows, y_val = rows(val_users)
@@ -225,10 +230,13 @@ def grad_check(params: ModelParams, x, label: int, step: float = 1e-5) -> dict[s
     """Central-difference check of every parameter gradient on one (C,H,W) sample.
 
     Returns the worst relative error per parameter tensor; all values should
-    sit below GRAD_TOL when the analytic backward pass is correct. Keep the
-    network small: cost is two forward passes per scalar parameter.
+    sit below GRAD_TOL when the analytic (float64) backward pass is correct.
+    The differences run the net in longdouble, so that the loss's roundoff
+    does not swamp small entries. Keep the network small: cost is two
+    forward passes per scalar parameter.
     """
     x = np.asarray(x, dtype=np.float64)[None]
+    wide = x.astype(np.longdouble)
     labels = [label]
     probs, _, trace = forward_batch(params, x)
     analytic = backward(params, trace, loss_gradient(probs, labels))
@@ -241,11 +249,11 @@ def grad_check(params: ModelParams, x, label: int, step: float = 1e-5) -> dict[s
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            plus = cross_entropy(forward_batch(params, x)[0], labels)
+            plus = cross_entropy(forward_batch(params, wide)[0], labels)
             flat[i] = orig - step
-            minus = cross_entropy(forward_batch(params, x)[0], labels)
+            minus = cross_entropy(forward_batch(params, wide)[0], labels)
             flat[i] = orig
-            numeric = (plus - minus) / (2.0 * step)
+            numeric = float((plus - minus) / (2.0 * step))
             err = max(err, max_relative_error(numeric, grad_flat[i]))
         worst[name] = err
     return worst

@@ -64,7 +64,7 @@ def test_classify_calls_the_net_through_its_module_names(monkeypatch):
         monkeypatch.setattr(cdrnet.classify, name, counted)
     weeks = np.random.default_rng(0).poisson(1.0, size=(3, 8, 24, 7)).astype(np.float64)
     model = init_params(NetworkConfig(classes=2, filters=(2, 2, 2, 2, 2, 4), dense=(8, 4)), 0)
-    ds = dense_dataset(["a", "b", "a"], [WeekId(date(2024, 1, 1))] * 3, weeks)
+    ds = dense_dataset(["a", "a", "b"], [WeekId(date(2024, 1, 1))] * 3, weeks)
     model.norm_stats = fit_normalizer(ds)
     assert [p.user_id for p in cdrnet.classify.predict_dataset(model, ds)] == ["a", "b"]
     assert calls["forward_batch"] > 0 and calls["apply_normalizer"] > 0
@@ -83,7 +83,7 @@ def test_train_normalizes_through_its_module_names(monkeypatch):
         monkeypatch.setattr(cdrnet.training, name, counted)
     weeks = np.random.default_rng(3).poisson(1.0, size=(6, 8, 24, 7)).astype(np.float64)
     labels = {u: LabelRecord(u, g, 30) for u, g in (("a", "f"), ("b", "m"), ("c", "f"))}
-    ds = dense_dataset(["a", "b", "c", "a", "b", "c"], [WeekId(date(2024, 1, 1))] * 6, weeks)
+    ds = dense_dataset(["a", "a", "b", "b", "c", "c"], [WeekId(date(2024, 1, 1))] * 6, weeks)
     config = cdrnet.training.TrainConfig(epochs=1, batch_size=2, val_fraction=0.34)
     net = NetworkConfig(classes=2, filters=(2, 2, 2, 2, 2, 4), dense=(8, 4))
     cdrnet.training.train(ds, labels, LabelSpace.fit("gender", labels.values()), config, net)
@@ -123,7 +123,7 @@ def test_train_svm_head_fits_through_the_module_level_trainer(monkeypatch):
     model = init_params(NetworkConfig(classes=2, filters=(2, 2, 2, 2, 2, 4), dense=(8, 4)), 0)
     labels = {u: LabelRecord(u, g, 30) for u, g in (("a", "f"), ("b", "m"), ("c", "f"))}
     model.label_space = LabelSpace.fit("gender", labels.values())
-    ds = dense_dataset(["a", "b", "c", "a"], [WeekId(date(2024, 1, 1))] * 4, weeks)
+    ds = dense_dataset(["a", "a", "b", "c"], [WeekId(date(2024, 1, 1))] * 4, weeks)
     model.norm_stats = fit_normalizer(ds)
     svm = cdrnet.classify.train_svm_head(model, ds, labels, epochs=2)
     assert len(calls) == 1
@@ -154,6 +154,8 @@ def test_featurize_output_loads_back_as_the_dense_tensors_the_bench_reads(tmp_pa
     by_user = ds.by_user()
     assert list(by_user) == sorted(set(expected.user_ids))
     assert sum(len(t) for t in by_user.values()) == len(expected)
+    # a copy would raise the driver's peak RSS, which every stage child inherits
+    assert all(np.shares_memory(t, ds.tensors) for t in by_user.values())
 
 
 def test_featurize_report_is_the_first_stdout_line(tmp_path):
@@ -179,7 +181,7 @@ def test_predictions_and_metrics_have_the_shape_the_bench_reads(tmp_path):
     # exactly 2+K columns and every later line as one user's row, and the
     # evaluate --out JSON for its "accuracy"
     weeks = np.random.default_rng(1).poisson(1.0, size=(4, 8, 24, 7)).astype(np.float64)
-    ds = dense_dataset(["b", "a", "c", "a"], [WeekId(date(2024, 1, 1))] * 4, weeks)
+    ds = dense_dataset(["a", "a", "b", "c"], [WeekId(date(2024, 1, 1))] * 4, weeks)
     save_tensor_dataset(tmp_path / "t.bin", ds)
     model = init_params(NetworkConfig(classes=4, filters=(2, 2, 2, 2, 2, 4), dense=(8, 4)), 0)
     model.norm_stats = fit_normalizer(ds)

@@ -140,8 +140,8 @@ def test_predict_dataset_packs_users_across_chunks(model):
     users = [f"u{i:02d}" for i in rng.permutation(len(week_counts))]
     per_user = {u: rng.poisson(1.5, size=(n, 8, 24, 7)).astype(np.float64)
                 for u, n in zip(users, week_counts)}
-    # interleave the users' weeks in file order
-    rows = [(u, per_user[u][k]) for k in range(3) for u in users if k < len(per_user[u])]
+    # each user's weeks in one run, users sorted, as featurize writes them
+    rows = [(u, week) for u in sorted(users) for week in per_user[u]]
     assert len(rows) > CHUNK_ROWS
     preds = predict_dataset(model, _dataset(rows))
     assert [p.user_id for p in preds] == sorted(users)

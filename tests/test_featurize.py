@@ -366,15 +366,14 @@ def test_by_user_stacks_rows():
     assert all(np.shares_memory(t, ds.tensors) for t in stacked.values())
 
 
-def test_by_user_keeps_each_users_rows_in_file_order():
-    rng = np.random.default_rng(5)
-    tensors = rng.poisson(1.0, size=(5, 8, 24, 7)).astype(np.float64)
-    ids = ["b", "a", "b", "c", "a"]
-    ds = dense_dataset(ids, [WEEK] * 5, tensors)
-    stacked = ds.by_user()
-    assert list(stacked) == ["a", "b", "c"]
-    for uid, t in stacked.items():
-        np.testing.assert_array_equal(t, tensors[[i for i, u in enumerate(ids) if u == uid]])
+def test_tensor_dataset_refuses_rows_not_sorted_by_user():
+    tensors = np.random.default_rng(5).poisson(1.0, size=(3, 8, 24, 7)).astype(np.float64)
+    ds = dense_dataset(["a", "a", "b"], [WEEK] * 3, tensors)
+    assert ds.users == ["a", "b"]
+    np.testing.assert_array_equal(ds.user_offsets, [0, 2, 3])
+    for ids in (["b", "a", "a"], ["a", "b", "a"]):
+        with pytest.raises(ValueError, match="users not sorted"):
+            dense_dataset(ids, [WEEK] * 3, tensors)
 
 
 def test_tensor_dataset_round_trip(tmp_path):

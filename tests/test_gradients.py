@@ -9,9 +9,10 @@ def _random_params(seed):
 
     Zero biases would leave pre-activations of an all-channel-balanced input
     near the leaky-ReLU kink, where one-sided analytic slopes and central
-    differences legitimately disagree. Seeds are chosen so that no gradient
-    entry sits deep in the roundoff zone (|g| near 1e-8, where finite
-    differences of an order-one loss are noise-limited).
+    differences legitimately disagree. Any seed will do: grad_check takes
+    its differences in longdouble, so small gradient entries are no longer
+    lost in the roundoff of the order-one loss, as they were at 14 of the
+    seeds below 40 in float64.
     """
     cfg = downsized_config()
     params = init_params(cfg, seed)
@@ -32,9 +33,9 @@ def test_analytic_gradients_match_central_differences():
 
 
 def test_grad_check_across_more_seeds():
-    for seed in (3, 9, 11):
+    for seed in range(40):
         params, x, label = _random_params(seed)
-        assert max(grad_check(params, x, label).values()) < GRAD_TOL
+        assert max(grad_check(params, x, label).values()) < GRAD_TOL, seed
 
 
 def test_grad_check_on_zero_input_exercises_bias_gradients():

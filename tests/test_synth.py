@@ -1,4 +1,5 @@
 import itertools
+import math
 from datetime import date, timedelta
 
 import numpy as np
@@ -11,6 +12,7 @@ from cdrnet.featurize import LabelSpace
 from cdrnet.ingest import CDR_HEADER, LABELS_HEADER, ingest, load_labels
 from cdrnet.synth import (
     BLOCK_MASS,
+    EVENT_BUDGET,
     GENDERS,
     NEUTRAL_CALL_RATIO,
     NEUTRAL_DURATION_S,
@@ -323,11 +325,27 @@ def test_full_signal_matches_archetype_habits():
         {"users": 3, "contact_pool": 2**32 + 1},
         {"users": 3, "weeks_per_user": 416168},  # the last week would end after 9999-12-31
         {"users": 3, "start_monday": date(9999, 12, 27)},
+        {"users": 3, "event_rate": math.inf},
+        {"users": 3, "event_rate": math.nan},
+        {"users": 3, "event_rate": 1e9},
+        {"users": 3, "event_rate": 1e300},
+        {"users": 10**400},  # over the event budget, without an OverflowError
     ],
 )
 def test_bad_config_rejected(kwargs):
     with pytest.raises(ValueError):
         SynthConfig(**kwargs)
+
+
+def test_event_budget_bounds_the_product_of_users_weeks_and_rate():
+    assert SynthConfig(users=EVENT_BUDGET, weeks_per_user=1, event_rate=1.0)
+    assert SynthConfig(users=1, weeks_per_user=200_000)  # 12 million events
+    for kwargs in (
+        {"users": EVENT_BUDGET + 1, "weeks_per_user": 1, "event_rate": 1.0},
+        {"users": 3, "weeks_per_user": 200_000},
+    ):
+        with pytest.raises(ValueError, match="budget"):
+            SynthConfig(**kwargs)
 
 
 def test_the_last_whole_week_before_date_max_is_accepted():

@@ -60,7 +60,8 @@ def _checked(kind, owner, field: str | None = None):
     return parse
 
 
-_seed = _checked(int, np.random.SeedSequence)
+# a lambda, so that numpy.random is imported when a seed is parsed, not with the CLI
+_seed = _checked(int, lambda seed: np.random.SeedSequence(seed))
 _age_edges = _checked(ints, lambda edges: LabelSpace.fit("age", (), edges))
 _fraction = _checked(float, TrainConfig, "val_fraction")
 _network = partial(NetworkConfig, classes=2)

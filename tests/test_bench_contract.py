@@ -148,6 +148,8 @@ def test_featurize_output_loads_back_as_the_dense_tensors_the_bench_reads(tmp_pa
     groups, _, _ = ingest(cdr.read_bytes())
     expected = featurize_users(groups)
     ds = load_tensor_dataset(tmp_path / "t.bin")
+    # the file holds the counts as unsigned integers; loading widens them back
+    assert ds.counts.dtype == np.float64 and np.array_equal(ds.counts, expected.counts)
     assert ds.tensors.dtype == np.float64 and ds.tensors.shape == (len(expected), 8, 24, 7)
     assert np.array_equal(ds.tensors, expected.tensors)
     assert (ds.user_ids, ds.weeks) == (expected.user_ids, expected.weeks)

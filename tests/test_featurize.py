@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdrnet.cli import run
-from cdrnet.container import read_container
+from cdrnet.container import read_container, write_container
 from cdrnet.featurize import (
     CHANNELS,
     TENSOR_MAGIC,
@@ -437,6 +437,67 @@ def test_sparse_tensor_file_round_trips_any_counts(tmp_path_factory, rows, densi
     back = load_tensor_dataset(path)
     assert back.user_ids == ds.user_ids
     assert np.array_equal(back.tensors, tensors)
+
+
+# the largest count of each unsigned dtype and the next one up, with 2**64 and
+# the largest float64 below it
+_COUNT_EDGES = [
+    255.0, 256.0, 65535.0, 65536.0, 2.0**32 - 1, 2.0**32, float(np.nextafter(2.0**64, 0)), 2.0**64
+]
+
+
+def _expected_counts_dtype(counts) -> str:
+    if any(c != int(c) or c >= 2**64 for c in counts):
+        return "<f8"
+    ends = (("|u1", 2**8), ("<u2", 2**16), ("<u4", 2**32), ("<u8", 2**64))
+    return next(dtype for dtype, end in ends if max(counts) < end)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    rows=st.integers(1, 3),
+    small=st.lists(st.integers(1, 255).map(float), max_size=20),
+    top=st.sampled_from(_COUNT_EDGES),
+    odd=st.sampled_from([None, 0.5, 1000.25, 2.0**64, 1e30]),
+)
+def test_tensor_file_stores_counts_in_the_narrowest_exact_dtype(
+    tmp_path_factory, data, rows, small, top, odd
+):
+    counts = small + [top] + ([] if odd is None else [odd])
+    cells = data.draw(st.lists(st.integers(0, rows * 1344 - 1), min_size=len(counts),
+                               max_size=len(counts), unique=True), label="cells")
+    tensors = np.zeros((rows, 8, 24, 7))
+    tensors.reshape(-1)[cells] = counts
+    path = tmp_path_factory.mktemp("narrow") / "t.bin"
+    save_tensor_dataset(path, dense_dataset(["u"] * rows, [WEEK] * rows, tensors))
+    _, arrays = read_container(path, TENSOR_MAGIC)
+    assert arrays["counts"].dtype.str == _expected_counts_dtype(counts)
+    back = load_tensor_dataset(path)
+    assert back.counts.dtype == np.float64
+    assert np.array_equal(back.tensors.view(np.uint64), tensors.view(np.uint64))
+
+
+def test_tensor_file_with_float64_counts_of_the_old_layout_loads_the_same(tmp_path):
+    cdr_lines, _ = generate(SynthConfig(users=4, weeks_per_user=2, seed=3))
+    columns, _, _ = ingest(text_bytes(cdr_lines))
+    ds = featurize_users(columns)
+    ds.norm_stats = fit_normalizer(ds)
+    new, old = tmp_path / "new.bin", tmp_path / "old.bin"
+    save_tensor_dataset(new, ds)
+    header, arrays = read_container(new, TENSOR_MAGIC)
+    assert arrays["counts"].dtype.kind == "u"
+    arrays["counts"] = arrays["counts"].astype(np.float64)
+    write_container(old, TENSOR_MAGIC, header, arrays)
+    assert read_container(old, TENSOR_MAGIC)[1]["counts"].dtype == np.float64
+    a, b = load_tensor_dataset(new), load_tensor_dataset(old)
+    assert (a.user_ids, a.weeks) == (b.user_ids, b.weeks)
+    for name in ("offsets", "cells", "counts"):
+        got, want = getattr(b, name), getattr(a, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert a.counts.dtype == np.float64 and np.array_equal(a.counts, ds.counts)
+    np.testing.assert_array_equal(b.norm_stats.mean, a.norm_stats.mean)
+    np.testing.assert_array_equal(b.norm_stats.std, a.norm_stats.std)
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,6 +6,13 @@ file), train-svm (append an SVM head to a model), predict (model + tensors
 to predictions csv), evaluate (predictions + labels to metrics), and
 gradcheck (finite-difference gradient audit).
 
+Each subcommand loads only the modules it runs. Those of featurize (ingest,
+featurize, container) load with this module. The names taken from classify,
+modelfile, net, synth and training load their module on first use, through
+the module __getattr__ below, so featurize never compiles the network and
+evaluate never loads training. The subcommands call those names as
+attributes of this module, where a test or a tracer can replace them.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 Given the same inputs and --seed, every subcommand writes byte-identical
 output files.
@@ -20,23 +27,39 @@ from functools import partial
 
 import numpy as np
 
-from .classify import (
-    evaluate,
-    format_table,
-    predict_dataset,
-    read_predictions,
-    svm_settings,
-    train_svm_head,
-    write_predictions,
-)
 from .container import ContainerError
 from .featurize import DEFAULT_AGE_EDGES, LabelSpace, featurize_users, fit_normalizer
 from .featurize import load_tensor_dataset, save_tensor_dataset
 from .ingest import IngestError, ParseError, ingest, load_labels, read_lines, read_utf8
-from .modelfile import load_model, save_model
-from .net import DEFAULT_DENSE, DEFAULT_FILTERS, NetworkConfig, downsized_config, init_params
-from .synth import SynthConfig, generate, write_lines
-from .training import GRAD_TOL, NumericError, TrainConfig, grad_check, train
+
+# module -> the names this module takes from it when one is first used
+_LAZY = {
+    "classify": (
+        "evaluate", "format_table", "predict_dataset", "read_predictions", "svm_settings",
+        "train_svm_head", "write_predictions",
+    ),
+    "modelfile": ("load_model", "save_model"),
+    "net": ("DEFAULT_DENSE", "DEFAULT_FILTERS", "NetworkConfig", "downsized_config", "init_params"),
+    "synth": ("SynthConfig", "generate", "write_lines"),
+    "training": ("GRAD_TOL", "NumericError", "TrainConfig", "grad_check", "train"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+_cli = sys.modules[__name__]  # this module, also when python -m runs it as __main__
+
+
+def __getattr__(name: str):
+    """A lazy name: import its module, then keep the name here (PEP 562)."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # an import statement's path, which python -X importtime reports (import_module's is not)
+    value = getattr(__import__(f"{__package__}.{_HOME[name]}", fromlist=[name]), name)
+    globals()[name] = value
+    return value
+
+
+def _lazy(name: str):
+    """A callable that calls the lazy name, looked up when it is called."""
+    return lambda *args, **kwargs: getattr(_cli, name)(*args, **kwargs)
 
 
 def ints(text: str) -> tuple[int, ...]:
@@ -46,7 +69,8 @@ def ints(text: str) -> tuple[int, ...]:
 def _checked(kind, owner, field: str | None = None):
     """An argparse type: the text parsed by kind, then checked by building the owner
     that holds its range (owner(value) or owner(field=value)). A bad value exits 1
-    with the usage line and a message naming it."""
+    with the usage line and a message naming it. The owner is called only when a
+    value is parsed, so that building the parser imports no owner's module."""
 
     def parse(text: str):
         value = kind(text)  # argparse reports a ValueError here as "invalid <kind> value"
@@ -63,8 +87,10 @@ def _checked(kind, owner, field: str | None = None):
 # a lambda, so that numpy.random is imported when a seed is parsed, not with the CLI
 _seed = _checked(int, lambda seed: np.random.SeedSequence(seed))
 _age_edges = _checked(ints, lambda edges: LabelSpace.fit("age", (), edges))
-_fraction = _checked(float, TrainConfig, "val_fraction")
-_network = partial(NetworkConfig, classes=2)
+_train = _lazy("TrainConfig")
+_fraction = _checked(float, _train, "val_fraction")
+_network = partial(_lazy("NetworkConfig"), classes=2)
+_svm = _lazy("svm_settings")
 
 
 def _load_tensors(path):
@@ -77,7 +103,7 @@ def _load_tensors(path):
 
 def _load_trained_model(path):
     """A model file with the norm stats and label space that train writes; else a ValueError."""
-    params = load_model(path)
+    params = _cli.load_model(path)
     if params.norm_stats is None or params.label_space is None:
         raise ValueError(f"{path}: model lacks the norm stats or label space train writes")
     return params
@@ -85,7 +111,7 @@ def _load_trained_model(path):
 
 def _synth_config(args) -> SynthConfig:
     """synth's values, checked together: the event budget spans several flags."""
-    return SynthConfig(
+    return _cli.SynthConfig(
         users=args.users,
         weeks_per_user=args.weeks,
         age_edges=args.age_edges,
@@ -98,9 +124,9 @@ def _synth_config(args) -> SynthConfig:
 
 
 def _cmd_synth(args) -> int:
-    cdr_lines, label_lines = generate(args.config)
-    write_lines(args.cdr, cdr_lines)
-    write_lines(args.labels, label_lines)
+    cdr_lines, label_lines = _cli.generate(args.config)
+    _cli.write_lines(args.cdr, cdr_lines)
+    _cli.write_lines(args.labels, label_lines)
     print(f"wrote {len(cdr_lines) - 1} records and {len(label_lines) - 1} labels")
     return 0
 
@@ -126,13 +152,13 @@ def _cmd_train(args) -> int:
         return 2
     records = [labels[u] for u in ds.users if u in labels]
     space = LabelSpace.fit(args.attribute, records, args.age_edges)
-    net_config = NetworkConfig(
+    net_config = _cli.NetworkConfig(
         classes=space.n_classes,
-        filters=args.filters,
-        dense=args.dense,
+        filters=args.filters or _cli.DEFAULT_FILTERS,
+        dense=args.dense or _cli.DEFAULT_DENSE,
         alpha=args.alpha,
     )
-    train_config = TrainConfig(
+    train_config = _cli.TrainConfig(
         learning_rate=args.lr,
         momentum=args.momentum,
         batch_size=args.batch,
@@ -141,8 +167,12 @@ def _cmd_train(args) -> int:
         weight_decay=args.weight_decay,
         val_fraction=args.val_fraction,
     )
-    params, history = train(ds, labels, space, train_config, net_config)
-    save_model(args.out, params)
+    try:
+        params, history = _cli.train(ds, labels, space, train_config, net_config)
+    except _cli.NumericError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    _cli.save_model(args.out, params)
     if args.history:
         with open(args.history, "w", encoding="utf-8") as fh:
             json.dump([h.to_json() for h in history], fh, indent=2, sort_keys=True)
@@ -158,7 +188,7 @@ def _cmd_train_svm(args) -> int:
     ds = _load_tensors(args.tensors)
     labels, _ = load_labels(read_lines(args.labels))
     try:
-        svm = train_svm_head(
+        svm = _cli.train_svm_head(
             params,
             ds,
             labels,
@@ -171,7 +201,7 @@ def _cmd_train_svm(args) -> int:
         raise ValueError(f"{args.model}, {args.labels}: {exc}") from None
     params.svm = svm
     out = args.out if args.out else args.model
-    save_model(out, params)
+    _cli.save_model(out, params)
     print(f"saved model with {len(svm.weights)}-class svm head to {out}")
     return 0
 
@@ -179,14 +209,14 @@ def _cmd_train_svm(args) -> int:
 def _cmd_predict(args) -> int:
     params = _load_trained_model(args.model)
     ds = _load_tensors(args.tensors)
-    preds = predict_dataset(params, ds, head=args.head)
-    write_predictions(args.out, preds)
+    preds = _cli.predict_dataset(params, ds, head=args.head)
+    _cli.write_predictions(args.out, preds)
     print(f"wrote {len(preds)} predictions ({args.head} head) to {args.out}")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    preds = read_predictions(args.predictions)
+    preds = _cli.read_predictions(args.predictions)
     labels, _ = load_labels(read_lines(args.labels))
     space = LabelSpace.fit(args.attribute, labels.values(), args.age_edges)
     if preds and len(preds[0].scores) != space.n_classes:
@@ -195,11 +225,11 @@ def _cmd_evaluate(args) -> int:
             f"gives {space.n_classes} {args.attribute} classes {space.class_labels}"
         )
     truth = {u: space.index(r) for u, r in labels.items()}
-    metrics = evaluate(preds, truth, class_labels=space.class_labels)
+    metrics = _cli.evaluate(preds, truth, class_labels=space.class_labels)
     report = json.dumps(metrics.to_json(), indent=2, sort_keys=True)
     print(report)
     print(
-        format_table(
+        _cli.format_table(
             [
                 ("majority", metrics.majority_accuracy),
                 ("uniform", metrics.uniform_accuracy),
@@ -214,8 +244,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    config = downsized_config()
-    params = init_params(config, args.seed)
+    config = _cli.downsized_config()
+    params = _cli.init_params(config, args.seed)
     rng = np.random.default_rng(args.seed)
     # random non-zero biases keep pre-activations off the leaky-ReLU kink,
     # where central differences and the analytic slope legitimately disagree
@@ -224,10 +254,10 @@ def _cmd_gradcheck(args) -> int:
             params.tensors[name] = rng.normal(0.0, 0.1, params.tensors[name].shape)
     x = rng.normal(size=(config.in_channels, config.hours, config.days))
     label = int(rng.integers(config.classes))
-    errors = grad_check(params, x, label)
+    errors = _cli.grad_check(params, x, label)
     worst = max(errors.values())
-    print(f"max relative error {worst:.3e} (tolerance {GRAD_TOL:.0e})")
-    if worst >= GRAD_TOL:
+    print(f"max relative error {worst:.3e} (tolerance {_cli.GRAD_TOL:.0e})")
+    if worst >= _cli.GRAD_TOL:
         print("error: gradient check failed", file=sys.stderr)
         return 3
     return 0
@@ -264,16 +294,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output model file path")
     p.add_argument("--attribute", choices=("gender", "age"), required=True)
     p.add_argument("--age-edges", type=_age_edges, default=DEFAULT_AGE_EDGES)
-    p.add_argument("--epochs", type=_checked(int, TrainConfig, "epochs"), default=30)
-    p.add_argument("--lr", type=_checked(float, TrainConfig, "learning_rate"), default=0.01)
-    p.add_argument("--momentum", type=_checked(float, TrainConfig, "momentum"), default=0.9)
-    p.add_argument("--batch", type=_checked(int, TrainConfig, "batch_size"), default=32)
-    p.add_argument(
-        "--weight-decay", type=_checked(float, TrainConfig, "weight_decay"), default=0.0
-    )
+    p.add_argument("--epochs", type=_checked(int, _train, "epochs"), default=30)
+    p.add_argument("--lr", type=_checked(float, _train, "learning_rate"), default=0.01)
+    p.add_argument("--momentum", type=_checked(float, _train, "momentum"), default=0.9)
+    p.add_argument("--batch", type=_checked(int, _train, "batch_size"), default=32)
+    p.add_argument("--weight-decay", type=_checked(float, _train, "weight_decay"), default=0.0)
     p.add_argument("--val-fraction", type=_fraction, default=0.1)
-    p.add_argument("--filters", type=_checked(ints, _network, "filters"), default=DEFAULT_FILTERS)
-    p.add_argument("--dense", type=_checked(ints, _network, "dense"), default=DEFAULT_DENSE)
+    # no default: train falls back to net's DEFAULT_FILTERS and DEFAULT_DENSE
+    p.add_argument("--filters", type=_checked(ints, _network, "filters"))
+    p.add_argument("--dense", type=_checked(ints, _network, "dense"))
     p.add_argument(
         "--alpha", type=_checked(float, _network, "alpha"), default=0.01, help="leaky ReLU slope"
     )
@@ -286,8 +315,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tensors", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--out", help="output model path (default: overwrite --model)")
-    p.add_argument("--lambda", dest="lam", type=_checked(float, svm_settings, "lam"), default=1e-4)
-    p.add_argument("--epochs", type=_checked(int, svm_settings, "epochs"), default=50)
+    p.add_argument("--lambda", dest="lam", type=_checked(float, _svm, "lam"), default=1e-4)
+    p.add_argument("--epochs", type=_checked(int, _svm, "epochs"), default=50)
     p.add_argument("--val-fraction", type=_fraction, default=0.0)
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_train_svm)
@@ -328,9 +357,6 @@ def run(argv: list[str]) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ContainerError, IngestError, ParseError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -32,6 +32,7 @@ from datetime import date, datetime
 from typing import Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 CDR_HEADER = "user_id,direction,kind,timestamp,duration_s,correspondent_id"
 LABELS_HEADER = "user_id,gender,age_years"
@@ -250,12 +251,10 @@ def _scan_block(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     fixed offsets stay inside it. Each check runs over a whole field column
     of the block at once.
     """
-    n = len(ends)
     commas = np.flatnonzero(buf == _COMMA)
-    per_line = np.bincount(np.searchsorted(starts[1:], commas, side="right"), minlength=n)
-
-    rows = np.flatnonzero(per_line == 5)
-    first = (np.cumsum(per_line) - per_line)[rows]
+    before = np.searchsorted(commas, starts)  # commas ahead of each line's start
+    rows = np.flatnonzero(np.diff(before) == 5)
+    first = before[rows]
     c0, c1, c2, c3, c4 = (commas[first + k] for k in range(5))
     user_lo, user_hi = starts[rows], c0
     contact_lo, contact_hi = c4 + 1, ends[rows]
@@ -325,22 +324,33 @@ def _codes(data: bytes, lo: np.ndarray, hi: np.ndarray) -> tuple[list[str], np.n
     """Sorted distinct strings data[lo:hi] and each one's index into them.
 
     An id's key is its first _KEY_BYTES bytes, zero padded, then one byte
-    holding its length capped at _KEY_BYTES + 1. Keys order ids as Python
-    does, NUL bytes included ("a" < "a\\0" < "a\\0b"), except longer ids
-    that share their first _KEY_BYTES bytes: a second pass over just those
-    rows sorts them by all their bytes.
+    holding its length capped at _KEY_BYTES + 1, packed into big-endian
+    uint64 words. Keys order ids as Python does, NUL bytes included ("a" <
+    "a\\0" < "a\\0b"), except longer ids that share their first _KEY_BYTES
+    bytes: a second pass over just those rows sorts them by all their bytes.
     """
     buf = np.frombuffer(data, np.uint8)
+    n = len(lo)
     size = hi - lo
-    width = min(int(size.max()), _KEY_BYTES) if len(lo) else 0
-    keys = np.zeros((len(lo), width + 1), dtype=np.uint8)
-    for k in range(width):
+    width = min(int(size.max()), _KEY_BYTES) if n else 0
+    whole = min(int(size.min()), width) if n else 0  # key bytes that every id fills
+    keys = np.zeros((n, width // 8 * 8 + 8), dtype=np.uint8)  # whole words, length byte included
+    keys[:, :whole] = sliding_window_view(buf, whole)[lo]
+    for k in range(whole, width):
         # an id may end the text: past its end, read its last byte and zero it
         keys[:, k] = buf[np.minimum(lo + k, hi - 1)] * (size > k)
     keys[:, width] = np.minimum(size, _KEY_BYTES + 1)
-    _, first, codes = np.unique(
-        keys.view(f"S{width + 1}").ravel(), return_index=True, return_inverse=True
-    )
+    words = keys.view(">u8").astype(np.uint64)
+    del keys
+    order = np.lexsort(words.T[::-1])  # stable; the first word is the primary key
+    new = np.zeros(n, dtype=bool)  # where a distinct key starts in sorted order
+    new[:1] = True
+    for word in words.T:
+        word = word[order]
+        new[1:] |= word[1:] != word[:-1]
+    first = order[new]
+    codes = np.empty(n, dtype=np.int64)
+    codes[order] = np.cumsum(new) - 1
 
     def text(rows):
         spans = zip(lo[rows].tolist(), hi[rows].tolist())
@@ -355,7 +365,7 @@ def _codes(data: bytes, lo: np.ndarray, hi: np.ndarray) -> tuple[list[str], np.n
         codes = np.array([index[s] for s in ids], dtype=np.int64)[codes]
         codes[long] = [index[s] for s in full]
         ids = ordered
-    return ids, codes.astype(np.int64)
+    return ids, codes
 
 
 def ingest(

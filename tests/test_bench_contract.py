@@ -8,6 +8,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -44,6 +46,20 @@ import layertrace  # noqa: E402
 def test_every_traced_function_resolves(module, attr):
     __import__(module)
     assert callable(getattr(sys.modules[module], attr, None)), f"{module}.{attr}"
+
+
+@pytest.mark.parametrize("attr", [h[1] for h in layertrace.HOOKS if h[0] == "cdrnet.cli"])
+def test_every_traced_cli_name_resolves_after_a_bare_import(attr):
+    # the cli loads most of these names on first use; in this process the
+    # suite has imported every module already, so only a fresh one shows a
+    # name whose module fails to load
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = f"import cdrnet.cli\nassert callable(getattr(cdrnet.cli, {attr!r}, None))"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
 
 
 def test_flops_per_week_counts_both_passes():

@@ -245,6 +245,41 @@ def test_stages_do_not_import_the_numpy_modules_they_do_not_use(code, unused):
     assert not set(unused) & set(done.stdout.split())
 
 
+DATA_PATH = {"cdrnet", "cdrnet.ingest", "cdrnet.featurize", "cdrnet.container"}
+
+
+@pytest.mark.parametrize("stage, loaded", [
+    ("featurize", DATA_PATH),
+    ("predict", DATA_PATH | {"cdrnet.net", "cdrnet.classify", "cdrnet.modelfile"}),
+    ("evaluate", DATA_PATH | {"cdrnet.net", "cdrnet.classify"}),
+])
+def test_each_stage_imports_only_the_modules_it_runs(pipeline, tmp_path, stage, loaded):
+    # as the bench runs them: python -m cdrnet.cli, where the cli module is
+    # __main__; python -X importtime names every module a child imports
+    paths, _ = pipeline
+    preds = tmp_path / "preds.csv"
+    argv = {
+        "featurize": ["--cdr", paths["cdr"], "--out", tmp_path / "t.bin"],
+        "predict": ["--model", paths["model"], "--tensors", paths["tensors"], "--out", preds],
+        "evaluate": ["--predictions", preds, "--labels", paths["labels"], "--attribute", "gender"],
+    }[stage]
+    if stage == "evaluate":
+        code, _, err = _run(["predict", "--model", paths["model"], "--tensors", paths["tensors"],
+                             "--out", preds])
+        assert code == 0, err
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "cdrnet.cli", stage, *map(str, argv)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in done.stderr.splitlines() if line.startswith("import time:")
+    }
+    assert {m for m in imported if m.split(".")[0] == "cdrnet"} == loaded
+
+
 def test_synth_reports_counts_and_writes_files(pipeline):
     paths, outputs = pipeline
     assert "records" in outputs["synth"] and "labels" in outputs["synth"]

@@ -2,7 +2,8 @@
 
 ingest() accepts CDR lines by vectorized column checks alone and asks
 parse_cdr_line only why each refused line fails. These properties draw
-synth-like files with single-field defects, and ids past 64 UTF-8 bytes or
+synth-like files with single-field defects, and ids past 64 UTF-8 bytes,
+at the edges of the 8-byte words their sort keys are packed into, or
 holding NUL bytes. They check that the accepted records, the sorted id
 lists and the (line, reason) list equal a line-by-line pass of the
 oracles' reference grammar, that every user-week tensor equals the
@@ -20,6 +21,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,10 +52,15 @@ from oracles import (
 FIRST_DAY = datetime(2023, 12, 18)  # a Monday; the span crosses a year end
 
 # ids never hold the separators of the format; a short one may hold NUL
-# bytes, and a long one passes 64 UTF-8 bytes even in ASCII
+# bytes, one of 9-64 bytes spans several of the 8-byte words an id's sort
+# key is packed into, and a long one passes 64 UTF-8 bytes even in ASCII
 ID_CHARS = st.characters(blacklist_characters=",\r\n", blacklist_categories=("Cs",))
 ID_TEXT = st.one_of(
     st.text(ID_CHARS, min_size=1, max_size=8),
+    # cut to 64 bytes, dropping a character the cut splits
+    st.text(ID_CHARS, min_size=9, max_size=64).map(
+        lambda s: s.encode()[:64].decode("utf-8", "ignore")
+    ),
     st.text(ID_CHARS, min_size=65, max_size=80),
 )
 
@@ -61,11 +68,20 @@ ID_TEXT = st.one_of(
 # "b", NUL-bearing ids sort as Python does, and "x" + "é" * 40 cuts a
 # character at byte 64.
 LONG = "é" * 32
+# Ids at the edges of the key's 8-byte words: ends just before, at and past
+# a word boundary, NUL tails, and a character cut at byte 8.
+WORD_EDGES = ["a" * n for n in (7, 8, 9, 15, 16, 17, 63, 64)] + [
+    "a" * 7 + "\x00", "a" * 8 + "\x00", "a" * 7 + "\x00b", "a" * 15 + "\x00", "a" * 63 + "\x00",
+    "a" * 7 + "é", "a" * 6 + "é",
+]
 USERS = ["u1", "u2", "u10", "ü3", "u\x00", "u\x00\x00", "u\x00b",
-         LONG + "azz", LONG + "b", "x" + "é" * 40]
-CONTACTS = ["c1", "c2", "c3", "c10", "ç4", "c\x00", LONG, LONG + "b", LONG + "azz"]
+         LONG + "azz", LONG + "b", "x" + "é" * 40, *WORD_EDGES]
+CONTACTS = ["c1", "c2", "c3", "c10", "ç4", "c\x00", LONG, LONG + "b", LONG + "azz", *WORD_EDGES]
 # a clean line for each of them, so that every drawn file sorts them all
-ID_LINES = [f"{u},in,text,2024-01-01T00:00:00,0,{c}" for u, c in zip(USERS, CONTACTS * 2)]
+ID_LINES = [
+    f"{USERS[i % len(USERS)]},in,text,2024-01-01T00:00:00,0,{CONTACTS[i % len(CONTACTS)]}"
+    for i in range(max(len(USERS), len(CONTACTS)))
+]
 
 RECORD = st.builds(
     lambda user, incoming, call, offset_s, duration, contact: CdrRecord(
@@ -273,6 +289,20 @@ def test_cdr_line_round_trip(user, direction, kind, timestamp, duration, contact
 def test_labels_line_round_trip(user, gender, age):
     rec = LabelRecord(user, gender, age)
     assert parse_labels_line(f"{rec.user_id},{rec.gender},{rec.age_years}") == rec
+
+
+@pytest.mark.parametrize("width", [7, 8, 9, 15, 16, 17, 63, 64])
+def test_ids_as_long_as_each_key_width_sort_as_python_does(width):
+    # the longest id sets how many bytes every key holds before its length
+    # byte, so each width puts that byte at another place in its word
+    ids = [i for i in dict.fromkeys(USERS + CONTACTS) if len(i.encode()) <= width]
+    assert max(len(i.encode()) for i in ids) == width
+    lines = [f"{u},in,text,2024-01-01T00:00:00,0,{c}" for u, c in zip(ids, reversed(ids))]
+    records, rejections = _reference(lines, skip=0)
+    columns, _, report = ingest(text_bytes(lines))
+    assert rejections == [] and report.records_rejected == 0
+    assert column_rows(columns) == record_rows(records)
+    assert columns.user_ids == columns.contact_ids == sorted(ids)
 
 
 def test_day_numbers_follow_the_calendar():

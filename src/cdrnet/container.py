@@ -9,10 +9,10 @@ Layout (integers little-endian):
     payload         the arrays, C order, concatenated in manifest order
     checksum        SHA-256 over every preceding byte
 
-An array's dtype is one of DTYPES: "<f8", "<i8", or the unsigned "|u1",
-"<u2", "<u4" and "<u8" (numpy's dtype.str for each). A manifest entry
-without a "dtype" key is "<f8", so float64-only files such as models carry
-no dtype keys.
+An array's dtype is one of DTYPES: "<f8", "<f4", "<i8", or the unsigned
+"|u1", "<u2", "<u4" and "<u8" (numpy's dtype.str for each). A manifest
+entry without a "dtype" key is "<f8", so float64 arrays, such as a model's
+SVM head and norm stats, carry no dtype key.
 
 The magic line pins the format version; the trailing checksum makes
 truncation and bit corruption detectable before any data is handed back.
@@ -38,7 +38,7 @@ _DIGEST_SIZE = 32
 _HASH_BLOCK = 1 << 20
 
 DEFAULT_DTYPE = "<f8"
-DTYPES = ("<f8", "<i8", "|u1", "<u2", "<u4", "<u8")
+DTYPES = ("<f8", "<f4", "<i8", "|u1", "<u2", "<u4", "<u8")
 
 
 class ContainerError(Exception):

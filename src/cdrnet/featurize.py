@@ -100,10 +100,12 @@ def _count_tensors(row, n_rows: int, columns: CdrColumns, weekday):
 
     calls/texts count events, duration sums call seconds, unique contacts
     is the number of distinct correspondents with any event in the cell.
-    Every count is a weighted sum over flat (row, channel, hour, day) keys:
-    the keys are sorted, the weights of each distinct key are summed, and
-    zero sums (a zero-second call's duration) are dropped, so the dense
-    tensors are never built.
+    Every count is a sum over flat (row, channel, hour, day) keys, so the
+    dense tensors are never built. An event or a contact adds 1 to its key,
+    so those keys are sorted and counted. A call adds its seconds to its
+    duration key in record order, so only those keys are sorted stably and
+    summed; zero sums (zero-second calls) are dropped. The two key sets lie
+    in different channels, so the two sorted runs merge without a collision.
     """
     # flat index of the record's cell in its direction's unique-contacts channel
     cell = (row * N_CHANNELS + _IN_BASE * columns.incoming) * N_CELLS
@@ -113,19 +115,20 @@ def _count_tensors(row, n_rows: int, columns: CdrColumns, weekday):
     # distinct (cell, contact) pairs; the key stays far below 2**63
     n_contacts = max(len(columns.contact_ids), 1)
     unique = _distinct(cell * n_contacts + columns.contact) // n_contacts + _CH_UNIQUE * N_CELLS
-    index = np.concatenate([events, calls, unique])
-    weights = np.concatenate(
-        [np.ones(len(events)), columns.duration[columns.is_call], np.ones(len(unique))]
-    )
-    del cell, events, calls, unique
-    order = np.argsort(index, kind="stable")
-    index = index[order]
-    weights = weights[order]
-    del order
-    first = np.flatnonzero(np.diff(index, prepend=-1))
-    keys, counts = index[first], np.add.reduceat(weights, first)
-    nonzero = counts != 0
-    keys, counts = keys[nonzero], counts[nonzero]
+    del cell
+    unit = np.sort(np.concatenate([events, unique]))
+    del events, unique
+    first = np.flatnonzero(np.diff(unit, prepend=-1))
+    keys, counts = unit[first], np.diff(first, append=len(unit)).astype(np.float64)
+    del unit
+    order = np.argsort(calls, kind="stable")
+    calls, seconds = calls[order], columns.duration[columns.is_call][order]
+    first = np.flatnonzero(np.diff(calls, prepend=-1))
+    sums = np.add.reduceat(seconds, first) if len(first) else seconds
+    nonzero = sums != 0
+    calls, sums = calls[first][nonzero], sums[nonzero]
+    at = np.searchsorted(keys, calls)
+    keys, counts = np.insert(keys, at, calls), np.insert(counts, at, sums)
     offsets = np.searchsorted(keys, np.arange(n_rows + 1) * TENSOR_CELLS)
     return offsets, (keys % TENSOR_CELLS).astype(np.uint16), counts
 

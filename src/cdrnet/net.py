@@ -13,9 +13,11 @@ closing kernel is one matmul on the (N, C*W) flatten. backward walks the
 layers in reverse, reusing each one's input and leaky-ReLU slope.
 
 The net computes in its input's floating dtype and casts parameters per
-call: float32 (COMPUTE_DTYPE) for train, train-svm and predict, whose
-parameters stay float64, and float64 for the finite-difference gradient
-check (training.grad_check) that guards the hand-derived backward.
+call: float32 (COMPUTE_DTYPE) for train, train-svm and predict, and float64
+for the finite-difference gradient check (training.grad_check) that guards
+the hand-derived backward. A trained or loaded model holds COMPUTE_DTYPE
+parameters, so for train-svm and predict the casts are no-ops; they serve
+train's float64 master weights and grad_check's float64 run.
 """
 
 from __future__ import annotations
@@ -155,7 +157,10 @@ def _windows(a: np.ndarray, kh: int) -> np.ndarray:
 
 
 def _stacked(weights: np.ndarray, dtype) -> np.ndarray:
-    """An hour kernel (C_out, C_in, kh, 1) as one tap-major (C_out, kh*C_in) matrix."""
+    """An hour kernel (C_out, C_in, kh, 1) as one tap-major (C_out, kh*C_in) matrix in dtype.
+
+    The cast matters only for train's float64 masters and grad_check's float64 run.
+    """
     w = np.ascontiguousarray(weights[:, :, :, 0].transpose(0, 2, 1), dtype=dtype)
     return w.reshape(len(w), -1)
 

@@ -20,6 +20,7 @@ from .ingest import LabelRecord
 from .net import COMPUTE_DTYPE, ModelParams, NetworkConfig, backward, forward_batch, init_params
 
 GRAD_TOL = 1e-4
+GRAD_STEPS = (1e-3, 1e-4, 1e-5, 1e-6)  # grad_check's central-difference steps, tried in turn
 
 
 class NumericError(ArithmeticError):
@@ -129,9 +130,11 @@ def train(
     partition (any stats shipped with the dataset are ignored). Each batch,
     and each CHUNK_ROWS chunk of the validation rows, is filled from the
     dataset's sparse rows into one reused buffer. The net runs in
-    COMPUTE_DTYPE on float64 parameters, which the SGD updates in place.
-    Raises NumericError when the loss, a gradient or a parameter stops
-    being finite.
+    COMPUTE_DTYPE on float64 master parameters, which the SGD updates in
+    place; the returned model holds them cast once to COMPUTE_DTYPE, the
+    net that train-svm and predict run and the model file stores. Raises
+    NumericError when the loss, a gradient or a parameter stops being
+    finite, a master that overflows that cast included.
     """
     users = [u for u in dataset.users if u in labels]
     if not users:
@@ -209,6 +212,10 @@ def train(
             val_acc = hits / len(val_rows)
         history.append(EpochStats(epoch=epoch, train_loss=total / seen, val_accuracy=val_acc))
 
+    params.tensors = {name: t.astype(COMPUTE_DTYPE) for name, t in params.tensors.items()}
+    bad = _first_non_finite({}, params.tensors)
+    if bad:
+        raise NumericError(f"non-finite {bad} in {np.dtype(COMPUTE_DTYPE)} after epoch {epoch}")
     return params, history
 
 
@@ -226,34 +233,48 @@ def max_relative_error(a: float, b: float) -> float:
     return abs(a - b) / max(1e-8, abs(a) + abs(b))
 
 
-def grad_check(params: ModelParams, x, label: int, step: float = 1e-5) -> dict[str, float]:
-    """Central-difference check of every parameter gradient on one (C,H,W) sample.
+def grad_check(params: ModelParams, x, label: int) -> dict[str, float]:
+    """Central-difference check of every parameter gradient on one (C,H,W) sample, in float64.
 
     Returns the worst relative error per parameter tensor; all values should
-    sit below GRAD_TOL when the analytic (float64) backward pass is correct.
-    The differences run the net in longdouble, so that the loss's roundoff
-    does not swamp small entries. Keep the network small: cost is two
-    forward passes per scalar parameter.
+    sit below GRAD_TOL when the analytic backward pass is correct. Each entry
+    is differenced at the first step of GRAD_STEPS at which neither perturbed
+    forward changes a leaky-ReLU slope of the unperturbed trace: the largest
+    step that stays off every kink, so the roundoff of the order-one loss
+    does not swamp small entries. An entry that crosses a kink at every step,
+    and a gradient misshapen for its tensor, count as an infinite error.
+    Keep the network small: cost is two forward passes per scalar parameter
+    and step tried.
     """
     x = np.asarray(x, dtype=np.float64)[None]
-    wide = x.astype(np.longdouble)
     labels = [label]
     probs, _, trace = forward_batch(params, x)
     analytic = backward(params, trace, loss_gradient(probs, labels))
 
+    def loss(flat: np.ndarray, i: int, value) -> tuple[np.floating, bool]:
+        """The loss with flat[i] set to value, and whether every slope of the trace held."""
+        flat[i] = value
+        probs, _, moved = forward_batch(params, x)
+        held = all(np.array_equal(a[1], b[1]) for a, b in zip(moved.layers, trace.layers))
+        return cross_entropy(probs, labels), held
+
     worst: dict[str, float] = {}
     for name, tensor in params.tensors.items():
-        flat = tensor.reshape(-1)
-        grad_flat = analytic[name].reshape(-1)
+        if analytic[name].shape != tensor.shape:
+            worst[name] = math.inf
+            continue
+        flat, grad_flat = tensor.reshape(-1), analytic[name].reshape(-1)
         err = 0.0
         for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            plus = cross_entropy(forward_batch(params, wide)[0], labels)
-            flat[i] = orig - step
-            minus = cross_entropy(forward_batch(params, wide)[0], labels)
+            orig, entry_err = flat[i], math.inf
+            for step in GRAD_STEPS:
+                plus, plus_held = loss(flat, i, orig + step)
+                minus, minus_held = loss(flat, i, orig - step)
+                if plus_held and minus_held:
+                    numeric = float((plus - minus) / (2.0 * step))
+                    entry_err = max_relative_error(numeric, grad_flat[i])
+                    break
             flat[i] = orig
-            numeric = float((plus - minus) / (2.0 * step))
-            err = max(err, max_relative_error(numeric, grad_flat[i]))
+            err = max(err, entry_err)
         worst[name] = err
     return worst

@@ -151,6 +151,33 @@ def test_predict_dataset_packs_users_across_chunks(model):
         assert p.weeks_used == len(per_user[p.user_id])
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    week_counts=st.lists(st.integers(1, 4), min_size=1, max_size=12),
+    classes=st.integers(2, 4),
+    rate=st.floats(0.1, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_float64_and_float32_parameters_predict_alike(week_counts, classes, rate, seed):
+    """The net runs in float32 either way, so the saved float32 cast predicts what
+    the float64 masters do, under both heads."""
+    rng = np.random.default_rng(seed)
+    users = [f"u{i:02d}" for i in range(len(week_counts))]
+    rows = [(u, w) for u, n in zip(users, week_counts)
+            for w in rng.poisson(rate, size=(n, 8, 24, 7))]
+    ds = _dataset(rows)
+    wide = init_params(replace(SMALL_NET, classes=classes), seed)
+    d = wide.config.feature_dim
+    wide.norm_stats = fit_normalizer(ds)
+    wide.svm = SvmModel(rng.normal(size=(classes, d)), rng.normal(size=classes), 1e-4,
+                        rng.normal(size=d), rng.uniform(0.5, 2.0, size=d))
+    narrow = replace(wide, tensors={n: t.astype(np.float32) for n, t in wide.tensors.items()})
+    for head in ("avg", "svm"):
+        a, b = predict_dataset(wide, ds, head=head), predict_dataset(narrow, ds, head=head)
+        assert [p.class_index for p in a] == [p.class_index for p in b]
+        assert np.array_equal(np.stack([p.scores for p in a]), np.stack([p.scores for p in b]))
+
+
 def _separable_set():
     x = np.array([[-1.0, 0.0], [-0.9, 0.1], [-1.1, -0.2], [1.0, 0.0], [0.9, -0.1], [1.1, 0.2]])
     y = [0, 0, 0, 1, 1, 1]

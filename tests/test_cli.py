@@ -709,6 +709,8 @@ def _put_float_count(value):
     pytest.param(_put_float_count(-5.0), "counts", id="<lambda>-tensors3"),
     pytest.param(lambda h, a: a.update(counts=a["counts"].astype(np.int64)), "counts",
                  id="<lambda>-signed-counts"),
+    pytest.param(lambda h, a: a.update(counts=a["counts"].astype(np.float32)), "counts",
+                 id="<lambda>-float32-counts"),
     (lambda h, a: [a.pop(name) for name in ("norm.mean", "norm.std")], "norm.mean"),
     (lambda h, a: a.pop("offsets"), "offsets"),
     (lambda h, a: a.update(cells=a["cells"].astype(np.int64)), "cells"),
@@ -737,7 +739,7 @@ def test_tensor_file_with_a_crafted_header_exits_two(pipeline, tmp_path, command
 
 
 @pytest.mark.parametrize("command", ["predict", "train", "train-svm"])
-@pytest.mark.parametrize("dtype", ["|O", ">f8", "<f4"])
+@pytest.mark.parametrize("dtype", ["|O", ">f8", "<f2"])
 def test_tensor_file_with_a_foreign_array_dtype_exits_two(pipeline, tmp_path, command, dtype):
     paths, _ = pipeline
     raw = paths["tensors"].read_bytes()

@@ -54,6 +54,7 @@ def test_integer_arrays_keep_their_dtype(tmp_path):
 
 
 def test_float64_arrays_carry_no_dtype_key_and_other_dtypes_are_stored_as_float64(tmp_path):
+    """float32 is one of the container's dtypes; >f8 and int32 are not, and are widened."""
     path = tmp_path / "c.bin"
     write_container(path, MAGIC, {}, {
         "f": np.zeros(2),
@@ -65,10 +66,14 @@ def test_float64_arrays_carry_no_dtype_key_and_other_dtypes_are_stored_as_float6
     start = len(MAGIC) + 1 + 8
     (length,) = struct.unpack_from("<Q", raw, len(MAGIC) + 1)
     manifest = json.loads(raw[start : start + length])["arrays"]
-    assert all("dtype" not in entry for entry in manifest)
+    assert {e["name"]: e.get("dtype") for e in manifest} == {
+        "f": None, "f32": "<f4", "big": None, "i32": None,
+    }
     _, back = read_container(path, MAGIC)
     assert [back[n].tolist() for n in ("f32", "big", "i32")] == [[0.5], [2.5], [7.0]]
-    assert all(arr.dtype == np.float64 for arr in back.values())
+    assert {n: arr.dtype for n, arr in back.items()} == {
+        "f": np.float64, "f32": np.float32, "big": np.float64, "i32": np.float64,
+    }
 
 
 @pytest.mark.parametrize("entry, reason", [

@@ -9,10 +9,8 @@ def _random_params(seed):
 
     Zero biases would leave pre-activations of an all-channel-balanced input
     near the leaky-ReLU kink, where one-sided analytic slopes and central
-    differences legitimately disagree. Any seed will do: grad_check takes
-    its differences in longdouble, so small gradient entries are no longer
-    lost in the roundoff of the order-one loss, as they were at 14 of the
-    seeds below 40 in float64.
+    differences legitimately disagree. Any seed will do: grad_check picks,
+    per entry, the largest step that crosses no kink.
     """
     cfg = downsized_config()
     params = init_params(cfg, seed)

@@ -256,3 +256,40 @@ def test_numeric_error_names_the_tensor_epoch_and_step(monkeypatch, bad, message
     with pytest.raises(NumericError) as info:
         train(ds, labels, GENDER, cfg, NetworkConfig(classes=2, **SMALL_NET))
     assert str(info.value) == message
+
+
+def test_train_returns_the_float32_cast_of_its_masters(monkeypatch):
+    ds, labels = _toy_dataset(n_users=8, weeks=1)
+    cfg = TrainConfig(epochs=1, batch_size=4, seed=0, val_fraction=0.0)
+    masters = {}
+    real_sgd_step = training.sgd_step
+
+    def sgd_step(tensors, *args):
+        real_sgd_step(tensors, *args)
+        masters.update((name, t.copy()) for name, t in tensors.items())
+
+    monkeypatch.setattr(training, "sgd_step", sgd_step)
+    params, _ = train(ds, labels, GENDER, cfg, NetworkConfig(classes=2, **SMALL_NET))
+    assert masters["conv1.w"].dtype == np.float64
+    for name, tensor in params.tensors.items():
+        assert tensor.dtype == np.float32
+        np.testing.assert_array_equal(tensor, masters[name].astype(np.float32))
+
+
+def test_a_master_that_overflows_float32_raises_numeric_error(monkeypatch):
+    ds, labels = _toy_dataset(n_users=8, weeks=1)
+    cfg = TrainConfig(epochs=1, batch_size=4, seed=0, val_fraction=0.0)
+    calls = []
+    real_backward = training.backward
+
+    def backward(params, trace, dlogits):
+        calls.append(None)
+        if len(calls) == 2:  # the last step: no forward runs on the overflowed master
+            params.tensors["dense8.b"][0] = 1e39  # finite in float64 only
+        return real_backward(params, trace, dlogits)
+
+    monkeypatch.setattr(training, "backward", backward)
+    with pytest.raises(NumericError) as info:
+        train(ds, labels, GENDER, cfg, NetworkConfig(classes=2, **SMALL_NET))
+    assert len(calls) == 2
+    assert str(info.value) == "non-finite dense8.b parameter in float32 after epoch 1"

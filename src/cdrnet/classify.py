@@ -48,16 +48,18 @@ class UserPrediction:
 
 
 def _user_means(model: ModelParams, dataset: TensorDataset, users=None):
-    """(user_id, mean softmax, mean dense8, weeks) per user, sorted by user id.
+    """(users, mean softmax (U, K), mean dense8 (U, d), weeks (U,)), users sorted by id.
 
     The users' row ranges, in file order, run through forward_batch in
     chunks of exactly CHUNK_ROWS rows, padded with all-zero weeks. Every row
     then meets the same GEMM shapes whatever other rows share its chunk, so
     a user's means do not depend on the other users in the file. Each chunk
     is filled from the dataset's sparse rows by apply_normalizer with the
-    model's norm stats, which it must carry. The net runs in COMPUTE_DTYPE;
-    its outputs are widened to float64 and averaged over each user's range.
-    users, when given, is a sorted list of the dataset's users to run.
+    model's norm stats, which it must carry. The net runs untraced in
+    COMPUTE_DTYPE; its outputs are widened to float64, summed over each
+    user's row range by np.add.reduceat and divided by the week counts, the
+    same bits as a mean over that range. users, when given, is a sorted list
+    of the dataset's users to run.
     """
     users = dataset.users if users is None else users
     rows, sizes = dataset.rows_of(users)
@@ -68,14 +70,14 @@ def _user_means(model: ModelParams, dataset: TensorDataset, users=None):
     chunk = np.empty((CHUNK_ROWS, N_CHANNELS, N_HOURS, N_DAYS), COMPUTE_DTYPE)
     for start in range(0, len(rows), CHUNK_ROWS):
         part = rows[start : start + CHUNK_ROWS]
-        p, f, _ = forward_batch(model, apply_normalizer(dataset, part, model.norm_stats, chunk))
+        x = apply_normalizer(dataset, part, model.norm_stats, chunk)
+        p, f, _ = forward_batch(model, x, trace=False)
         probs[start : start + len(part)] = p[: len(part)]
         feats[start : start + len(part)] = f[: len(part)]
-    bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
-    return [
-        (user_id, probs[a:b].mean(axis=0), feats[a:b].mean(axis=0), b - a)
-        for user_id, a, b in zip(users, bounds, bounds[1:])
-    ]
+    starts, weeks = np.cumsum(sizes) - sizes, sizes[:, None]
+    return (
+        users, np.add.reduceat(probs, starts) / weeks, np.add.reduceat(feats, starts) / weeks, sizes
+    )
 
 
 @dataclass
@@ -210,7 +212,12 @@ def train_linear_svm(
 
 
 def svm_margins(svm: SvmModel, features) -> np.ndarray:
-    """Per-class decision values w_c.z + b_c for one vector or an (N, d) batch."""
+    """Per-class decision values w_c.z + b_c for one vector or an (..., d) batch.
+
+    A (U, 1, d) stack of vectors is one (1, d) by (d, K) product per vector,
+    the same bits as scoring each vector alone; an (N, d) batch is one GEMM,
+    whose rows can differ from those in the last bits.
+    """
     x = np.asarray(features, dtype=np.float64)
     if x.shape[-1] != svm.weights.shape[1]:
         raise ValueError(
@@ -233,12 +240,12 @@ def predict_dataset(
         raise ValueError(f"unknown head {head!r}, expected 'avg' or 'svm'")
     if head == "svm" and model.svm is None:
         raise ValueError("model carries no SVM head; train one first")
-    out = []
-    for user_id, probs, feats, weeks in _user_means(model, dataset):
-        # margins one user at a time: a batched GEMM would tie them to the user count
-        scores = probs if head == "avg" else svm_margins(model.svm, feats)
-        out.append(UserPrediction(user_id, scores, int(np.argmax(scores)), weeks))
-    return out
+    users, probs, feats, weeks = _user_means(model, dataset)
+    # margins as one stacked (1, d) product per user: a (U, d) GEMM would tie
+    # a user's margins to the user count
+    scores = probs if head == "avg" else svm_margins(model.svm, feats[:, None, :])[:, 0]
+    classes = scores.argmax(axis=1).tolist()
+    return [UserPrediction(*row) for row in zip(users, scores, classes, weeks.tolist())]
 
 
 def train_svm_head(
@@ -264,7 +271,7 @@ def train_svm_head(
         raise ValueError("no labeled users in the dataset")
     train_users, _ = split_users(users, val_fraction, seed)
 
-    feats = np.stack([f for _, _, f, _ in _user_means(model, dataset, train_users)])
+    _, _, feats, _ = _user_means(model, dataset, train_users)
     y = [space.index(labels[u]) for u in train_users]
     return train_linear_svm(feats, y, lam=lam, epochs=epochs, seed=seed, n_classes=space.n_classes)
 
@@ -349,7 +356,7 @@ def write_predictions(path, predictions: list[UserPrediction]) -> None:
     header = "user_id,predicted_class," + ",".join(f"p_{i}" for i in range(k))
     lines = [header]
     for p in predictions:
-        scores = ",".join(repr(float(v)) for v in p.scores)
+        scores = ",".join(map(repr, p.scores.tolist()))
         lines.append(f"{p.user_id},{p.class_index},{scores}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

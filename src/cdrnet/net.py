@@ -10,7 +10,9 @@ hours y..y+kh-1 are one contiguous (kh*C, N*W) block, and the blocks of all
 output hours are one overlapping view, an unrolled input without the copy
 (Chellapilla et al. 2006), so an hour conv is GEMMs with K = kh*C_in. The
 closing kernel is one matmul on the (N, C*W) flatten. backward walks the
-layers in reverse, reusing each one's input and leaky-ReLU slope.
+layers in reverse, reusing each one's input and leaky-ReLU slope, which a
+traced forward keeps; a forward that no backward follows (train's
+validation, train-svm, predict) builds no slope and no trace.
 
 The net computes in its input's floating dtype and casts parameters per
 call: float32 (COMPUTE_DTYPE) for train, train-svm and predict, and float64
@@ -244,6 +246,13 @@ def _leaky_slope(z: np.ndarray, alpha: float) -> np.ndarray:
     return np.maximum(slope, alpha, out=slope)
 
 
+def _leaky_relu(z: np.ndarray, alpha: float) -> np.ndarray:
+    """z * where(z >= 0, 1, alpha) in place, bit for bit for alpha in [0, 1), in two passes."""
+    if alpha == 0.0:  # max(z, 0 * z) would turn +inf into NaN
+        return np.multiply(z, z >= 0, out=z)
+    return np.maximum(z, z * alpha, out=z)
+
+
 @dataclass
 class ForwardTrace:
     """Per-call cache for backward: each layer's input and leaky-ReLU slope
@@ -254,11 +263,15 @@ class ForwardTrace:
     probs: np.ndarray
 
 
-def forward_batch(params: ModelParams, x) -> tuple[np.ndarray, np.ndarray, ForwardTrace]:
+def forward_batch(
+    params: ModelParams, x, *, trace: bool = True
+) -> tuple[np.ndarray, np.ndarray, ForwardTrace | None]:
     """Full forward for an (N, C, H, W) batch, in the batch's floating dtype.
 
     Returns (probs (N,K), features (N, dense8), trace); the features, the last
-    hidden activation, feed softmax averaging and the SVM head.
+    hidden activation, feed softmax averaging and the SVM head. With
+    trace=False no slope array is built and the trace is None; the outputs
+    are the same bits.
     """
     cfg = params.config
     x, expected = _float_array(x), (cfg.in_channels, cfg.hours, cfg.days)
@@ -271,11 +284,18 @@ def forward_batch(params: ModelParams, x) -> tuple[np.ndarray, np.ndarray, Forwa
         z = conv2d_valid(a, w, b) if w.ndim == 4 else dense_affine(a, w, b)
         if name == f"conv{len(cfg.kernels)}":  # the 1x1 extent flattens to (N, C)
             z = z[0].T
-        slope = None if name == "head" else _leaky_slope(z, cfg.alpha)
-        layers.append((a, slope))
-        a = z if slope is None else np.multiply(z, slope, out=z)  # z is a fresh array
+        if name == "head":
+            slope = None
+        elif trace:
+            slope = _leaky_slope(z, cfg.alpha)
+            z = np.multiply(z, slope, out=z)  # z is a fresh array
+        else:
+            slope, z = None, _leaky_relu(z, cfg.alpha)
+        if trace:
+            layers.append((a, slope))
+        features, a = a, z
     probs = softmax(a)
-    return probs, layers[-1][0], ForwardTrace(layers, a, probs)
+    return probs, features, ForwardTrace(layers, a, probs) if trace else None
 
 
 def backward(params: ModelParams, trace: ForwardTrace, dlogits) -> dict[str, np.ndarray]:

@@ -129,10 +129,11 @@ def train(
     Unlabeled users are skipped. The normalizer is refitted on the training
     partition (any stats shipped with the dataset are ignored). Each batch,
     and each CHUNK_ROWS chunk of the validation rows, is filled from the
-    dataset's sparse rows into one reused buffer. The net runs in
-    COMPUTE_DTYPE on float64 master parameters, which the SGD updates in
-    place; the returned model holds them cast once to COMPUTE_DTYPE, the
-    net that train-svm and predict run and the model file stores. Raises
+    dataset's sparse rows into one reused buffer; the validation forward
+    runs untraced. The net runs in COMPUTE_DTYPE on float64 master
+    parameters, which the SGD updates in place; the returned model holds
+    them cast once to COMPUTE_DTYPE, the net that train-svm and predict run
+    and the model file stores. Raises
     NumericError when the loss, a gradient or a parameter stops being
     finite, a master that overflows that cast included.
     """
@@ -207,7 +208,7 @@ def train(
             for start in range(0, len(val_rows), CHUNK_ROWS):
                 part = val_rows[start : start + CHUNK_ROWS]
                 x = apply_normalizer(dataset, part, stats, buffer[: len(part)])
-                probs, _, _ = forward_batch(params, x)
+                probs, _, _ = forward_batch(params, x, trace=False)
                 hits += int((probs.argmax(axis=1) == y_val[start : start + CHUNK_ROWS]).sum())
             val_acc = hits / len(val_rows)
         history.append(EpochStats(epoch=epoch, train_loss=total / seen, val_accuracy=val_acc))

@@ -68,42 +68,67 @@ def test_flops_per_week_counts_both_passes():
     assert fwd > 0 and bwd > 0
 
 
-def test_classify_calls_the_net_through_its_module_names(monkeypatch):
-    calls = {"forward_batch": 0, "apply_normalizer": 0}
-    for name in calls:
-        fn = getattr(cdrnet.classify, name)
+def _record_calls(monkeypatch, module, names) -> dict[str, list]:
+    """Replace module.<name> for each name by a wrapper that records (args, kwargs)."""
+    calls = {name: [] for name in names}
+    for name in names:
+        fn = getattr(module, name)
 
-        def counted(*args, _fn=fn, _name=name, **kwargs):
-            calls[_name] += 1
+        def recorded(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name].append((args, kwargs))
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(cdrnet.classify, name, counted)
+        monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+def _is_batch(x, rows) -> bool:
+    # the bench's forward observer counts a call's weeks as len(args[1])
+    return isinstance(x, np.ndarray) and x.shape[0] == rows and x.shape[1:] == (8, 24, 7)
+
+
+def test_classify_calls_the_net_through_its_module_names(monkeypatch):
+    calls = _record_calls(monkeypatch, cdrnet.classify, ["forward_batch", "apply_normalizer"])
     weeks = np.random.default_rng(0).poisson(1.0, size=(3, 8, 24, 7)).astype(np.float64)
     model = init_params(NetworkConfig(classes=2, filters=(2, 2, 2, 2, 2, 4), dense=(8, 4)), 0)
     ds = dense_dataset(["a", "a", "b"], [WeekId(date(2024, 1, 1))] * 3, weeks)
     model.norm_stats = fit_normalizer(ds)
     assert [p.user_id for p in cdrnet.classify.predict_dataset(model, ds)] == ["a", "b"]
-    assert calls["forward_batch"] > 0 and calls["apply_normalizer"] > 0
+    assert calls["forward_batch"] and calls["apply_normalizer"]
+    for args, kwargs in calls["forward_batch"]:
+        assert _is_batch(args[1], cdrnet.classify.CHUNK_ROWS)
+        assert kwargs == {"trace": False}  # no backward follows a classify forward
+
+
+def test_train_validates_through_its_module_name_untraced(monkeypatch):
+    # the bench hooks cdrnet.training.forward_batch for the SGD steps and the
+    # validation chunks alike; only the steps may build a trace
+    calls = _record_calls(monkeypatch, cdrnet.training, ["forward_batch", "sgd_step"])
+    weeks = np.random.default_rng(4).poisson(1.0, size=(8, 8, 24, 7)).astype(np.float64)
+    users = ["a", "a", "b", "b", "c", "c", "d", "d"]
+    labels = {u: LabelRecord(u, g, 30) for u, g in zip("abcd", "fmfm")}
+    ds = dense_dataset(users, [WeekId(date(2024, 1, 1))] * 8, weeks)
+    config = cdrnet.training.TrainConfig(epochs=2, batch_size=2, val_fraction=0.25)
+    net = NetworkConfig(classes=2, filters=(2, 2, 2, 2, 2, 4), dense=(8, 4))
+    cdrnet.training.train(ds, labels, LabelSpace.fit("gender", labels.values()), config, net)
+    untraced = [args for args, kwargs in calls["forward_batch"] if kwargs == {"trace": False}]
+    traced = [args for args, kwargs in calls["forward_batch"] if not kwargs]
+    assert len(untraced) + len(traced) == len(calls["forward_batch"])
+    assert len(untraced) == config.epochs  # one chunk of one user's two weeks per epoch
+    assert len(traced) == len(calls["sgd_step"]) == config.epochs * 3
+    assert all(_is_batch(args[1], 2) for args in untraced + traced)
 
 
 def test_train_normalizes_through_its_module_names(monkeypatch):
     # the bench hooks cdrnet.training.fit_normalizer and .apply_normalizer
-    calls = {"fit_normalizer": 0, "apply_normalizer": 0}
-    for name in calls:
-        fn = getattr(cdrnet.training, name)
-
-        def counted(*args, _fn=fn, _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(cdrnet.training, name, counted)
+    calls = _record_calls(monkeypatch, cdrnet.training, ["fit_normalizer", "apply_normalizer"])
     weeks = np.random.default_rng(3).poisson(1.0, size=(6, 8, 24, 7)).astype(np.float64)
     labels = {u: LabelRecord(u, g, 30) for u, g in (("a", "f"), ("b", "m"), ("c", "f"))}
     ds = dense_dataset(["a", "a", "b", "b", "c", "c"], [WeekId(date(2024, 1, 1))] * 6, weeks)
     config = cdrnet.training.TrainConfig(epochs=1, batch_size=2, val_fraction=0.34)
     net = NetworkConfig(classes=2, filters=(2, 2, 2, 2, 2, 4), dense=(8, 4))
     cdrnet.training.train(ds, labels, LabelSpace.fit("gender", labels.values()), config, net)
-    assert calls["fit_normalizer"] == 1 and calls["apply_normalizer"] > 1
+    assert len(calls["fit_normalizer"]) == 1 and len(calls["apply_normalizer"]) > 1
 
 
 def test_forward_calls_each_conv_through_its_module_name_in_layer_order(monkeypatch):

@@ -78,7 +78,7 @@ def _svm_classes(svm, x):
 def test_predict_user_averages_softmax(model, weeks):
     pred = _predict_one(model, weeks)
     probs, _ = _chunk_forward(model, weeks)
-    np.testing.assert_allclose(pred.scores, probs.mean(axis=0), atol=1e-12)
+    np.testing.assert_array_equal(pred.scores, probs.mean(axis=0))
     # the softmax runs in COMPUTE_DTYPE, so its rows sum to 1 to that precision
     assert pred.scores.sum() == pytest.approx(1.0, abs=np.finfo(COMPUTE_DTYPE).eps)
     assert pred.class_index == int(np.argmax(pred.scores))
@@ -88,7 +88,7 @@ def test_predict_user_averages_softmax(model, weeks):
 def test_predict_user_single_week_equals_softmax(model, weeks):
     pred = _predict_one(model, weeks[:1])
     probs, _ = _chunk_forward(model, weeks[:1])
-    np.testing.assert_allclose(pred.scores, probs[0], atol=1e-12)
+    np.testing.assert_array_equal(pred.scores, probs[0])
 
 
 def test_predict_user_week_order_invariant(model, weeks):
@@ -110,7 +110,7 @@ def test_predict_user_applies_model_normalizer(model, weeks):
         params = replace(model, norm_stats=stats)
         pred = _predict_one(params, weeks).scores
         probs, _ = _chunk_forward(params, weeks)
-        np.testing.assert_allclose(pred, probs.mean(axis=0), atol=1e-12)
+        np.testing.assert_array_equal(pred, probs.mean(axis=0))
         scores.append(pred)
     assert not np.allclose(*scores)
 
@@ -128,10 +128,10 @@ def test_extract_user_features_is_mean_of_week_features(model, weeks):
     with_svm = replace(model, svm=identity)
     feats = _predict_one(with_svm, weeks, head="svm").scores
     _, per_week = _chunk_forward(model, weeks)
-    np.testing.assert_allclose(feats, per_week.mean(axis=0), atol=1e-12)
+    np.testing.assert_array_equal(feats, per_week.mean(axis=0))
     assert feats.shape == (SMALL_NET.feature_dim,)
     single = _predict_one(with_svm, weeks[:1], head="svm").scores
-    np.testing.assert_allclose(single, per_week[0], atol=1e-12)
+    np.testing.assert_array_equal(single, per_week[0])
 
 
 def test_predict_dataset_packs_users_across_chunks(model):
@@ -143,12 +143,36 @@ def test_predict_dataset_packs_users_across_chunks(model):
     # each user's weeks in one run, users sorted, as featurize writes them
     rows = [(u, week) for u in sorted(users) for week in per_user[u]]
     assert len(rows) > CHUNK_ROWS
-    preds = predict_dataset(model, _dataset(rows))
-    assert [p.user_id for p in preds] == sorted(users)
-    for p in preds:
-        probs, _ = _chunk_forward(model, per_user[p.user_id])
-        np.testing.assert_allclose(p.scores, probs.mean(axis=0), atol=1e-12)
-        assert p.weeks_used == len(per_user[p.user_id])
+    d = SMALL_NET.feature_dim
+    svm = SvmModel(rng.normal(size=(3, d)), rng.normal(size=3), 1e-4,
+                   rng.normal(size=d), rng.uniform(0.5, 2.0, size=d))
+    with_svm = replace(model, svm=svm)
+    preds = predict_dataset(with_svm, _dataset(rows))
+    svm_preds = predict_dataset(with_svm, _dataset(rows), head="svm")
+    assert [p.user_id for p in preds] == [p.user_id for p in svm_preds] == sorted(users)
+    for p, q in zip(preds, svm_preds):
+        probs, feats = _chunk_forward(model, per_user[p.user_id])
+        np.testing.assert_array_equal(p.scores, probs.mean(axis=0))
+        np.testing.assert_array_equal(q.scores, svm_margins(svm, feats.mean(axis=0)))
+        assert p.weeks_used == q.weeks_used == len(per_user[p.user_id])
+        assert q.class_index == int(np.argmax(q.scores))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    users=st.integers(1, 300),
+    d=st.integers(1, 64),
+    k=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_margins_are_the_per_user_margins(users, d, k, seed):
+    """predict_dataset's (U, 1, d) stack scores each user as svm_margins does alone."""
+    rng = np.random.default_rng(seed)
+    svm = SvmModel(rng.normal(size=(k, d)), rng.normal(size=k), 1e-4,
+                   rng.normal(size=d), rng.uniform(0.5, 2.0, size=d))
+    feats = rng.normal(size=(users, d))
+    stacked = svm_margins(svm, feats[:, None, :])[:, 0]
+    assert np.array_equal(stacked, np.stack([svm_margins(svm, f) for f in feats]))
 
 
 @settings(max_examples=25, deadline=None)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cdrnet.net import (
     NetworkConfig,
     _conv_grads,
+    _leaky_relu,
     _leaky_slope,
     backward,
     conv2d_valid,
@@ -218,6 +219,43 @@ def test_leaky_slope_is_where_bit_for_bit(dtype, alpha):
     got = _leaky_slope(z, alpha)
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got.view(f"u{got.itemsize}"), want.view(f"u{want.itemsize}"))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.01, 0.5])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_untraced_leaky_relu_is_the_traced_product_bit_for_bit(dtype, alpha):
+    info = np.finfo(dtype)
+    tiny = [info.smallest_subnormal, 3 * info.smallest_subnormal, info.tiny / 2, info.tiny]
+    special = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, *tiny, *(-t for t in tiny)]
+    z = np.concatenate([special, np.random.default_rng(0).normal(size=200)]).astype(dtype)
+    with np.errstate(invalid="ignore"):  # -inf * 0
+        want = z * np.where(z >= 0, 1, alpha).astype(dtype)
+        got = _leaky_relu(z.copy(), alpha)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got.view(f"u{got.itemsize}"), want.view(f"u{want.itemsize}"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    config=st.sampled_from([NetworkConfig(classes=4), downsized_config()]),
+    alpha=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+    n=st.integers(1, 33),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_untraced_forward_gives_the_traced_outputs_bit_for_bit(config, alpha, n, dtype, seed):
+    cfg = dataclasses.replace(config, alpha=alpha)
+    params = init_params(cfg, seed % 1000)
+    rng = np.random.default_rng(seed)
+    for name in params.tensors:
+        if name.endswith(".b"):
+            params.tensors[name] = rng.normal(0.0, 0.1, params.tensors[name].shape)
+    x = rng.normal(size=(n, cfg.in_channels, cfg.hours, cfg.days)).astype(dtype)
+    probs, feats, trace = forward_batch(params, x)
+    probs_u, feats_u, none = forward_batch(params, x, trace=False)
+    assert trace is not None and none is None
+    assert probs_u.dtype == feats_u.dtype == dtype
+    assert np.array_equal(probs_u, probs) and np.array_equal(feats_u, feats)
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,7 @@ import numpy as np
 from .container import ContainerError
 from .featurize import DEFAULT_AGE_EDGES, LabelSpace, featurize_users, fit_normalizer
 from .featurize import load_tensor_dataset, save_tensor_dataset
-from .ingest import IngestError, ParseError, ingest, load_labels, read_lines, read_utf8
+from .ingest import IngestError, ingest, load_labels, read_lines, read_utf8
 
 # module -> the names this module takes from it when one is first used
 _LAZY = {
@@ -357,7 +357,7 @@ def run(argv: list[str]) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ContainerError, IngestError, ParseError, OSError, ValueError, KeyError) as exc:
+    except (ContainerError, IngestError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

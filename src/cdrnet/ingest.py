@@ -17,18 +17,18 @@ hide upstream schema errors.
 
 featurize reads a CDR file as bytes (read_utf8), which are checked for
 UTF-8 without keeping a decoded copy. ingest() splits them into lines as a
-file opened in text mode would, then accepts lines by vectorized checks
-(_scan) run over fixed-size blocks of lines, so that the scan's per-line
-temporaries do not grow with the file; ids are coded once over the whole
-text, and the result is CdrColumns. parse_cdr_line runs only on the lines
-the scan refuses, to name each one's defect; it accepts none of them.
+file opened in text mode would, then runs vectorized checks (_scan) over
+fixed-size blocks of lines, so that the scan's per-line temporaries do not
+grow with the file; ids are coded once over the whole text, and the result
+is CdrColumns. The scan gives each line the code of the first check it
+fails, and a refused line's reason is formatted from that code and the
+line's fields (_REASONS).
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-from datetime import date, datetime
+from datetime import date
 from typing import Iterable
 
 import numpy as np
@@ -111,49 +111,26 @@ class IngestReport:
 
 _MAX_DURATION_DIGITS = 15  # below 2**53, so float64 holds every value exactly
 
-_TIMESTAMP = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)", re.ASCII)
-
-
-def _check_timestamp(text: str) -> None:
-    # Exactly "YYYY-MM-DDThh:mm:ss" in ASCII digits. fromisoformat would also
-    # take offsets, fractions and ISO week dates of the same length.
-    match = _TIMESTAMP.fullmatch(text)
-    if match is None:
-        raise ParseError(f"unparseable timestamp {text!r}")
-    try:
-        datetime(*map(int, match.groups()))
-    except ValueError:
-        raise ParseError(f"unparseable timestamp {text!r}") from None
+# The CDR grammar's reasons, indexed by the code _scan_block gives a line:
+# 0 for an accepted line, else the first of these checks the line fails, in
+# this order. f holds the line's comma-split fields.
+_REASONS = (
+    None,
+    lambda f: f"expected 6 fields, got {len(f)}",
+    lambda f: "empty user_id",
+    lambda f: "empty correspondent_id",
+    lambda f: f"unknown direction {f[1]!r}",
+    lambda f: f"unknown kind {f[2]!r}",
+    lambda f: f"unparseable timestamp {f[3]!r}",
+    lambda f: f"negative or non-integer duration {f[4]!r}",
+    lambda f: f"duration of {len(f[4])} digits, at most {_MAX_DURATION_DIGITS} allowed",
+    lambda f: f"text with nonzero duration {int(f[4])}",
+)
 
 
 def _is_ascii_number(text: str) -> bool:
     # str.isdigit alone also takes digits such as "²" and "٣"
     return text.isascii() and text.isdigit()
-
-
-def parse_cdr_line(line: str) -> None:
-    """Raise ParseError naming the first defect of one CDR data row; a valid row passes."""
-    fields = line.rstrip("\r\n").split(",")
-    if len(fields) != 6:
-        raise ParseError(f"expected 6 fields, got {len(fields)}")
-    user_id, direction_s, kind_s, ts_s, dur_s, correspondent = fields
-    if not user_id:
-        raise ParseError("empty user_id")
-    if not correspondent:
-        raise ParseError("empty correspondent_id")
-    if direction_s not in ("in", "out"):
-        raise ParseError(f"unknown direction {direction_s!r}")
-    if kind_s not in ("call", "text"):
-        raise ParseError(f"unknown kind {kind_s!r}")
-    _check_timestamp(ts_s)
-    if not _is_ascii_number(dur_s):
-        raise ParseError(f"negative or non-integer duration {dur_s!r}")
-    if len(dur_s) > _MAX_DURATION_DIGITS:
-        raise ParseError(
-            f"duration of {len(dur_s)} digits, at most {_MAX_DURATION_DIGITS} allowed"
-        )
-    if kind_s == "text" and int(dur_s) != 0:
-        raise ParseError(f"text with nonzero duration {int(dur_s)}")
 
 
 def parse_labels_line(line: str) -> LabelRecord:
@@ -219,12 +196,11 @@ def _scan(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[CdrColumns
     Line i is data[starts[i]:ends[i]] and runs up to starts[i + 1] with its
     line end. The checks run over blocks of _BLOCK_LINES lines, so that their
     per-line temporaries do not grow with the file; the ids are then coded
-    once, over their spans in the whole text. Returns the columns and the
-    per-line accept mask, which holds every line that parse_cdr_line passes
-    and no other.
+    once, over their spans in the whole text. Returns the columns and each
+    line's code into _REASONS, 0 for the lines the columns hold.
     """
     n = len(ends)
-    ok = np.zeros(n, dtype=bool)
+    code = np.zeros(n, dtype=np.uint8)
     blocks = []
     # one block even for no lines, so that every column gets its dtype
     for first in range(0, max(n, 1), _BLOCK_LINES):
@@ -232,8 +208,8 @@ def _scan(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[CdrColumns
         lo, hi = int(starts[first]), int(starts[last])
         buf = np.zeros(hi - lo + _PAD, dtype=np.uint8)
         buf[: hi - lo] = np.frombuffer(data, np.uint8, hi - lo, lo)
-        rows, *columns = _scan_block(buf, starts[first : last + 1] - lo, ends[first:last] - lo)
-        ok[first + rows] = True
+        block = _scan_block(buf, starts[first : last + 1] - lo, ends[first:last] - lo)
+        code[first:last], *columns = block
         for span in columns[:4]:
             span += lo
         blocks.append(columns)
@@ -241,15 +217,16 @@ def _scan(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[CdrColumns
     del blocks
     user_ids, user = _codes(data, user_lo, user_hi)
     contact_ids, contact = _codes(data, contact_lo, contact_hi)
-    return CdrColumns(user_ids, contact_ids, user, contact, *rest), ok
+    return CdrColumns(user_ids, contact_ids, user, contact, *rest), code
 
 
 def _scan_block(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """(accepted rows, user span, contact span, incoming, is_call, day, hour, duration).
+    """(line codes, user span, contact span, incoming, is_call, day, hour, duration).
 
     buf holds the block's lines and then _PAD zero bytes, so that reads at
     fixed offsets stay inside it. Each check runs over a whole field column
-    of the block at once.
+    of the block at once. A line's code indexes _REASONS, and the columns
+    hold the lines whose code is 0.
     """
     commas = np.flatnonzero(buf == _COMMA)
     before = np.searchsorted(commas, starts)  # commas ahead of each line's start
@@ -278,36 +255,52 @@ def _scan_block(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
 
     incoming = equals(c0 + 1, c1, b"in")
     is_call = equals(c1 + 1, c2, b"call")
-    good = (incoming | equals(c0 + 1, c1, b"out")) & (is_call | equals(c1 + 1, c2, b"text"))
-    good &= (user_hi > user_lo) & (contact_hi > contact_lo)
 
-    good &= (c3 - ts) == 19
+    stamp = (c3 - ts) == 19
     for k, sep in ((4, b"-"), (7, b"-"), (10, b"T"), (13, b":"), (16, b":")):
-        good &= buf[ts + k] == sep[0]
+        stamp &= buf[ts + k] == sep[0]
     parts = []
     for offset, width in ((0, 4), (5, 2), (8, 2), (11, 2), (14, 2), (17, 2)):
         value, valid = number(ts + offset, width)
-        good &= valid
+        stamp &= valid
         parts.append(value)
     year, month, day, hour, minute, second = parts
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
     month_days = _DAYS_IN_MONTH[np.clip(month, 0, 12)] + (leap & (month == 2))
-    good &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
-    good &= (hour < 24) & (minute < 60) & (second < 60)
+    stamp &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+    stamp &= (hour < 24) & (minute < 60) & (second < 60)
 
-    good &= (dur_len >= 1) & (dur_len <= _MAX_DURATION_DIGITS)
-    width = int(dur_len[good].max()) if good.any() else 0
+    # every byte of the duration must be a digit: the byte loop covers fields
+    # up to _MAX_DURATION_DIGITS long, bytes.isdigit (ASCII only) the rare longer ones
+    short = dur_len <= _MAX_DURATION_DIGITS
+    digits = dur_len > 0
     duration = np.zeros(len(rows), dtype=np.int64)
-    for k in range(width):
+    for k in range(int(dur_len[short].max(initial=0))):
         inside = dur_len > k
         digit = buf[dur_lo + k] - np.uint8(48)
-        good &= ~inside | (digit < 10)
+        digits &= ~inside | (digit < 10)
         duration = np.where(inside, duration * 10 + digit, duration)
-    good &= is_call | (duration == 0)
+    for i in np.flatnonzero(~short).tolist():
+        digits[i] = buf[dur_lo[i] : dur_lo[i] + dur_len[i]].tobytes().isdigit()
 
-    keep = np.flatnonzero(good)
+    row_code = np.select(  # the code of the first check that fails, or 0
+        [
+            user_hi == user_lo,
+            contact_hi == contact_lo,
+            ~(incoming | equals(c0 + 1, c1, b"out")),
+            ~(is_call | equals(c1 + 1, c2, b"text")),
+            ~stamp,
+            ~digits,
+            ~short,
+            ~is_call & (duration != 0),
+        ],
+        list(range(2, len(_REASONS))),
+    )
+    code = np.ones(len(ends), dtype=np.uint8)  # _REASONS[1]: not six fields
+    code[rows] = row_code
+    keep = np.flatnonzero(row_code == 0)
     return (
-        rows[keep],
+        code,
         user_lo[keep],
         user_hi[keep],
         contact_lo[keep],
@@ -376,22 +369,19 @@ def ingest(
 
     data is the UTF-8 text of a CDR file as bytes (see read_utf8), whose
     lines end as in a file opened in text mode: at "\\n", "\\r\\n" or a lone
-    "\\r". CDR lines are accepted by vectorized checks (_scan);
-    parse_cdr_line names the defect of each line those refuse, for the
-    report with its line number. Users without a label are retained: usable
-    for prediction, excluded from training.
+    "\\r". Vectorized checks (_scan) decide which CDR lines are accepted,
+    and each line they refuse is reported with its line number and the
+    reason its code names. Users without a label are retained: usable for
+    prediction, excluded from training.
     """
     report = IngestReport()
     starts, ends = _line_bounds(data)
     skip = 1 if len(ends) and data[starts[0] : ends[0]] == CDR_HEADER.encode() else 0
-    columns, ok = _scan(data, starts[skip:], ends[skip:])
-    for i in (skip + np.flatnonzero(~ok)).tolist():
-        try:
-            parse_cdr_line(data[starts[i] : ends[i]].decode("utf-8", "surrogatepass"))
-        except ParseError as exc:
-            report.reject("cdr", i + 1, str(exc))
-        else:
-            raise AssertionError(f"CDR line {i + 1} is valid, but _scan refused it")
+    columns, code = _scan(data, starts[skip:], ends[skip:])
+    refused = np.flatnonzero(code)
+    for i, c in zip((skip + refused).tolist(), code[refused].tolist()):
+        fields = data[starts[i] : ends[i]].decode("utf-8", "surrogatepass").split(",")
+        report.reject("cdr", i + 1, _REASONS[c](fields))
     report.records_accepted = len(columns)
 
     labels: dict[str, LabelRecord] = {}

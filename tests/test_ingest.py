@@ -11,7 +11,6 @@ from cdrnet.ingest import (
     Rejection,
     ingest,
     load_labels,
-    parse_cdr_line,
     parse_labels_line,
 )
 
@@ -31,7 +30,6 @@ LONG = "é" * 32  # 64 UTF-8 bytes
 
 
 def test_parse_good_line():
-    assert parse_cdr_line(GOOD_LINE) is None
     rec = parse_cdr_record(GOOD_LINE)
     assert rec == CdrRecord(
         user_id="u1",
@@ -68,8 +66,11 @@ def test_format_parse_round_trip():
     ],
 )
 def test_bad_cdr_lines_raise(line):
-    with pytest.raises(ParseError):
-        parse_cdr_line(line)
+    with pytest.raises(ParseError) as exc:
+        parse_cdr_record(line)
+    columns, _, report = ingest(text_bytes([CDR_HEADER, GOOD_LINE, line]))
+    assert report.rejections == [Rejection("cdr", 3, str(exc.value))]
+    assert report.records_accepted == len(columns) == 1
 
 
 def test_text_duration_zero_accepted():
@@ -180,11 +181,18 @@ def test_report_json_shape():
         # past 15 digits a duration no longer fits a float64 exactly
         ("u1,out,call,2024-01-02T09:30:00,12345678901234567890,c7",
          "duration of 20 digits, at most 15 allowed"),
+        # every byte of a duration is checked for a digit before its length
+        ("u1,out,call,2024-01-02T09:30:00,1234567890123456x,c7",
+         "negative or non-integer duration '1234567890123456x'"),
+        # and its length before a text's nonzero value
+        ("u1,out,text,2024-01-02T09:30:00,0000000000000000,c7",
+         "duration of 16 digits, at most 15 allowed"),
+        ("u1,out,text,2024-01-02T09:30:00,1234567890123456,c7",
+         "duration of 16 digits, at most 15 allowed"),
+        ("u1,out,text,2024-01-02T09:30:00,05,c7", "text with nonzero duration 5"),
     ],
 )
 def test_strict_grammar_rejects_with_line_number(line, reason):
-    with pytest.raises(ParseError):
-        parse_cdr_line(line)
     columns, _, report = ingest(text_bytes([CDR_HEADER, GOOD_LINE, line, GOOD_LINE]))
     assert report.rejections == [Rejection("cdr", 3, reason)]
     assert report.records_accepted == len(columns) == 2

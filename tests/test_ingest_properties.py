@@ -1,7 +1,7 @@
 """Properties of the columnar CDR path against the reference grammar.
 
-ingest() accepts CDR lines by vectorized column checks alone and asks
-parse_cdr_line only why each refused line fails. These properties draw
+ingest() checks CDR lines by vectorized column checks alone, which also
+give the code of each refused line's reason. These properties draw
 synth-like files with single-field defects, and ids past 64 UTF-8 bytes,
 at the edges of the 8-byte words their sort keys are packed into, or
 holding NUL bytes. They check that the accepted records, the sorted id
@@ -110,9 +110,12 @@ FIELD_DEFECT = st.one_of(
     st.tuples(st.just(5), st.sampled_from(["", "c1", "c\x00"])),
     st.tuples(st.just(1), st.sampled_from(["", "in", "out", "IN", "inn", "ou", "sideways"])),
     st.tuples(st.just(2), st.sampled_from(["", "call", "text", "Call", "fax", "texts"])),
+    # across the 15-digit edge, a non-digit anywhere is a digit defect, not a length one
     st.tuples(st.just(4), st.sampled_from(["", "-5", "4.5", "²", "٣", "007", "0", "5", " 1",
-                                           "1234567890123456789"])),
-    st.tuples(st.just("text"), st.sampled_from(["0", "5", "00"])),
+                                           "1234567890123456789", "1234567890123456x",
+                                           "1234567890123456", "-234567890123456789"])),
+    st.tuples(st.just("text"), st.sampled_from(["0", "5", "00", "05", "0000000000000000",
+                                                "000000000000000x"])),
     # any position, so a valid year may be anything from 0001 to 9999
     st.tuples(st.just("stamp"), st.integers(0, 18), st.sampled_from("0123456789-T:+Z. ٣")),
     st.tuples(st.just("stamp_tail"), st.sampled_from(["", "Z", "+01:00", ".5", "0"])),

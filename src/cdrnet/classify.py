@@ -1,4 +1,4 @@
-"""User-level prediction heads, a linear one-vs-rest SVM, and evaluation.
+"""User-level prediction heads and a linear one-vs-rest SVM.
 
 Two strategies turn per-week network outputs into one answer per user:
 
@@ -15,13 +15,14 @@ Ties always break toward the lowest class index.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .featurize import N_CHANNELS, N_DAYS, N_HOURS, STD_FLOOR, TensorDataset, apply_normalizer
-from .ingest import LabelRecord, read_lines
+from .ingest import LabelRecord
 from .net import COMPUTE_DTYPE, ModelParams, forward_batch
+from .scoring import UserPrediction
 
 # Rows per forward call at inference, equal to the default training batch.
 # A fixed value keeps every user's scores independent of the other users in
@@ -33,22 +34,8 @@ CHUNK_ROWS = 32
 _MIN_SCALE = 1e-100
 
 
-@dataclass(frozen=True)
-class UserPrediction:
-    """One user's aggregated prediction.
-
-    scores holds averaged class probabilities for the averaging head and
-    per-class decision margins for the SVM head; class_index is its argmax.
-    """
-
-    user_id: str
-    scores: np.ndarray
-    class_index: int
-    weeks_used: int
-
-
 def _user_means(model: ModelParams, dataset: TensorDataset, users=None):
-    """(users, mean softmax (U, K), mean dense8 (U, d), weeks (U,)), users sorted by id.
+    """(users, mean softmax (U, K), mean dense8 (U, d)), users sorted by id.
 
     The users' row ranges, in file order, run through forward_batch in
     chunks of exactly CHUNK_ROWS rows, padded with all-zero weeks. Every row
@@ -75,9 +62,7 @@ def _user_means(model: ModelParams, dataset: TensorDataset, users=None):
         probs[start : start + len(part)] = p[: len(part)]
         feats[start : start + len(part)] = f[: len(part)]
     starts, weeks = np.cumsum(sizes) - sizes, sizes[:, None]
-    return (
-        users, np.add.reduceat(probs, starts) / weeks, np.add.reduceat(feats, starts) / weeks, sizes
-    )
+    return users, np.add.reduceat(probs, starts) / weeks, np.add.reduceat(feats, starts) / weeks
 
 
 @dataclass
@@ -240,12 +225,12 @@ def predict_dataset(
         raise ValueError(f"unknown head {head!r}, expected 'avg' or 'svm'")
     if head == "svm" and model.svm is None:
         raise ValueError("model carries no SVM head; train one first")
-    users, probs, feats, weeks = _user_means(model, dataset)
+    users, probs, feats = _user_means(model, dataset)
     # margins as one stacked (1, d) product per user: a (U, d) GEMM would tie
     # a user's margins to the user count
     scores = probs if head == "avg" else svm_margins(model.svm, feats[:, None, :])[:, 0]
     classes = scores.argmax(axis=1).tolist()
-    return [UserPrediction(*row) for row in zip(users, scores, classes, weeks.tolist())]
+    return [UserPrediction(*row) for row in zip(users, scores, classes)]
 
 
 def train_svm_head(
@@ -271,135 +256,6 @@ def train_svm_head(
         raise ValueError("no labeled users in the dataset")
     train_users, _ = split_users(users, val_fraction, seed)
 
-    _, _, feats, _ = _user_means(model, dataset, train_users)
+    _, _, feats = _user_means(model, dataset, train_users)
     y = [space.index(labels[u]) for u in train_users]
     return train_linear_svm(feats, y, lam=lam, epochs=epochs, seed=seed, n_classes=space.n_classes)
-
-
-@dataclass(frozen=True)
-class Metrics:
-    """Evaluation summary; confusion rows are true classes, columns predicted.
-
-    n_users counts the scored users; unlabeled counts the predicted users
-    left out because they have no truth label.
-    """
-
-    n_users: int
-    accuracy: float
-    majority_accuracy: float
-    uniform_accuracy: float
-    confusion: np.ndarray
-    precision: np.ndarray
-    recall: np.ndarray
-    class_labels: tuple[str, ...]
-    unlabeled: int
-
-    def to_json(self) -> dict:
-        out = asdict(self)
-        for name in ("confusion", "precision", "recall"):
-            out[name] = out[name].tolist()
-        return out
-
-
-def evaluate(
-    predictions: list[UserPrediction], truth: dict[str, int], class_labels: tuple[str, ...]
-) -> Metrics:
-    """Score predictions against true class indices over K = len(class_labels) classes.
-
-    Predicted users without a truth entry are left out and counted as
-    unlabeled; a ValueError is raised when none has one. The majority
-    baseline is the frequency of the most common true class; the uniform
-    baseline is 1/K.
-    """
-    if not predictions:
-        raise ValueError("no predictions to evaluate")
-    scored = [p for p in predictions if p.user_id in truth]
-    if not scored:
-        missing = [p.user_id for p in predictions[:5]]
-        raise ValueError(f"no truth label for any predicted user, e.g. {missing}")
-
-    true = np.array([truth[p.user_id] for p in scored], dtype=np.intp)
-    pred = np.array([p.class_index for p in scored], dtype=np.intp)
-    n_classes = len(class_labels)
-
-    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(confusion, (true, pred), 1)
-    diag = np.diag(confusion).astype(np.float64)
-    col = confusion.sum(axis=0).astype(np.float64)
-    row = confusion.sum(axis=1).astype(np.float64)
-    precision = np.divide(diag, col, out=np.zeros(n_classes), where=col > 0)
-    recall = np.divide(diag, row, out=np.zeros(n_classes), where=row > 0)
-
-    n = len(scored)
-    return Metrics(
-        n_users=n,
-        accuracy=float((true == pred).mean()),
-        majority_accuracy=float(row.max() / n),
-        uniform_accuracy=1.0 / n_classes,
-        confusion=confusion,
-        precision=precision,
-        recall=recall,
-        class_labels=class_labels,
-        unlabeled=len(predictions) - n,
-    )
-
-
-def write_predictions(path, predictions: list[UserPrediction]) -> None:
-    """CSV "user_id,predicted_class,p_0,...,p_{K-1}"; scores use repr floats.
-
-    The schema is the same for both heads; with the SVM head the p_ columns
-    carry decision margins instead of probabilities.
-    """
-    if not predictions:
-        raise ValueError("no predictions to write")
-    k = len(predictions[0].scores)
-    header = "user_id,predicted_class," + ",".join(f"p_{i}" for i in range(k))
-    lines = [header]
-    for p in predictions:
-        scores = ",".join(map(repr, p.scores.tolist()))
-        lines.append(f"{p.user_id},{p.class_index},{scores}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_predictions(path) -> list[UserPrediction]:
-    """Parse a predictions CSV back into UserPrediction rows (weeks_used 0).
-
-    The header fixes K; every row must carry K scores and a predicted class
-    in [0, K), and no user may appear on two rows, or a ValueError names
-    the file and line; so does a byte that is not UTF-8.
-    """
-    lines = [ln.rstrip("\n") for ln in read_lines(path)]
-    header = lines[0].split(",") if lines else []
-    k = len(header) - 2
-    if k < 1 or header != ["user_id", "predicted_class", *(f"p_{i}" for i in range(k))]:
-        raise ValueError(f"{path}: not a predictions file")
-    out = []
-    first_line: dict[str, int] = {}
-    for line_no, ln in enumerate(lines[1:], start=2):
-        if not ln:
-            continue
-        parts = ln.split(",")
-        try:
-            if parts[0] in first_line:
-                raise ValueError(f"user {parts[0]!r} already on line {first_line[parts[0]]}")
-            first_line[parts[0]] = line_no
-            if len(parts) != k + 2:
-                raise ValueError(f"{len(parts) - 2} scores for {k} classes")
-            class_index = int(parts[1])
-            if not 0 <= class_index < k:
-                raise ValueError(f"predicted_class {class_index} outside [0, {k})")
-            scores = np.array([float(v) for v in parts[2:]])
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {line_no}: {exc}") from None
-        out.append(UserPrediction(parts[0], scores, class_index, weeks_used=0))
-    return out
-
-
-def format_table(rows: list[tuple[str, float]]) -> str:
-    """Small aligned accuracy table, one classifier (or baseline) per row."""
-    width = max(len("classifier"), max(len(name) for name, _ in rows))
-    lines = [f"{'classifier'.ljust(width)}  accuracy"]
-    for name, acc in rows:
-        lines.append(f"{name.ljust(width)}  {100.0 * acc:6.2f}%")
-    return "\n".join(lines)

@@ -8,10 +8,10 @@ gradcheck (finite-difference gradient audit).
 
 Each subcommand loads only the modules it runs. Those of featurize (ingest,
 featurize, container) load with this module. The names taken from classify,
-modelfile, net, synth and training load their module on first use, through
-the module __getattr__ below, so featurize never compiles the network and
-evaluate never loads training. The subcommands call those names as
-attributes of this module, where a test or a tracer can replace them.
+modelfile, net, scoring, synth and training load their module on first use,
+through the module __getattr__ below, so featurize never compiles the net
+and evaluate loads neither net nor classify. The subcommands call those
+names as attributes of this module, where a test or tracer can replace them.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 Given the same inputs and --seed, every subcommand writes byte-identical
@@ -34,12 +34,10 @@ from .ingest import IngestError, ingest, load_labels, read_lines, read_utf8
 
 # module -> the names this module takes from it when one is first used
 _LAZY = {
-    "classify": (
-        "evaluate", "format_table", "predict_dataset", "read_predictions", "svm_settings",
-        "train_svm_head", "write_predictions",
-    ),
+    "classify": ("predict_dataset", "svm_settings", "train_svm_head"),
     "modelfile": ("load_model", "save_model"),
     "net": ("DEFAULT_DENSE", "DEFAULT_FILTERS", "NetworkConfig", "downsized_config", "init_params"),
+    "scoring": ("evaluate", "format_table", "read_predictions", "write_predictions"),
     "synth": ("SynthConfig", "generate", "write_lines"),
     "training": ("GRAD_TOL", "NumericError", "TrainConfig", "grad_check", "train"),
 }
@@ -210,21 +208,17 @@ def _cmd_predict(args) -> int:
     params = _load_trained_model(args.model)
     ds = _load_tensors(args.tensors)
     preds = _cli.predict_dataset(params, ds, head=args.head)
-    _cli.write_predictions(args.out, preds)
+    _cli.write_predictions(args.out, preds, params.label_space)
     print(f"wrote {len(preds)} predictions ({args.head} head) to {args.out}")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    preds = _cli.read_predictions(args.predictions)
+    space, preds = _cli.read_predictions(args.predictions)
+    if space.attribute != args.attribute:
+        raise ValueError(f"{args.predictions}: {space.attribute} predictions, not {args.attribute}")
     labels, _ = load_labels(read_lines(args.labels))
-    space = LabelSpace.fit(args.attribute, labels.values(), args.age_edges)
-    if preds and len(preds[0].scores) != space.n_classes:
-        raise ValueError(
-            f"{args.predictions}: {len(preds[0].scores)} classes, but {args.labels} "
-            f"gives {space.n_classes} {args.attribute} classes {space.class_labels}"
-        )
-    truth = {u: space.index(r) for u, r in labels.items()}
+    truth = {u: space.index(r) for u, r in labels.items()}  # refuses a gender outside space
     metrics = _cli.evaluate(preds, truth, class_labels=space.class_labels)
     report = json.dumps(metrics.to_json(), indent=2, sort_keys=True)
     print(report)
@@ -332,7 +326,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--attribute", choices=("gender", "age"), required=True)
-    p.add_argument("--age-edges", type=_age_edges, default=DEFAULT_AGE_EDGES)
     p.add_argument("--out", help="optional path for the metrics json")
     p.set_defaults(func=_cmd_evaluate)
 

@@ -283,7 +283,7 @@ class LabelSpace:
             return self.class_labels.index(record.gender)
         except ValueError:
             raise ValueError(
-                f"gender {record.gender!r} not among the classes {self.class_labels}"
+                f"user {record.user_id!r}: gender {record.gender!r} not in {self.class_labels}"
             ) from None
 
 

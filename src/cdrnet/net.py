@@ -10,9 +10,10 @@ hours y..y+kh-1 are one contiguous (kh*C, N*W) block, and the blocks of all
 output hours are one overlapping view, an unrolled input without the copy
 (Chellapilla et al. 2006), so an hour conv is GEMMs with K = kh*C_in. The
 closing kernel is one matmul on the (N, C*W) flatten. backward walks the
-layers in reverse, reusing each one's input and leaky-ReLU slope, which a
-traced forward keeps; a forward that no backward follows (train's
-validation, train-svm, predict) builds no slope and no trace.
+layers in reverse, reusing each one's input and the mask z >= 0 of its
+pre-activation z, which a traced forward keeps; a forward that no backward
+follows (train's validation, train-svm, predict) builds no mask and no
+trace.
 
 The net computes in its input's floating dtype and casts parameters per
 call: float32 (COMPUTE_DTYPE) for train, train-svm and predict, and float64
@@ -240,12 +241,6 @@ def _layer_names(config: NetworkConfig) -> list[str]:
     return [f"conv{i}" for i in range(1, len(config.kernels) + 1)] + ["dense7", "dense8", "head"]
 
 
-def _leaky_slope(z: np.ndarray, alpha: float) -> np.ndarray:
-    """where(z >= 0, 1, alpha) in z's dtype, bit for bit for alpha in [0, 1), in two passes."""
-    slope = (z >= 0).astype(z.dtype)
-    return np.maximum(slope, alpha, out=slope)
-
-
 def _leaky_relu(z: np.ndarray, alpha: float) -> np.ndarray:
     """z * where(z >= 0, 1, alpha) in place, bit for bit for alpha in [0, 1), in two passes."""
     if alpha == 0.0:  # max(z, 0 * z) would turn +inf into NaN
@@ -255,8 +250,8 @@ def _leaky_relu(z: np.ndarray, alpha: float) -> np.ndarray:
 
 @dataclass
 class ForwardTrace:
-    """Per-call cache for backward: each layer's input and leaky-ReLU slope
-    where(z >= 0, 1, alpha) of its pre-activation z (None for the head)."""
+    """Per-call cache for backward: each layer's input and the bool mask z >= 0
+    of its pre-activation z, where the leaky ReLU passes z unscaled (None for the head)."""
 
     layers: list[tuple[np.ndarray, np.ndarray | None]]
     logits: np.ndarray
@@ -270,8 +265,8 @@ def forward_batch(
 
     Returns (probs (N,K), features (N, dense8), trace); the features, the last
     hidden activation, feed softmax averaging and the SVM head. With
-    trace=False no slope array is built and the trace is None; the outputs
-    are the same bits.
+    trace=False no mask is built and the trace is None; the outputs are the
+    same bits.
     """
     cfg = params.config
     x, expected = _float_array(x), (cfg.in_channels, cfg.hours, cfg.days)
@@ -284,15 +279,11 @@ def forward_batch(
         z = conv2d_valid(a, w, b) if w.ndim == 4 else dense_affine(a, w, b)
         if name == f"conv{len(cfg.kernels)}":  # the 1x1 extent flattens to (N, C)
             z = z[0].T
-        if name == "head":
-            slope = None
-        elif trace:
-            slope = _leaky_slope(z, cfg.alpha)
-            z = np.multiply(z, slope, out=z)  # z is a fresh array
-        else:
-            slope, z = None, _leaky_relu(z, cfg.alpha)
+        mask = None if name == "head" or not trace else z >= 0
+        if name != "head":
+            z = _leaky_relu(z, cfg.alpha)  # z is a fresh array
         if trace:
-            layers.append((a, slope))
+            layers.append((a, mask))
         features, a = a, z
     probs = softmax(a)
     return probs, features, ForwardTrace(layers, a, probs) if trace else None
@@ -308,11 +299,14 @@ def backward(params: ModelParams, trace: ForwardTrace, dlogits) -> dict[str, np.
     da = np.asarray(dlogits, dtype=trace.logits.dtype)
     if da.shape != trace.logits.shape:
         raise ValueError("upstream gradient does not match the forward trace")
-    names = _layer_names(params.config)
+    names, alpha = _layer_names(params.config), params.config.alpha
     g: dict[str, np.ndarray] = {}
     for k in reversed(range(len(names))):
-        (x_in, slope), w = trace.layers[k], params.tensors[f"{names[k]}.w"]
-        dz = da if slope is None else np.multiply(da, slope, out=da)  # fresh past the head
+        (x_in, mask), w = trace.layers[k], params.tensors[f"{names[k]}.w"]
+        if mask is not None:  # da is fresh past the head; where=~mask would be far slower
+            slope = mask.view(np.uint8).astype(da.dtype)  # where(z >= 0, 1, alpha) once maxed
+            da *= np.maximum(slope, alpha, out=slope)
+        dz = da
         if w.ndim == 4:
             if dz.ndim == 2:  # the last conv, fed to dense7 as (N, C)
                 dz = dz.T[None]  # back to the conv layout (1, C, N)

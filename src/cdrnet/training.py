@@ -240,9 +240,9 @@ def grad_check(params: ModelParams, x, label: int) -> dict[str, float]:
     Returns the worst relative error per parameter tensor; all values should
     sit below GRAD_TOL when the analytic backward pass is correct. Each entry
     is differenced at the first step of GRAD_STEPS at which neither perturbed
-    forward changes a leaky-ReLU slope of the unperturbed trace: the largest
-    step that stays off every kink, so the roundoff of the order-one loss
-    does not swamp small entries. An entry that crosses a kink at every step,
+    forward changes a leaky-ReLU mask z >= 0 of the unperturbed trace: the
+    largest step that stays off every kink, so the roundoff of the order-one
+    loss does not swamp small entries. An entry that crosses a kink at every step,
     and a gradient misshapen for its tensor, count as an infinite error.
     Keep the network small: cost is two forward passes per scalar parameter
     and step tried.
@@ -253,7 +253,7 @@ def grad_check(params: ModelParams, x, label: int) -> dict[str, float]:
     analytic = backward(params, trace, loss_gradient(probs, labels))
 
     def loss(flat: np.ndarray, i: int, value) -> tuple[np.floating, bool]:
-        """The loss with flat[i] set to value, and whether every slope of the trace held."""
+        """The loss with flat[i] set to value, and whether every mask of the trace held."""
         flat[i] = value
         probs, _, moved = forward_batch(params, x)
         held = all(np.array_equal(a[1], b[1]) for a, b in zip(moved.layers, trace.layers))

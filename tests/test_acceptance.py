@@ -12,13 +12,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from cdrnet.classify import (
-    evaluate,
-    predict_dataset,
-    train_linear_svm,
-    train_svm_head,
-    write_predictions,
-)
+from cdrnet.classify import predict_dataset, train_linear_svm, train_svm_head
 from cdrnet.container import ContainerError
 from cdrnet.featurize import (
     LabelSpace,
@@ -38,6 +32,7 @@ from cdrnet.net import (
     init_params,
     softmax,
 )
+from cdrnet.scoring import evaluate, write_predictions
 from cdrnet.synth import SynthConfig, generate
 from cdrnet.training import (
     GRAD_TOL,
@@ -268,7 +263,7 @@ def test_acceptance_8_determinism_and_serialization(tmp_path):
     model_ok = path_a.read_bytes() == path_b.read_bytes()
 
     for name in ("p1.csv", "p2.csv"):
-        write_predictions(tmp_path / name, predict_dataset(model_a, ds, head="avg"))
+        write_predictions(tmp_path / name, predict_dataset(model_a, ds, head="avg"), space)
     preds_ok = (tmp_path / "p1.csv").read_bytes() == (tmp_path / "p2.csv").read_bytes()
 
     back = load_model(path_a)

@@ -16,9 +16,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdrnet.classify import SvmModel, predict_dataset, write_predictions
-from cdrnet.featurize import TensorDataset, WeekId, fit_normalizer
+from cdrnet.classify import SvmModel, predict_dataset
+from cdrnet.featurize import LabelSpace, TensorDataset, WeekId, fit_normalizer
 from cdrnet.net import NetworkConfig, init_params
+from cdrnet.scoring import write_predictions
 
 from oracles import dense_dataset
 
@@ -31,6 +32,7 @@ _FIT_SET = dense_dataset(
 MODEL = replace(
     init_params(_CONFIG, 0),
     norm_stats=fit_normalizer(_FIT_SET),
+    label_space=LabelSpace.fit("age", ()),  # the four default age buckets
     svm=SvmModel(
         weights=_RNG.normal(size=(CLASSES, _CONFIG.feature_dim)),
         bias=_RNG.normal(size=CLASSES),
@@ -62,7 +64,7 @@ def _dataset(users, weeks) -> TensorDataset:
 
 def _csv_rows(dataset, head, workdir) -> dict[str, str]:
     path = Path(workdir) / f"{head}.csv"
-    write_predictions(path, predict_dataset(MODEL, dataset, head=head))
+    write_predictions(path, predict_dataset(MODEL, dataset, head=head), MODEL.label_space)
     return {line.split(",", 1)[0]: line for line in path.read_text().splitlines()[1:]}
 
 

@@ -221,8 +221,8 @@ def test_featurize_report_is_the_first_stdout_line(tmp_path):
 
 def test_predictions_and_metrics_have_the_shape_the_bench_reads(tmp_path):
     # perfbench/checks.py reads line 0 of a predictions file as a header of
-    # exactly 2+K columns and every later line as one user's row, and the
-    # evaluate --out JSON for its "accuracy"
+    # exactly 2+K columns, which name the K classes, and every later line as
+    # one user's row, and the evaluate --out JSON for its "accuracy"
     weeks = np.random.default_rng(1).poisson(1.0, size=(4, 8, 24, 7)).astype(np.float64)
     ds = dense_dataset(["a", "a", "b", "c"], [WeekId(date(2024, 1, 1))] * 4, weeks)
     save_tensor_dataset(tmp_path / "t.bin", ds)
@@ -239,6 +239,7 @@ def test_predictions_and_metrics_have_the_shape_the_bench_reads(tmp_path):
                     "--attribute", "age", "--out", str(metrics)]) == 0
     header, *rows = [ln.split(",") for ln in preds.read_text(encoding="utf-8").splitlines()]
     assert len(header) == 2 + 4
+    assert header == ["user_id", "predicted_age", "0", "28", "38", "48"]  # the classes, named
     assert [r[0] for r in rows] == ["a", "b", "c"]
     assert all(len(r) == len(header) and 0 <= int(r[1]) < 4 for r in rows)
     assert 0.0 <= json.loads(metrics.read_text(encoding="utf-8"))["accuracy"] <= 1.0

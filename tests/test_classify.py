@@ -1,26 +1,24 @@
 import re
+import tempfile
 from dataclasses import replace
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdrnet.classify import (
-    CHUNK_ROWS,
-    SvmModel,
+from cdrnet.classify import CHUNK_ROWS, SvmModel, predict_dataset, svm_margins, train_linear_svm
+from cdrnet.featurize import LabelSpace, NormStats, TensorDataset, WeekId, fit_normalizer
+from cdrnet.net import COMPUTE_DTYPE, NetworkConfig, forward_batch, init_params
+from cdrnet.scoring import (
     UserPrediction,
     evaluate,
     format_table,
-    predict_dataset,
     read_predictions,
-    svm_margins,
-    train_linear_svm,
     write_predictions,
 )
-from cdrnet.featurize import NormStats, TensorDataset, WeekId, fit_normalizer
-from cdrnet.net import COMPUTE_DTYPE, NetworkConfig, forward_batch, init_params
 from oracles import brute_pegasos, dense_apply_normalizer, dense_dataset
 
 SMALL_NET = NetworkConfig(
@@ -82,7 +80,7 @@ def test_predict_user_averages_softmax(model, weeks):
     # the softmax runs in COMPUTE_DTYPE, so its rows sum to 1 to that precision
     assert pred.scores.sum() == pytest.approx(1.0, abs=np.finfo(COMPUTE_DTYPE).eps)
     assert pred.class_index == int(np.argmax(pred.scores))
-    assert pred.weeks_used == 4 and pred.user_id == "u1"
+    assert pred.user_id == "u1"
 
 
 def test_predict_user_single_week_equals_softmax(model, weeks):
@@ -154,7 +152,6 @@ def test_predict_dataset_packs_users_across_chunks(model):
         probs, feats = _chunk_forward(model, per_user[p.user_id])
         np.testing.assert_array_equal(p.scores, probs.mean(axis=0))
         np.testing.assert_array_equal(q.scores, svm_margins(svm, feats.mean(axis=0)))
-        assert p.weeks_used == q.weeks_used == len(per_user[p.user_id])
         assert q.class_index == int(np.argmax(q.scores))
 
 
@@ -332,7 +329,7 @@ GENDERS = ("f", "m")
 
 def _rows(pairs, k=2):
     """UserPrediction rows of (user, class) pairs, one-hot scores over k classes."""
-    return [UserPrediction(u, np.eye(k)[c], c, 1) for u, c in pairs]
+    return [UserPrediction(u, np.eye(k)[c], c) for u, c in pairs]
 
 
 def test_evaluate_perfect_predictions():
@@ -387,7 +384,7 @@ def test_evaluate_scores_labeled_users_and_counts_the_rest():
 
 
 def test_evaluate_accepts_user_prediction_objects():
-    preds = [UserPrediction("u1", np.array([0.9, 0.1]), 0, 3)]
+    preds = [UserPrediction("u1", np.array([0.9, 0.1]), 0)]
     m = evaluate(preds, {"u1": 0}, GENDERS)
     assert m.accuracy == 1.0
 
@@ -403,14 +400,15 @@ def test_metrics_to_json_round_trips_through_json():
 
 def test_predictions_csv_round_trip(tmp_path):
     preds = [
-        UserPrediction("u1", np.array([0.125, 0.875]), 1, 4),
-        UserPrediction("u2", np.array([0.6, 0.4]), 0, 2),
+        UserPrediction("u1", np.array([0.125, 0.875]), 1),
+        UserPrediction("u2", np.array([0.6, 0.4]), 0),
     ]
     path = tmp_path / "p.csv"
-    write_predictions(path, preds)
+    write_predictions(path, preds, LabelSpace("gender", GENDERS))
     text = path.read_text()
-    assert text.splitlines()[0] == "user_id,predicted_class,p_0,p_1"
-    back = read_predictions(path)
+    assert text.splitlines()[0] == "user_id,predicted_gender,f,m"
+    space, back = read_predictions(path)
+    assert space == LabelSpace("gender", GENDERS)
     assert [p.user_id for p in back] == ["u1", "u2"]
     assert [p.class_index for p in back] == [1, 0]
     np.testing.assert_array_equal(back[0].scores, preds[0].scores)
@@ -436,20 +434,71 @@ def test_read_predictions_rejects_foreign_file(tmp_path):
 )
 def test_read_predictions_rejects_a_malformed_row(tmp_path, row, reason):
     path = tmp_path / "p.csv"
-    path.write_text(f"user_id,predicted_class,p_0,p_1\nu1,0,0.5,0.5\n{row}\n")
+    path.write_text(f"user_id,predicted_gender,f,m\nu1,0,0.5,0.5\n{row}\n")
     with pytest.raises(ValueError, match=f"line 3: .*{re.escape(reason)}"):
         read_predictions(path)
 
 
 @pytest.mark.parametrize(
     "header",
-    ["user_id,predicted_class", "user_id,predicted_class,", "user_id,predicted_class,p_1"],
+    [
+        "user_id,predicted_class",
+        "user_id,predicted_class,",
+        "user_id,predicted_class,p_1",
+        "",
+        "user_id,predicted_class,p_0,p_1",  # the form before predictions named their classes
+        "id,predicted_gender,f,m",
+        "user_id,gender,f,m",
+        "user_id,predicted_sex,f,m",
+        "user_id,predicted_gender,m,f",
+        "user_id,predicted_gender,f",
+        "user_id,predicted_gender,f,f",
+        "user_id,predicted_age,0",
+        "user_id,predicted_age,0,38,28",
+        "user_id,predicted_age,1,28,38,48",
+        "user_id,predicted_age,0,028,38,48",
+        "user_id,predicted_age,0,0,28",
+        "user_id,predicted_age,0,28,inf",
+        "user_id,predicted_age,[0,28),[28,inf)",
+    ],
 )
 def test_read_predictions_rejects_a_header_without_k_scores(tmp_path, header):
+    # any first line but the one write_predictions writes for a label space
     path = tmp_path / "p.csv"
     path.write_text(f"{header}\nu1,0,0.5\n")
-    with pytest.raises(ValueError, match="not a predictions file"):
+    with pytest.raises(ValueError, match="not a predictions file; re-run predict"):
         read_predictions(path)
+
+
+# any string a labels file can hold as a gender: no comma, no line end
+GENDER_LABELS = st.one_of(
+    st.text(st.characters(codec="utf-8", exclude_characters=",\r\n"), min_size=1),
+    st.integers(0, 10**6).map(str),
+)
+LABEL_SPACES = st.one_of(
+    st.sets(GENDER_LABELS, min_size=2, max_size=6).map(
+        lambda labels: LabelSpace("gender", tuple(sorted(labels)))
+    ),
+    st.lists(st.integers(1, 10**6), min_size=1, max_size=6, unique=True).map(
+        lambda edges: LabelSpace.fit("age", (), sorted(edges))
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(space=LABEL_SPACES, seed=st.integers(0, 2**32 - 1))
+def test_a_predictions_file_reads_back_its_label_space_and_rows(space, seed):
+    rng = np.random.default_rng(seed)
+    k = space.n_classes
+    preds = [UserPrediction(f"u{i}", rng.normal(size=k), int(rng.integers(k))) for i in range(3)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.csv"
+        write_predictions(path, preds, space)
+        back_space, back = read_predictions(path)
+    assert back_space == space
+    assert [(p.user_id, p.class_index) for p in back] == [(p.user_id, p.class_index) for p in preds]
+    for got, want in zip(back, preds):
+        np.testing.assert_array_equal(got.scores, want.scores)
 
 
 def test_format_table_layout():

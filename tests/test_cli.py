@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdrnet.classify import UserPrediction, svm_settings, write_predictions
+from cdrnet.classify import svm_settings
 from cdrnet.cli import run
 from cdrnet.container import read_container, write_container
 from cdrnet.featurize import TENSOR_MAGIC, LabelSpace, TensorDataset, load_tensor_dataset
@@ -25,6 +25,7 @@ from cdrnet.featurize import save_tensor_dataset
 from cdrnet.ingest import CDR_HEADER, load_labels, read_lines
 from cdrnet.modelfile import MODEL_MAGIC
 from cdrnet.net import NetworkConfig
+from cdrnet.scoring import UserPrediction, write_predictions
 from cdrnet.synth import SynthConfig
 from cdrnet.training import TrainConfig
 
@@ -136,7 +137,7 @@ BAD_ARGUMENTS = [
     ("train", "--seed", "-1"),
     ("train-svm", "--seed", "-1"),
     ("gradcheck", "--seed", "-1"),
-    ("evaluate", "--age-edges", "30,30"),
+    ("evaluate", "--age-edges", "30,30"),  # removed flag: the predictions name their classes
     ("featurize", "--include-empty-weeks", None),  # removed flag, no value
     ("train-svm", "--lambda", "inf"),
     ("train-svm", "--lambda", "nan"),
@@ -152,6 +153,7 @@ UNPARSED = [
     ("train", "--filters", "a"),
     ("train", "--batch", "x"),
     ("featurize", "--include-empty-weeks", None),
+    ("evaluate", "--age-edges", "30,30"),
 ]
 
 
@@ -193,7 +195,6 @@ OWNERS = {
     ("synth", "--contact-pool"): lambda v: SynthConfig(users=3, contact_pool=int(v)),
     ("synth", "--age-edges"): lambda v: SynthConfig(users=3, age_edges=_ints(v)),
     ("synth", "--seed"): _seed,
-    ("evaluate", "--age-edges"): _age_space,
     ("gradcheck", "--seed"): _seed,
 }
 
@@ -250,8 +251,9 @@ DATA_PATH = {"cdrnet", "cdrnet.ingest", "cdrnet.featurize", "cdrnet.container"}
 
 @pytest.mark.parametrize("stage, loaded", [
     ("featurize", DATA_PATH),
-    ("predict", DATA_PATH | {"cdrnet.net", "cdrnet.classify", "cdrnet.modelfile"}),
-    ("evaluate", DATA_PATH | {"cdrnet.net", "cdrnet.classify"}),
+    ("predict", DATA_PATH | {"cdrnet.net", "cdrnet.classify", "cdrnet.modelfile",
+                             "cdrnet.scoring"}),
+    ("evaluate", DATA_PATH | {"cdrnet.scoring"}),
 ])
 def test_each_stage_imports_only_the_modules_it_runs(pipeline, tmp_path, stage, loaded):
     # as the bench runs them: python -m cdrnet.cli, where the cli module is
@@ -404,7 +406,7 @@ def test_predict_then_evaluate(pipeline, tmp_path):
     )
     assert code == 0, err
     header = preds.read_text(encoding="utf-8").splitlines()[0]
-    assert header == "user_id,predicted_class,p_0,p_1"
+    assert header == "user_id,predicted_gender,f,m"
 
     metrics_path = tmp_path / "metrics.json"
     code, out, err = _run(
@@ -481,11 +483,11 @@ def test_evaluate_perfect_predictions(pipeline, tmp_path):
     classes = tuple(sorted({r.gender for r in labels.values()}))
     preds = [
         UserPrediction(uid, np.eye(len(classes))[classes.index(rec.gender)],
-                       classes.index(rec.gender), 1)
+                       classes.index(rec.gender))
         for uid, rec in sorted(labels.items())
     ]
     path = tmp_path / "perfect.csv"
-    write_predictions(path, preds)
+    write_predictions(path, preds, LabelSpace("gender", classes))
     code, out, err = _run(
         ["evaluate", "--predictions", path, "--labels", paths["labels"], "--attribute", "gender"]
     )
@@ -627,22 +629,79 @@ def test_evaluate_refuses_labels_with_a_gender_the_model_never_saw(pipeline, tmp
         ["evaluate", "--predictions", preds, "--labels", labels, "--attribute", "gender"]
     )
     assert code == 2 and out == ""
-    assert "2 classes" in _error_line(err) and "3 gender classes" in err
+    assert "user 'zz_extra': gender 'a' not in ('f', 'm')" in _error_line(err)
 
 
-def test_evaluate_refuses_predictions_of_other_age_buckets(tmp_path):
-    # what a model trained with --age-edges 30,50 predicts: 3 classes
-    preds = tmp_path / "preds.csv"
-    write_predictions(preds, [UserPrediction("u1", np.array([0.2, 0.5, 0.3]), 1, 1)])
-    labels = tmp_path / "labels.csv"
-    labels.write_text("user_id,gender,age_years\nu1,f,40\n", encoding="utf-8")
-    code, _, err = _run(["evaluate", "--predictions", preds, "--labels", labels,
-                         "--attribute", "age"])
-    assert code == 2
-    assert "3 classes" in _error_line(err) and "4 age classes" in err
-    code, _, err = _run(["evaluate", "--predictions", preds, "--labels", labels,
-                         "--attribute", "age", "--age-edges", "30,50"])
+def test_evaluate_refuses_labels_of_a_relabelled_gender(pipeline, tmp_path):
+    # f relabelled w gives the classes m, w: scored by their own sorted order,
+    # an f/m model's perfect answers would read as accuracy 0.0
+    paths, _ = pipeline
+    preds = _predict(paths, tmp_path / "preds.csv")
+    lines = paths["labels"].read_text(encoding="utf-8").splitlines()
+    relabelled = tmp_path / "labels.csv"
+    relabelled.write_text(
+        "\n".join(lines[:1] + [ln.replace(",f,", ",w,") for ln in lines[1:]]) + "\n",
+        encoding="utf-8",
+    )
+    code, out, err = _run(
+        ["evaluate", "--predictions", preds, "--labels", relabelled, "--attribute", "gender"]
+    )
+    assert code == 2 and out == ""
+    line = _error_line(err)
+    assert re.search(r"user '\w+': gender 'w' not in \('f', 'm'\)", line), line
+
+
+def test_evaluate_refuses_predictions_of_other_age_buckets(pipeline, tmp_path):
+    # a model trained with --age-edges 30,50 is scored in its own buckets,
+    # and evaluate takes no edges that could differ from them
+    paths, _ = pipeline
+    model, preds, metrics = tmp_path / "age.bin", tmp_path / "preds.csv", tmp_path / "m.json"
+    code, _, err = _run(["train", "--tensors", paths["tensors"], "--labels", paths["labels"],
+                         "--out", model, "--attribute", "age", "--age-edges", "30,50",
+                         *SMALL_TRAIN])
     assert code == 0, err
+    code, _, err = _run(
+        ["predict", "--model", model, "--tensors", paths["tensors"], "--out", preds]
+    )
+    assert code == 0, err
+    assert preds.read_text(encoding="utf-8").splitlines()[0] == "user_id,predicted_age,0,30,50"
+    code, _, err = _run(["evaluate", "--predictions", preds, "--labels", paths["labels"],
+                         "--attribute", "age", "--out", metrics])
+    assert code == 0, err
+    report = json.loads(metrics.read_text(encoding="utf-8"))
+    assert report["class_labels"] == ["[0,30)", "[30,50)", "[50,inf)"]
+    labels, _ = load_labels(read_lines(paths["labels"]))
+    want = np.bincount([(r.age_years >= 30) + (r.age_years >= 50) for r in labels.values()],
+                       minlength=3)
+    np.testing.assert_array_equal(np.sum(report["confusion"], axis=1), want)
+    code, _, err = _run(["evaluate", "--predictions", preds, "--labels", paths["labels"],
+                         "--attribute", "age", "--age-edges", "30,50"])
+    assert code == 1 and "unrecognized arguments: --age-edges 30,50" in err
+
+
+def test_evaluate_refuses_predictions_of_another_attribute(pipeline, tmp_path):
+    paths, _ = pipeline
+    preds = _predict(paths, tmp_path / "preds.csv")
+    code, out, err = _run(
+        ["evaluate", "--predictions", preds, "--labels", paths["labels"], "--attribute", "age"]
+    )
+    assert code == 2 and out == ""
+    assert _error_line(err) == f"error: {preds}: gender predictions, not age"
+
+
+def test_evaluate_refuses_a_predictions_file_of_the_old_form(pipeline, tmp_path):
+    # before predictions named their classes, line 0 read user_id,predicted_class,p_0,...
+    paths, _ = pipeline
+    preds = _predict(paths, tmp_path / "preds.csv")
+    lines = preds.read_text(encoding="utf-8").splitlines()
+    preds.write_text("\n".join(["user_id,predicted_class,p_0,p_1", *lines[1:]]) + "\n",
+                     encoding="utf-8")
+    code, out, err = _run(
+        ["evaluate", "--predictions", preds, "--labels", paths["labels"], "--attribute", "gender"]
+    )
+    assert code == 2 and out == ""
+    assert _error_line(err).startswith(f"error: {preds}: not a predictions file")
+    assert "re-run predict" in err
 
 
 @pytest.mark.parametrize("edit", [

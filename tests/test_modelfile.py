@@ -4,7 +4,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from cdrnet.classify import SvmModel, predict_dataset, write_predictions
+from cdrnet.classify import SvmModel, predict_dataset
 from cdrnet.cli import run
 from cdrnet.container import (
     ChecksumError,
@@ -16,6 +16,7 @@ from cdrnet.container import (
 from cdrnet.featurize import LabelSpace, NormStats, WeekId, fit_normalizer, save_tensor_dataset
 from cdrnet.modelfile import MODEL_MAGIC, load_model, save_model
 from cdrnet.net import NetworkConfig, downsized_config, init_params, param_shapes
+from cdrnet.scoring import write_predictions
 
 from oracles import dense_dataset
 
@@ -175,8 +176,8 @@ def test_f8_net_tensors_load_as_float32_and_predict_the_same_bytes(tmp_path):
         np.testing.assert_array_equal(from_old.tensors[name], tensor)
     for head in ("avg", "svm"):
         a, b = tmp_path / f"old_{head}.csv", tmp_path / f"new_{head}.csv"
-        write_predictions(a, predict_dataset(from_old, ds, head=head))
-        write_predictions(b, predict_dataset(from_new, ds, head=head))
+        write_predictions(a, predict_dataset(from_old, ds, head=head), from_old.label_space)
+        write_predictions(b, predict_dataset(from_new, ds, head=head), from_new.label_space)
         assert a.read_bytes() == b.read_bytes()
 
 

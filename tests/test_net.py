@@ -10,7 +10,6 @@ from cdrnet.net import (
     NetworkConfig,
     _conv_grads,
     _leaky_relu,
-    _leaky_slope,
     backward,
     conv2d_valid,
     dense_affine,
@@ -215,8 +214,9 @@ def test_leaky_slope_is_where_bit_for_bit(dtype, alpha):
     info = np.finfo(dtype)
     special = [-0.0, 0.0, np.nan, np.inf, -np.inf, -info.smallest_subnormal, -info.tiny / 2]
     z = np.concatenate([special, np.random.default_rng(0).normal(size=200)]).astype(dtype)
-    want = np.where(z >= 0, 1, alpha).astype(dtype)
-    got = _leaky_slope(z, alpha)
+    with np.errstate(invalid="ignore"):  # -inf * 0
+        want = z * np.where(z >= 0, 1, alpha).astype(dtype)
+        got = _leaky_relu(z.copy(), alpha)
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got.view(f"u{got.itemsize}"), want.view(f"u{want.itemsize}"))
 
@@ -400,9 +400,10 @@ def test_float32_input_runs_in_float32_and_tracks_float64(
     probs32, feats32, trace32 = forward_batch(params, x.astype(np.float32))
     grads32 = backward(params, trace32, loss_gradient(probs32, labels))
 
-    arrays = [a for layer in trace32.layers for a in layer if a is not None]
+    arrays = [x_in for x_in, _ in trace32.layers]
     arrays += [probs32, feats32, trace32.logits, trace32.probs, *grads32.values()]
     assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+    assert {m.dtype for _, m in trace32.layers[:-1]} == {np.dtype(bool)}  # the z >= 0 masks
     assert _relative(probs32, probs64) <= 1e-4
     # over all gradients at once: a single tensor's gradient can be a
     # near-cancelling sum, whose float32 rounding is large relative to it

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .featurize import N_CHANNELS, N_DAYS, N_HOURS, STD_FLOOR, TensorDataset, apply_normalizer
-from .ingest import LabelRecord
+from .labels import LabelRecord
 from .net import COMPUTE_DTYPE, ModelParams, forward_batch
 from .scoring import UserPrediction
 
@@ -230,7 +230,7 @@ def predict_dataset(
     # a user's margins to the user count
     scores = probs if head == "avg" else svm_margins(model.svm, feats[:, None, :])[:, 0]
     classes = scores.argmax(axis=1).tolist()
-    return [UserPrediction(*row) for row in zip(users, scores, classes)]
+    return [UserPrediction(u, tuple(s), c) for u, s, c in zip(users, scores.tolist(), classes)]
 
 
 def train_svm_head(

@@ -6,12 +6,12 @@ file), train-svm (append an SVM head to a model), predict (model + tensors
 to predictions csv), evaluate (predictions + labels to metrics), and
 gradcheck (finite-difference gradient audit).
 
-Each subcommand loads only the modules it runs. Those of featurize (ingest,
-featurize, container) load with this module. The names taken from classify,
-modelfile, net, scoring, synth and training load their module on first use,
-through the module __getattr__ below, so featurize never compiles the net
-and evaluate loads neither net nor classify. The subcommands call those
-names as attributes of this module, where a test or tracer can replace them.
+Each subcommand loads only the modules it runs. Only labels, which imports
+no numpy, loads with this module; every other module loads on first use of
+a name taken from it, through the module __getattr__ below. So featurize
+never compiles the net, and evaluate loads neither numpy nor the data path
+(ingest, featurize, container). The subcommands call those names as
+attributes of this module, where a test or tracer can replace them.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 Given the same inputs and --seed, every subcommand writes byte-identical
@@ -25,16 +25,15 @@ import json
 import sys
 from functools import partial
 
-import numpy as np
-
-from .container import ContainerError
-from .featurize import DEFAULT_AGE_EDGES, LabelSpace, featurize_users, fit_normalizer
-from .featurize import load_tensor_dataset, save_tensor_dataset
-from .ingest import IngestError, ingest, load_labels, read_lines, read_utf8
+from .labels import DEFAULT_AGE_EDGES, LabelSpace, load_labels, read_lines
 
 # module -> the names this module takes from it when one is first used
 _LAZY = {
     "classify": ("predict_dataset", "svm_settings", "train_svm_head"),
+    "featurize": (
+        "featurize_users", "fit_normalizer", "load_tensor_dataset", "save_tensor_dataset",
+    ),
+    "ingest": ("ingest", "read_utf8"),
     "modelfile": ("load_model", "save_model"),
     "net": ("DEFAULT_DENSE", "DEFAULT_FILTERS", "NetworkConfig", "downsized_config", "init_params"),
     "scoring": ("evaluate", "format_table", "read_predictions", "write_predictions"),
@@ -82,8 +81,8 @@ def _checked(kind, owner, field: str | None = None):
     return parse
 
 
-# a lambda, so that numpy.random is imported when a seed is parsed, not with the CLI
-_seed = _checked(int, lambda seed: np.random.SeedSequence(seed))
+# numpy loads when a seed is parsed, not with the CLI
+_seed = _checked(int, lambda seed: __import__("numpy.random").random.SeedSequence(seed))
 _age_edges = _checked(ints, lambda edges: LabelSpace.fit("age", (), edges))
 _train = _lazy("TrainConfig")
 _fraction = _checked(float, _train, "val_fraction")
@@ -93,7 +92,7 @@ _svm = _lazy("svm_settings")
 
 def _load_tensors(path):
     """A tensor file with at least one tensor; an empty one is a ValueError."""
-    ds = load_tensor_dataset(path)
+    ds = _cli.load_tensor_dataset(path)
     if len(ds) == 0:
         raise ValueError(f"{path}: empty tensor file")
     return ds
@@ -130,14 +129,14 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_featurize(args) -> int:
-    groups, _, report = ingest(read_utf8(args.cdr))
+    groups, _, report = _cli.ingest(_cli.read_utf8(args.cdr))
     print(json.dumps(report.to_json(), sort_keys=True))
     if report.records_accepted == 0:
         print(f"error: {args.cdr}: no usable records", file=sys.stderr)
         return 2
-    ds = featurize_users(groups)
-    ds.norm_stats = fit_normalizer(ds)
-    save_tensor_dataset(args.out, ds)
+    ds = _cli.featurize_users(groups)
+    ds.norm_stats = _cli.fit_normalizer(ds)
+    _cli.save_tensor_dataset(args.out, ds)
     print(f"wrote {len(ds)} user-week tensors for {len(ds.users)} users")
     return 0
 
@@ -238,6 +237,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    import numpy as np
+
     config = _cli.downsized_config()
     params = _cli.init_params(config, args.seed)
     rng = np.random.default_rng(args.seed)
@@ -350,7 +351,7 @@ def run(argv: list[str]) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ContainerError, IngestError, OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -41,7 +41,7 @@ DEFAULT_DTYPE = "<f8"
 DTYPES = ("<f8", "<f4", "<i8", "|u1", "<u2", "<u4", "<u8")
 
 
-class ContainerError(Exception):
+class ContainerError(ValueError):
     """Base class for container read failures."""
 
 

@@ -42,7 +42,6 @@ them.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
@@ -50,7 +49,7 @@ from functools import cached_property
 import numpy as np
 
 from .container import ContainerError, FormatVersionError, read_container, write_container
-from .ingest import EPOCH_ORDINAL, CdrColumns, LabelRecord
+from .ingest import EPOCH_ORDINAL, CdrColumns
 
 N_CHANNELS, N_HOURS, N_DAYS = 8, 24, 7
 N_CELLS = N_HOURS * N_DAYS
@@ -207,84 +206,6 @@ def apply_normalizer(dataset, rows, stats: NormStats, out: np.ndarray) -> np.nda
     values /= stats.std[channel]
     out.reshape(-1)[_flat_index(sizes, cells)] = values
     return out
-
-
-DEFAULT_AGE_EDGES = (28, 38, 48)
-
-
-def _age_labels(edges: tuple[int, ...]) -> tuple[str, ...]:
-    """Class labels "[lo,hi)" of the age buckets cut at strictly increasing positive years.
-
-    The first bucket starts at 0 and the last, "[last edge,inf)", is open.
-    """
-    if not edges:
-        raise ValueError("at least one bucket edge required")
-    if any(b <= a for a, b in zip(edges, edges[1:])):
-        raise ValueError(f"bucket edges must be strictly increasing: {edges}")
-    if edges[0] <= 0:
-        raise ValueError("bucket edges must be positive years")
-    return tuple(f"[{lo},{hi})" for lo, hi in zip((0,) + edges, edges)) + (f"[{edges[-1]},inf)",)
-
-
-@dataclass(frozen=True)
-class LabelSpace:
-    """The classes of one label attribute and the one rule mapping a label row to a class.
-
-    Gender classes are the sorted distinct genders of the records the space
-    is fitted on; age classes are the buckets of age_edges. A space is fitted
-    once and then carried by the model, so training, the SVM head and
-    evaluation index labels the same way.
-    """
-
-    attribute: str
-    class_labels: tuple[str, ...]
-    age_edges: tuple[int, ...] | None = None  # age only
-
-    def __post_init__(self):
-        labels = tuple(self.class_labels)
-        object.__setattr__(self, "class_labels", labels)
-        if self.attribute == "age":
-            edges = tuple(int(e) for e in self.age_edges or ())
-            object.__setattr__(self, "age_edges", edges)
-            if labels != _age_labels(edges):
-                raise ValueError(f"class_labels {labels} disagree with age_edges {edges}")
-        elif self.attribute == "gender":
-            if self.age_edges is not None:
-                raise ValueError("a gender label space holds no age_edges")
-            strings = all(isinstance(label, str) for label in labels)
-            if not strings or len(labels) < 2 or labels != tuple(sorted(set(labels))):
-                raise ValueError(
-                    f"gender class_labels must be two or more distinct strings in sorted order, "
-                    f"got {labels}"
-                )
-        else:
-            raise ValueError(f"unknown attribute {self.attribute!r}, expected 'gender' or 'age'")
-
-    @classmethod
-    def fit(
-        cls, attribute: str, records, age_edges: tuple[int, ...] = DEFAULT_AGE_EDGES
-    ) -> LabelSpace:
-        """The space of attribute over the given label records."""
-        if attribute == "age":
-            edges = tuple(int(e) for e in age_edges)
-            return cls(attribute, _age_labels(edges), edges)
-        return cls(attribute, tuple(sorted({r.gender for r in records})))
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.class_labels)
-
-    def index(self, record: LabelRecord) -> int:
-        """Class index of a label row; a gender outside the space is a ValueError."""
-        if self.attribute == "age":
-            # age in [edge_{i-1}, edge_i) is class i
-            return bisect_right(self.age_edges, record.age_years)
-        try:
-            return self.class_labels.index(record.gender)
-        except ValueError:
-            raise ValueError(
-                f"user {record.user_id!r}: gender {record.gender!r} not in {self.class_labels}"
-            ) from None
 
 
 class TensorDataset:

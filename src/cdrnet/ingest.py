@@ -1,19 +1,17 @@
-"""Parsing and validation of raw CDR and demographic label files.
+"""Parsing and validation of raw CDR files.
 
-Input formats (UTF-8 CSV, plain comma-separated tokens, one header row):
+Input format (UTF-8 CSV, plain comma-separated tokens, one header row):
 
     CDR:    user_id,direction,kind,timestamp,duration_s,correspondent_id
             direction in {in,out}; kind in {call,text};
             timestamp "YYYY-MM-DDThh:mm:ss" in ASCII digits (local
             wall-clock: no offset, no fraction); duration 1 to 15
             ASCII digits
-    labels: user_id,gender,age_years
 
 Parsing is total: every data line is either accepted or rejected with a
 line-numbered reason in the IngestReport; a dirty line never aborts the
-run. The only fatal data condition is a duplicate user_id in the labels
-file. Texts must carry duration 0; coercing instead of rejecting would
-hide upstream schema errors.
+run. Texts must carry duration 0; coercing instead of rejecting would
+hide upstream schema errors. Label lines are parsed by labels.load_labels.
 
 featurize reads a CDR file as bytes (read_utf8), which are checked for
 UTF-8 without keeping a decoded copy. ingest() splits them into lines as a
@@ -27,26 +25,17 @@ line's fields (_REASONS).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from typing import Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .labels import IngestReport, LabelRecord, _check_utf8, load_labels
+
 CDR_HEADER = "user_id,direction,kind,timestamp,duration_s,correspondent_id"
-LABELS_HEADER = "user_id,gender,age_years"
-
-MAX_AGE = 130
 EPOCH_ORDINAL = date(1970, 1, 1).toordinal()  # day 0 of CdrColumns.day
-
-
-class ParseError(ValueError):
-    """A single malformed input line."""
-
-
-class IngestError(ValueError):
-    """Dataset-level violation that aborts the run (e.g. duplicate label)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,42 +62,6 @@ class CdrColumns:
         return len(self.user)
 
 
-@dataclass(frozen=True, slots=True)
-class LabelRecord:
-    user_id: str
-    gender: str
-    age_years: int
-
-
-@dataclass(frozen=True, slots=True)
-class Rejection:
-    stream: str  # "cdr" or "labels"
-    line: int    # 1-based physical line number within that file
-    reason: str
-
-
-@dataclass
-class IngestReport:
-    """Accounting for one ingest run; accepted + rejected covers every data line."""
-
-    records_accepted: int = 0
-    records_rejected: int = 0
-    labels_accepted: int = 0
-    labels_rejected: int = 0
-    rejections: list[Rejection] = field(default_factory=list)
-
-    def reject(self, stream: str, line: int, reason: str) -> None:
-        if stream == "cdr":
-            self.records_rejected += 1
-        else:
-            self.labels_rejected += 1
-        self.rejections.append(Rejection(stream, line, reason))
-
-    def to_json(self) -> dict:
-        rejections = [dict(stream=r.stream, line=r.line, reason=r.reason) for r in self.rejections]
-        return {**vars(self), "rejections": rejections}
-
-
 _MAX_DURATION_DIGITS = 15  # below 2**53, so float64 holds every value exactly
 
 # The CDR grammar's reasons, indexed by the code _scan_block gives a line:
@@ -126,29 +79,6 @@ _REASONS = (
     lambda f: f"duration of {len(f[4])} digits, at most {_MAX_DURATION_DIGITS} allowed",
     lambda f: f"text with nonzero duration {int(f[4])}",
 )
-
-
-def _is_ascii_number(text: str) -> bool:
-    # str.isdigit alone also takes digits such as "²" and "٣"
-    return text.isascii() and text.isdigit()
-
-
-def parse_labels_line(line: str) -> LabelRecord:
-    """Parse one label row "user_id,gender,age_years"; raises ParseError."""
-    fields = line.rstrip("\r\n").split(",")
-    if len(fields) != 3:
-        raise ParseError(f"expected 3 fields, got {len(fields)}")
-    user_id, gender, age_s = fields
-    if not user_id:
-        raise ParseError("empty user_id")
-    if not gender:
-        raise ParseError("empty gender")
-    if not _is_ascii_number(age_s):
-        raise ParseError(f"negative or non-integer age {age_s!r}")
-    age = int(age_s)
-    if age > MAX_AGE:
-        raise ParseError(f"age {age} out of [0, {MAX_AGE}]")
-    return LabelRecord(user_id, gender, age)
 
 
 _NL, _CR, _COMMA = ord("\n"), ord("\r"), ord(",")
@@ -372,7 +302,8 @@ def ingest(
     "\\r". Vectorized checks (_scan) decide which CDR lines are accepted,
     and each line they refuse is reported with its line number and the
     reason its code names. Users without a label are retained: usable for
-    prediction, excluded from training.
+    prediction, excluded from training. label_lines, when given, go to
+    labels.load_labels, which reports into the same IngestReport.
     """
     report = IngestReport()
     starts, ends = _line_bounds(data)
@@ -384,59 +315,8 @@ def ingest(
         report.reject("cdr", i + 1, _REASONS[c](fields))
     report.records_accepted = len(columns)
 
-    labels: dict[str, LabelRecord] = {}
-    for line_no, raw in enumerate(label_lines or (), start=1):
-        text = raw.rstrip("\r\n")
-        if line_no == 1 and text == LABELS_HEADER:
-            continue
-        try:
-            rec = parse_labels_line(text)
-        except ParseError as exc:
-            report.reject("labels", line_no, str(exc))
-            continue
-        if rec.user_id in labels:
-            raise IngestError(f"duplicate label for user {rec.user_id!r} at labels line {line_no}")
-        report.labels_accepted += 1
-        labels[rec.user_id] = rec
+    labels, _ = load_labels(label_lines or (), report)
     return columns, labels, report
-
-
-def load_labels(label_lines: Iterable[str]) -> tuple[dict[str, LabelRecord], IngestReport]:
-    """Parse a labels stream alone (train/evaluate paths need no CDR data)."""
-    _, labels, report = ingest(b"", label_lines)
-    return labels, report
-
-
-def _check_utf8(path, data: bytes) -> None:
-    """Raise a ValueError naming the line and value of data's first byte that is not UTF-8.
-
-    Lines end as in a file opened in text mode. Valid data passes.
-    """
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[: exc.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise ValueError(
-            f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
-        ) from None
-
-
-def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file, line ends kept.
-
-    A byte that is not UTF-8 is a ValueError that names the file and the
-    line it sits on.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.readlines()
-    except UnicodeDecodeError:
-        # the error's position counts from the start of one read chunk:
-        # decode the whole file again to place the first bad byte on its line
-        with open(path, "rb") as fh:
-            _check_utf8(path, fh.read())
-        raise
 
 
 def read_utf8(path) -> bytes:

@@ -17,7 +17,8 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .container import ContainerError, read_container, write_container
-from .featurize import STD_FLOOR, LabelSpace, NormStats
+from .featurize import STD_FLOOR, NormStats
+from .labels import LabelSpace
 from .net import COMPUTE_DTYPE, ModelParams, NetworkConfig, param_shapes
 
 MODEL_MAGIC = "CDRNET/1"
@@ -61,8 +62,6 @@ def _label_space_from_header(path, h: dict, classes: int) -> LabelSpace | None:
         raise ContainerError(f"{path}: class_labels {labels!r} must hold {classes} labels")
     try:
         return LabelSpace(**{f.name: h.get(f.name) for f in fields(LabelSpace)})
-    except OverflowError as exc:  # an infinite age edge
-        raise ContainerError(f"{path}: malformed age_edges: {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ContainerError(f"{path}: {exc}") from None
 

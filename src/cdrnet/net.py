@@ -31,7 +31,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .featurize import N_CHANNELS, N_DAYS, N_HOURS, LabelSpace, NormStats
+from .featurize import N_CHANNELS, N_DAYS, N_HOURS, NormStats
+from .labels import LabelSpace
 
 if TYPE_CHECKING:
     from .classify import SvmModel

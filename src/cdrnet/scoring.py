@@ -7,10 +7,7 @@ lower edge in years ("0,28,38,48"), as the "[lo,hi)" labels hold a comma.
 
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
-from .featurize import LabelSpace
-from .ingest import read_lines
+from .labels import LabelSpace, read_lines
 
 
 @dataclass(frozen=True)
@@ -22,7 +19,7 @@ class UserPrediction:
     """
 
     user_id: str
-    scores: np.ndarray
+    scores: tuple[float, ...]
     class_index: int
 
 
@@ -38,17 +35,14 @@ class Metrics:
     accuracy: float
     majority_accuracy: float
     uniform_accuracy: float
-    confusion: np.ndarray
-    precision: np.ndarray
-    recall: np.ndarray
+    confusion: list[list[int]]
+    precision: list[float]
+    recall: list[float]
     class_labels: tuple[str, ...]
     unlabeled: int
 
     def to_json(self) -> dict:
-        out = asdict(self)
-        for name in ("confusion", "precision", "recall"):
-            out[name] = out[name].tolist()
-        return out
+        return asdict(self)
 
 
 def evaluate(
@@ -68,23 +62,21 @@ def evaluate(
         missing = [p.user_id for p in predictions[:5]]
         raise ValueError(f"no truth label for any predicted user, e.g. {missing}")
 
-    true = np.array([truth[p.user_id] for p in scored], dtype=np.intp)
-    pred = np.array([p.class_index for p in scored], dtype=np.intp)
     n_classes = len(class_labels)
-
-    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(confusion, (true, pred), 1)
-    diag = np.diag(confusion).astype(np.float64)
-    col = confusion.sum(axis=0).astype(np.float64)
-    row = confusion.sum(axis=1).astype(np.float64)
-    precision = np.divide(diag, col, out=np.zeros(n_classes), where=col > 0)
-    recall = np.divide(diag, row, out=np.zeros(n_classes), where=row > 0)
+    confusion = [[0] * n_classes for _ in range(n_classes)]
+    for p in scored:
+        confusion[truth[p.user_id]][p.class_index] += 1
+    diag = [confusion[c][c] for c in range(n_classes)]
+    col = [sum(column) for column in zip(*confusion)]
+    row = [sum(r) for r in confusion]
+    precision = [d / t if t else 0.0 for d, t in zip(diag, col)]
+    recall = [d / t if t else 0.0 for d, t in zip(diag, row)]
 
     n = len(scored)
     return Metrics(
         n_users=n,
-        accuracy=float((true == pred).mean()),
-        majority_accuracy=float(row.max() / n),
+        accuracy=sum(diag) / n,
+        majority_accuracy=max(row) / n,
         uniform_accuracy=1.0 / n_classes,
         confusion=confusion,
         precision=precision,
@@ -110,7 +102,7 @@ def write_predictions(path, predictions: list[UserPrediction], space: LabelSpace
         raise ValueError("no predictions to write")
     lines = [",".join(_header(space))]
     for p in predictions:
-        scores = ",".join(map(repr, p.scores.tolist()))
+        scores = ",".join(map(repr, map(float, p.scores)))
         lines.append(f"{p.user_id},{p.class_index},{scores}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -153,7 +145,7 @@ def read_predictions(path) -> tuple[LabelSpace, list[UserPrediction]]:
             class_index = int(parts[1])
             if not 0 <= class_index < k:
                 raise ValueError(f"predicted_class {class_index} outside [0, {k})")
-            scores = np.array([float(v) for v in parts[2:]])
+            scores = tuple(map(float, parts[2:]))
         except ValueError as exc:
             raise ValueError(f"{path}: line {line_no}: {exc}") from None
         out.append(UserPrediction(parts[0], scores, class_index))

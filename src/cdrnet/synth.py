@@ -46,8 +46,9 @@ from datetime import date
 
 import numpy as np
 
-from .featurize import DEFAULT_AGE_EDGES, N_DAYS, N_HOURS, LabelSpace, WeekId
-from .ingest import CDR_HEADER, LABELS_HEADER
+from .featurize import N_DAYS, N_HOURS, WeekId
+from .ingest import CDR_HEADER
+from .labels import DEFAULT_AGE_EDGES, LABELS_HEADER, LabelSpace
 
 GENDERS = ("f", "m")
 BLOCK_MASS = 0.5

@@ -14,9 +14,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .classify import CHUNK_ROWS
-from .featurize import N_CHANNELS, N_DAYS, N_HOURS, LabelSpace, TensorDataset
+from .featurize import N_CHANNELS, N_DAYS, N_HOURS, TensorDataset
 from .featurize import apply_normalizer, fit_normalizer
-from .ingest import LabelRecord
+from .labels import LabelRecord, LabelSpace
 from .net import COMPUTE_DTYPE, ModelParams, NetworkConfig, backward, forward_batch, init_params
 
 GRAD_TOL = 1e-4

@@ -5,7 +5,9 @@ and set/filter logic, sharing no code with the package internals beyond
 its ParseError, except brute_generate: it is the event-by-event synth loop
 that cdrnet.synth.generate replaced, and it takes the archetypes, label
 space and headers from the package so that it redoes only the per-user
-draws and the line formatting. The oracles own the CDR record types (Direction, Kind,
+draws and the line formatting, and brute_metrics, the numpy scoring that
+cdrnet.scoring.evaluate replaced, which returns the package's Metrics so
+that both serialize through one to_json. The oracles own the CDR record types (Direction, Kind,
 CdrRecord) and the reference grammar that parses a line into a record;
 the package itself reads CDR files into columns only. Channel order is
 restated from the documented contract rather than imported. dense_dataset
@@ -24,8 +26,10 @@ from datetime import date, datetime, timedelta
 
 import numpy as np
 
-from cdrnet.featurize import N_DAYS, N_HOURS, STD_FLOOR, TENSOR_CELLS, LabelSpace, TensorDataset
-from cdrnet.ingest import CDR_HEADER, LABELS_HEADER, ParseError
+from cdrnet.featurize import N_DAYS, N_HOURS, STD_FLOOR, TENSOR_CELLS, TensorDataset
+from cdrnet.ingest import CDR_HEADER
+from cdrnet.labels import LABELS_HEADER, LabelSpace, ParseError
+from cdrnet.scoring import Metrics
 from cdrnet.synth import (
     GENDERS,
     NEUTRAL_CALL_RATIO,
@@ -332,6 +336,38 @@ def brute_pegasos(features, labels, lam: float, epochs: int, seed: int, n_classe
         bias[k] = b
         history.append(curve)
     return weights, bias, history
+
+
+def brute_metrics(predictions, truth: dict[str, int], class_labels: tuple[str, ...]) -> Metrics:
+    """The Metrics of predictions against true class indices, counted with numpy arrays.
+
+    This is the numpy scoring that the package's pure-Python evaluate
+    replaced: a confusion matrix filled by np.add.at, with precision and
+    recall a masked divide that gives 0 where a class is never predicted or
+    never true.
+    """
+    scored = [p for p in predictions if p.user_id in truth]
+    true = np.array([truth[p.user_id] for p in scored], dtype=np.intp)
+    pred = np.array([p.class_index for p in scored], dtype=np.intp)
+    n_classes = len(class_labels)
+    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
+    np.add.at(confusion, (true, pred), 1)
+    diag = np.diag(confusion).astype(np.float64)
+    col = confusion.sum(axis=0).astype(np.float64)
+    row = confusion.sum(axis=1).astype(np.float64)
+    precision = np.divide(diag, col, out=np.zeros(n_classes), where=col > 0)
+    recall = np.divide(diag, row, out=np.zeros(n_classes), where=row > 0)
+    return Metrics(
+        n_users=len(scored),
+        accuracy=float((true == pred).mean()),
+        majority_accuracy=float(row.max() / len(scored)),
+        uniform_accuracy=1.0 / n_classes,
+        confusion=confusion.tolist(),
+        precision=precision.tolist(),
+        recall=recall.tolist(),
+        class_labels=class_labels,
+        unlabeled=len(predictions) - len(scored),
+    )
 
 
 def random_records(rng: np.random.Generator, count: int, week_start):

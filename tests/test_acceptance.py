@@ -15,12 +15,12 @@ import pytest
 from cdrnet.classify import predict_dataset, train_linear_svm, train_svm_head
 from cdrnet.container import ContainerError
 from cdrnet.featurize import (
-    LabelSpace,
     TensorDataset,
     WeekId,
     featurize_users,
 )
 from cdrnet.ingest import ingest
+from cdrnet.labels import LabelSpace
 from cdrnet.modelfile import load_model, save_model
 from cdrnet.net import (
     NetworkConfig,

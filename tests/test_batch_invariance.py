@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdrnet.classify import SvmModel, predict_dataset
-from cdrnet.featurize import LabelSpace, TensorDataset, WeekId, fit_normalizer
+from cdrnet.featurize import TensorDataset, WeekId, fit_normalizer
+from cdrnet.labels import LabelSpace
 from cdrnet.net import NetworkConfig, init_params
 from cdrnet.scoring import write_predictions
 

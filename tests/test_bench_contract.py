@@ -24,7 +24,6 @@ import cdrnet.net
 import cdrnet.training
 from cdrnet.cli import run
 from cdrnet.featurize import (
-    LabelSpace,
     TensorDataset,
     WeekId,
     featurize_users,
@@ -32,7 +31,8 @@ from cdrnet.featurize import (
     load_tensor_dataset,
     save_tensor_dataset,
 )
-from cdrnet.ingest import LabelRecord, ingest
+from cdrnet.ingest import ingest
+from cdrnet.labels import LabelRecord, LabelSpace
 from cdrnet.modelfile import save_model
 from cdrnet.net import NetworkConfig, init_params
 

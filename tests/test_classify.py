@@ -1,3 +1,4 @@
+import json
 import re
 import tempfile
 from dataclasses import replace
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdrnet.classify import CHUNK_ROWS, SvmModel, predict_dataset, svm_margins, train_linear_svm
-from cdrnet.featurize import LabelSpace, NormStats, TensorDataset, WeekId, fit_normalizer
+from cdrnet.featurize import NormStats, TensorDataset, WeekId, fit_normalizer
+from cdrnet.labels import LabelSpace
 from cdrnet.net import COMPUTE_DTYPE, NetworkConfig, forward_batch, init_params
 from cdrnet.scoring import (
     UserPrediction,
@@ -19,7 +21,7 @@ from cdrnet.scoring import (
     read_predictions,
     write_predictions,
 )
-from oracles import brute_pegasos, dense_apply_normalizer, dense_dataset
+from oracles import brute_metrics, brute_pegasos, dense_apply_normalizer, dense_dataset
 
 SMALL_NET = NetworkConfig(
     classes=3,
@@ -78,7 +80,7 @@ def test_predict_user_averages_softmax(model, weeks):
     probs, _ = _chunk_forward(model, weeks)
     np.testing.assert_array_equal(pred.scores, probs.mean(axis=0))
     # the softmax runs in COMPUTE_DTYPE, so its rows sum to 1 to that precision
-    assert pred.scores.sum() == pytest.approx(1.0, abs=np.finfo(COMPUTE_DTYPE).eps)
+    assert sum(pred.scores) == pytest.approx(1.0, abs=np.finfo(COMPUTE_DTYPE).eps)
     assert pred.class_index == int(np.argmax(pred.scores))
     assert pred.user_id == "u1"
 
@@ -127,7 +129,7 @@ def test_extract_user_features_is_mean_of_week_features(model, weeks):
     feats = _predict_one(with_svm, weeks, head="svm").scores
     _, per_week = _chunk_forward(model, weeks)
     np.testing.assert_array_equal(feats, per_week.mean(axis=0))
-    assert feats.shape == (SMALL_NET.feature_dim,)
+    assert len(feats) == SMALL_NET.feature_dim
     single = _predict_one(with_svm, weeks[:1], head="svm").scores
     np.testing.assert_array_equal(single, per_week[0])
 
@@ -363,10 +365,10 @@ def test_evaluate_confusion_invariants():
     truth = {f"u{i}": int(rng.integers(3)) for i in range(60)}
     pairs = [(u, int(rng.integers(3))) for u in truth]
     m = evaluate(_rows(pairs, 3), truth, ("a", "b", "c"))
-    assert m.confusion.sum() == 60
+    assert np.sum(m.confusion) == 60
     assert np.trace(m.confusion) / 60 == pytest.approx(m.accuracy)
     true_counts = np.bincount([truth[u] for u, _ in pairs], minlength=3)
-    np.testing.assert_array_equal(m.confusion.sum(axis=1), true_counts)
+    np.testing.assert_array_equal(np.sum(m.confusion, axis=1), true_counts)
 
 
 def test_evaluate_missing_truth_rejected():
@@ -379,8 +381,28 @@ def test_evaluate_scores_labeled_users_and_counts_the_rest():
     m = evaluate(preds, {"u1": 0, "u2": 0, "u3": 1}, GENDERS)
     assert (m.n_users, m.unlabeled) == (2, 2)
     assert m.accuracy == 0.5
-    assert m.confusion.sum() == 2
+    assert np.sum(m.confusion) == 2
     assert m.to_json()["unlabeled"] == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_evaluate_matches_the_numpy_oracle(data):
+    k = data.draw(st.integers(2, 6), label="k")
+    # classes from a subset, so that a class can go unpredicted or untrue and
+    # its precision or recall divides by zero
+    used = data.draw(st.lists(st.integers(0, k - 1), min_size=1, unique=True), label="used")
+    cls = st.sampled_from(used)
+    labeled = data.draw(st.lists(st.tuples(cls, cls), min_size=1, max_size=30), label="labeled")
+    unlabeled = data.draw(st.lists(cls, max_size=5), label="unlabeled")
+    preds = [UserPrediction(f"u{i}", (0.0,) * k, c) for i, (c, _) in enumerate(labeled)]
+    preds += [UserPrediction(f"x{i}", (0.0,) * k, c) for i, c in enumerate(unlabeled)]
+    truth = {f"u{i}": t for i, (_, t) in enumerate(labeled)}
+    class_labels = tuple(f"c{j}" for j in range(k))
+    got = evaluate(preds, truth, class_labels).to_json()
+    want = brute_metrics(preds, truth, class_labels).to_json()
+    assert got == want
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 def test_evaluate_accepts_user_prediction_objects():
@@ -390,8 +412,6 @@ def test_evaluate_accepts_user_prediction_objects():
 
 
 def test_metrics_to_json_round_trips_through_json():
-    import json
-
     m = evaluate(_rows([("u1", 0)]), {"u1": 1}, GENDERS)
     parsed = json.loads(json.dumps(m.to_json()))
     assert parsed["accuracy"] == 0.0

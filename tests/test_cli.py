@@ -20,9 +20,10 @@ from hypothesis import strategies as st
 from cdrnet.classify import svm_settings
 from cdrnet.cli import run
 from cdrnet.container import read_container, write_container
-from cdrnet.featurize import TENSOR_MAGIC, LabelSpace, TensorDataset, load_tensor_dataset
+from cdrnet.featurize import TENSOR_MAGIC, TensorDataset, load_tensor_dataset
 from cdrnet.featurize import save_tensor_dataset
-from cdrnet.ingest import CDR_HEADER, load_labels, read_lines
+from cdrnet.ingest import CDR_HEADER
+from cdrnet.labels import LabelSpace, load_labels, read_lines
 from cdrnet.modelfile import MODEL_MAGIC
 from cdrnet.net import NetworkConfig
 from cdrnet.scoring import UserPrediction, write_predictions
@@ -246,18 +247,34 @@ def test_stages_do_not_import_the_numpy_modules_they_do_not_use(code, unused):
     assert not set(unused) & set(done.stdout.split())
 
 
-DATA_PATH = {"cdrnet", "cdrnet.ingest", "cdrnet.featurize", "cdrnet.container"}
+DATA_PATH = {"cdrnet", "cdrnet.labels", "cdrnet.ingest", "cdrnet.featurize", "cdrnet.container"}
+
+
+def _child_imports(argv) -> tuple[int, set[str], str]:
+    """The exit code, imported modules and stderr of a python -m cdrnet.cli child.
+
+    As the bench runs a stage: the cli module is __main__, and python -X
+    importtime names every module the child imports.
+    """
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "cdrnet.cli", *map(str, argv)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in done.stderr.splitlines() if line.startswith("import time:")
+    }
+    return done.returncode, imported, done.stderr
 
 
 @pytest.mark.parametrize("stage, loaded", [
     ("featurize", DATA_PATH),
     ("predict", DATA_PATH | {"cdrnet.net", "cdrnet.classify", "cdrnet.modelfile",
                              "cdrnet.scoring"}),
-    ("evaluate", DATA_PATH | {"cdrnet.scoring"}),
+    ("evaluate", {"cdrnet", "cdrnet.labels", "cdrnet.scoring"}),
 ])
 def test_each_stage_imports_only_the_modules_it_runs(pipeline, tmp_path, stage, loaded):
-    # as the bench runs them: python -m cdrnet.cli, where the cli module is
-    # __main__; python -X importtime names every module a child imports
     paths, _ = pipeline
     preds = tmp_path / "preds.csv"
     argv = {
@@ -269,17 +286,18 @@ def test_each_stage_imports_only_the_modules_it_runs(pipeline, tmp_path, stage, 
         code, _, err = _run(["predict", "--model", paths["model"], "--tensors", paths["tensors"],
                              "--out", preds])
         assert code == 0, err
-    src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "cdrnet.cli", stage, *map(str, argv)],
-        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr[-2000:]
-    imported = {
-        line.rsplit("|", 1)[1].strip()
-        for line in done.stderr.splitlines() if line.startswith("import time:")
-    }
+    code, imported, err = _child_imports([stage, *argv])
+    assert code == 0, err[-2000:]
     assert {m for m in imported if m.split(".")[0] == "cdrnet"} == loaded
+    # evaluate counts a K x K confusion matrix, which needs no numpy
+    assert ("numpy" in imported) == (stage != "evaluate")
+
+
+def test_a_usage_error_loads_no_numpy():
+    code, imported, err = _child_imports(["evaluate"])  # no flags
+    assert code == 1 and "usage:" in err, err[-2000:]
+    assert {m for m in imported if m.split(".")[0] == "cdrnet"} == {"cdrnet", "cdrnet.labels"}
+    assert "numpy" not in imported
 
 
 def test_synth_reports_counts_and_writes_files(pipeline):
@@ -851,6 +869,9 @@ def test_dense_tensor_file_of_the_first_format_exits_two(pipeline, tmp_path, com
     (lambda h, a: h["config"].update(classes=math.inf), "config"),
     (lambda h, a: h["config"].update(dense=[math.inf, 8]), "config"),
     (lambda h, a: h.update(attribute="age", age_edges=[30, math.inf]), "age_edges"),
+    # the class labels of the edge 28, so only the edge's type refuses it
+    pytest.param(lambda h, a: h.update(attribute="age", class_labels=["[0,28)", "[28,inf)"],
+                                       age_edges=[28.5]), "age_edges", id="fractional-age-edge"),
 ])
 def test_model_file_with_a_crafted_header_exits_two(pipeline, tmp_path, command, edit, field):
     paths, _ = pipeline

@@ -14,7 +14,6 @@ from cdrnet.container import read_container, write_container
 from cdrnet.featurize import (
     CHANNELS,
     TENSOR_MAGIC,
-    LabelSpace,
     NormStats,
     WeekId,
     apply_normalizer,
@@ -23,7 +22,8 @@ from cdrnet.featurize import (
     load_tensor_dataset,
     save_tensor_dataset,
 )
-from cdrnet.ingest import LabelRecord, ingest
+from cdrnet.ingest import ingest
+from cdrnet.labels import LabelRecord, LabelSpace
 from cdrnet.synth import SynthConfig, generate, write_lines
 
 from oracles import (
@@ -272,7 +272,7 @@ def test_age_bucket_boundaries():
     assert space.class_labels == ("[0,28)", "[28,38)", "[38,48)", "[48,inf)")
 
 
-@pytest.mark.parametrize("edges", [(), (28, 28), (38, 28), (0, 10), (-1, 5)])
+@pytest.mark.parametrize("edges", [(), (28, 28), (38, 28), (0, 10), (-1, 5), (28.5,)])
 def test_bad_age_edges_rejected(edges):
     with pytest.raises(ValueError):
         LabelSpace.fit("age", (), edges)
@@ -308,6 +308,8 @@ def test_label_space_follows_the_label_rule(rows, edges):
         ("gender", ("m", "f"), None),                       # not sorted
         ("gender", ("f", "f"), None),
         ("height", ("a", "b"), None),
+        ("age", ("[0,28)", "[28,38)", "[38,48)", "[48,inf)"), (28.7, 38, 48.9)),  # not ints
+        ("age", ("[0,28)", "[28,inf)"), ("28",)),
     ],
 )
 def test_label_space_refuses_a_space_no_fit_makes(attribute, class_labels, age_edges):

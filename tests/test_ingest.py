@@ -2,14 +2,13 @@ from datetime import datetime
 
 import pytest
 
-from cdrnet.ingest import (
-    CDR_HEADER,
+from cdrnet.ingest import CDR_HEADER, ingest
+from cdrnet.labels import (
     LABELS_HEADER,
     IngestError,
     LabelRecord,
     ParseError,
     Rejection,
-    ingest,
     load_labels,
     parse_labels_line,
 )

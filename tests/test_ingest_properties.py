@@ -27,15 +27,8 @@ from hypothesis import strategies as st
 
 from cdrnet.cli import run
 from cdrnet.featurize import featurize_users
-from cdrnet.ingest import (
-    CDR_HEADER,
-    LabelRecord,
-    ParseError,
-    ingest,
-    parse_labels_line,
-    read_lines,
-    read_utf8,
-)
+from cdrnet.ingest import CDR_HEADER, ingest, read_utf8
+from cdrnet.labels import LabelRecord, ParseError, parse_labels_line, read_lines
 
 from oracles import (
     CdrRecord,

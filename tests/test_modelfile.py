@@ -13,7 +13,8 @@ from cdrnet.container import (
     read_container,
     write_container,
 )
-from cdrnet.featurize import LabelSpace, NormStats, WeekId, fit_normalizer, save_tensor_dataset
+from cdrnet.featurize import NormStats, WeekId, fit_normalizer, save_tensor_dataset
+from cdrnet.labels import LabelSpace
 from cdrnet.modelfile import MODEL_MAGIC, load_model, save_model
 from cdrnet.net import NetworkConfig, downsized_config, init_params, param_shapes
 from cdrnet.scoring import write_predictions

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cdrnet.featurize import LabelSpace
-from cdrnet.ingest import CDR_HEADER, LABELS_HEADER, ingest, load_labels
+from cdrnet.ingest import CDR_HEADER, ingest
+from cdrnet.labels import LABELS_HEADER, LabelSpace, load_labels
 from cdrnet.synth import (
     BLOCK_MASS,
     EVENT_BUDGET,

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cdrnet import training
-from cdrnet.featurize import LabelSpace, WeekId
-from cdrnet.ingest import LabelRecord
+from cdrnet.featurize import WeekId
+from cdrnet.labels import LabelRecord, LabelSpace
 from cdrnet.net import NetworkConfig
 from cdrnet.training import (
     EpochStats,
